@@ -10,9 +10,18 @@ tendencies evaluated on the n-th iterate,
                                       - (w^n + G^n) d_par(w^n + G^n)
                                       - eps d_par phi^n ] ds,
 
-after which the potentials of rho^{n+1} are solved sample by sample and
+after which the potentials of rho^{n+1} are solved and
 G^{n+1}(t) = int_0^t E_par^{n+1} ds. The zeroth iterate freezes the data:
 rho^0(t) = rho(0), G^0(t) = t E_par(0), w^0(t) = v(0) - G^0(t).
+
+An iterate is evaluated over its whole time axis at once: the samples are
+stacked along a leading axis, and the field solves, dealiased products and
+derivatives of all of them are single array-level calls (the helpers behind
+spectral.product and poisson.solve_fields, so every sample gets the same
+arithmetic as a one-field call). The shrinking norm of a difference is two
+matrix products over all (delta, t) pairs, and run_scheme records each
+consecutive difference once on the newer iterate, where the contraction
+report finds it again.
 
 On a short enough slab (eta small) consecutive differences contract
 geometrically in the shrinking analytic norms; the fixed point solves the
@@ -25,20 +34,25 @@ finds a certified contraction rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .poisson import solve_fields
+from .poisson import field_coeffs
 from .quadrature import cumulative_integral
 from .spectral import (
+    PERP1,
+    PERP2,
     Grid,
     NormParams,
     SpectralField,
-    derivative,
+    collocation_values,
+    derivative_coeffs,
     embed_parallel,
-    product,
+    embed_parallel_coeffs,
+    product_coeffs,
     shrinking_norm,
 )
 
@@ -54,6 +68,10 @@ class Iterate:
     w: list[SpectralField]
     G: np.ndarray        # [n_t, n_par] coefficients
     Epar: np.ndarray     # [n_t, n_par] coefficients
+    # (weak reference to the previous iterate, params, iterate_difference to
+    # it), recorded by run_scheme; weak so that dropped iterates are freed
+    diff: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     @property
     def grid(self) -> Grid:
@@ -87,47 +105,49 @@ def initialize(rho0: SpectralField, v0: SpectralField, eps: float,
     """Constant-in-time zeroth iterate with its induced field integral."""
     times = np.asarray(times, dtype=float)
     grid = rho0.grid
-    _, forces = solve_fields(rho0, eps)
-    E0 = forces.Epar.coeffs
+    E0 = field_coeffs(grid, rho0.coeffs, eps).Epar
     G = times[:, None] * E0[None, :]
-    w = [v0 - embed_parallel(SpectralField(grid.par_grid, g), grid) for g in G]
+    w = _unstack(v0.coeffs - embed_parallel_coeffs(grid, G), grid)
     return Iterate(n=0, eps=eps, times=times, rho=[rho0] * len(times), w=w,
                    G=G, Epar=np.broadcast_to(E0, G.shape).copy())
 
 
+def _tendencies(grid: Grid, eps: float, rho: np.ndarray,
+                v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tendencies of the real fields rho and v, given as coefficient arrays
+    [n_t, *grid.shape]."""
+    par = grid.par_axis
+    forces = field_coeffs(grid, rho, eps)
+    rho_vals = collocation_values(grid, rho)
+    v_vals = collocation_values(grid, v)
+    dv_vals = collocation_values(grid, derivative_coeffs(grid, v, par))
+    dr = -derivative_coeffs(grid, product_coeffs(grid, v_vals, rho_vals, True), par)
+    dv = -product_coeffs(grid, v_vals, dv_vals, True) - forces.eps_dpar_phi
+    for comp, label in ((forces.Eperp1, PERP1), (forces.Eperp2, PERP2)):
+        if label in grid.axes:
+            comp_vals = collocation_values(grid, comp)
+            dr = dr - derivative_coeffs(
+                grid, product_coeffs(grid, comp_vals, rho_vals, True), label)
+            dv = dv - derivative_coeffs(
+                grid, product_coeffs(grid, comp_vals, v_vals, True), label)
+    return dr, dv
+
+
 def iterate(prev: Iterate, rho0: SpectralField, v0: SpectralField) -> Iterate:
     """One recursion step: quadrature of the previous iterate's tendencies,
-    then a fresh field solve per sample."""
+    then a fresh field solve, all samples at once."""
     grid = prev.grid
     eps = prev.eps
-    par = grid.par_axis
-    n_t = len(prev.times)
     dt = float(prev.times[1] - prev.times[0])
-
-    drho, dw = [], []
-    for j in range(n_t):
-        rho_j = prev.rho[j]
-        v_j = prev.v(j)
-        _, forces = solve_fields(rho_j, eps)
-        dr = -derivative(product(v_j, rho_j), par)
-        dv = -product(v_j, derivative(v_j, par)) - forces.eps_dpar_phi
-        for comp, label in ((forces.Eperp1, "perp1"), (forces.Eperp2, "perp2")):
-            if label in grid.axes:
-                dr = dr - derivative(product(comp, rho_j), label)
-                dv = dv - derivative(product(comp, v_j), label)
-        drho.append(dr)
-        dw.append(dv)
-
-    rho_new = _unstack(rho0.coeffs[None] + cumulative_integral(_stack(drho), dt),
-                       grid)
-    w_new = _unstack(v0.coeffs[None] + cumulative_integral(_stack(dw), dt), grid)
-    epar = np.empty((n_t, grid.par_grid.shape[0]), dtype=complex)
-    for j in range(n_t):
-        _, forces = solve_fields(rho_new[j], eps)
-        epar[j] = forces.Epar.coeffs
+    v = _stack(prev.w) + embed_parallel_coeffs(grid, prev.G)
+    drho, dw = _tendencies(grid, eps, _stack(prev.rho), v)
+    rho_new = rho0.coeffs[None] + cumulative_integral(drho, dt)
+    w_new = v0.coeffs[None] + cumulative_integral(dw, dt)
+    epar = field_coeffs(grid, rho_new, eps).Epar
     G_new = cumulative_integral(epar, dt)
-    return Iterate(n=prev.n + 1, eps=eps, times=prev.times, rho=rho_new,
-                   w=w_new, G=G_new, Epar=epar)
+    return Iterate(n=prev.n + 1, eps=eps, times=prev.times,
+                   rho=_unstack(rho_new, grid), w=_unstack(w_new, grid),
+                   G=G_new, Epar=epar)
 
 
 @dataclass
@@ -141,23 +161,26 @@ class ContractionRow:
     ratio: float            # total_n / total_{n-1}, nan for the first row
 
 
-def _series_norm(times, coeff_series, params: NormParams, grid: Grid) -> float:
-    fields = [SpectralField(grid, c) for c in coeff_series]
-    return shrinking_norm(times, fields, params)
-
-
 def iterate_difference(a: Iterate, b: Iterate, params: NormParams) -> dict:
     """Shrinking-norm distances between two iterates, per quantity."""
     times = a.times
-    grid = a.grid
-    par = grid.par_grid
     sq = math.sqrt(a.eps)
     return {
-        "rho": shrinking_norm(times, [x - y for x, y in zip(a.rho, b.rho)], params),
-        "w": shrinking_norm(times, [x - y for x, y in zip(a.w, b.w)], params),
-        "G": _series_norm(times, a.G - b.G, params, par),
-        "E": _series_norm(times, sq * (a.Epar - b.Epar), params, par),
+        "rho": shrinking_norm(times, _stack(a.rho) - _stack(b.rho), params),
+        "w": shrinking_norm(times, _stack(a.w) - _stack(b.w), params),
+        "G": shrinking_norm(times, a.G - b.G, params),
+        "E": shrinking_norm(times, sq * (a.Epar - b.Epar), params),
     }
+
+
+def _recorded_difference(a: Iterate, b: Iterate, params: NormParams) -> dict:
+    """iterate_difference(a, b, params), reusing the one run_scheme
+    recorded when it built a from b."""
+    if a.diff is not None:
+        prev, p, d = a.diff
+        if prev() is b and p == params:
+            return d
+    return iterate_difference(a, b, params)
 
 
 def contraction_report(iterates: list[Iterate],
@@ -171,7 +194,7 @@ def contraction_report(iterates: list[Iterate],
     rows = []
     prev_total = None
     for a, b in zip(iterates[1:], iterates[:-1]):
-        d = iterate_difference(a, b, params)
+        d = _recorded_difference(a, b, params)
         total = max(d.values())
         ratio = float("nan") if prev_total is None else (
             total / prev_total if prev_total > 0 else float("inf"))
@@ -191,9 +214,11 @@ def run_scheme(rho0: SpectralField, v0: SpectralField, eps: float,
     times = time_grid(params, delta1, dt_target)
     iterates = [initialize(rho0, v0, eps, times)]
     for _ in range(n_max):
-        nxt = iterate(iterates[-1], rho0, v0)
+        prev = iterates[-1]
+        nxt = iterate(prev, rho0, v0)
         iterates.append(nxt)
-        d = iterate_difference(nxt, iterates[-2], params)
+        d = iterate_difference(nxt, prev, params)
+        nxt.diff = (weakref.ref(prev), params, d)
         if max(d.values()) < tol:
             break
         if not keep_all and len(iterates) > 3:
@@ -203,13 +228,18 @@ def run_scheme(rho0: SpectralField, v0: SpectralField, eps: float,
 
 def max_ratio(iterates: list[Iterate], params: NormParams,
               first: int = 2, last: int | None = None) -> float:
-    """Largest consecutive-difference ratio over iterations [first, last]."""
-    rows = contraction_report(iterates, params)
-    picked = [r.ratio for r in rows
-              if r.n >= first and (last is None or r.n <= last)
-              and math.isfinite(r.ratio)]
+    """Largest consecutive-difference ratio over iterations [first, last].
+
+    A non-finite total in the range (a diverged iteration) gives +inf, so
+    it can never certify a rate. Ratios after an exactly zero total (a
+    converged tail, 0/0) are skipped."""
+    rows = [r for r in contraction_report(iterates, params)
+            if r.n >= first and (last is None or r.n <= last)]
+    if any(not math.isfinite(r.total) for r in rows):
+        return math.inf
+    picked = [r.ratio for r in rows if math.isfinite(r.ratio)]
     if not picked:
-        return float("inf")
+        return math.inf
     return max(picked)
 
 
@@ -225,12 +255,9 @@ def bisect_eta(rho0: SpectralField, v0: SpectralField, eps: float,
 
     def feasible(eta: float) -> bool:
         p = replace(params, eta=eta)
-        try:
-            its = run_scheme(rho0, v0, eps, p, delta1, dt_target,
-                             n_max=n_probe, tol=0.0)
-            return max_ratio(its, p, first=2, last=n_probe - 1) <= target
-        except (FloatingPointError, OverflowError):
-            return False
+        its = run_scheme(rho0, v0, eps, p, delta1, dt_target,
+                         n_max=n_probe, tol=0.0)
+        return max_ratio(its, p, first=2, last=n_probe - 1) <= target
 
     eta = params.eta
     if feasible(eta):

@@ -225,7 +225,6 @@ def contraction_study(eps: float = 0.25, amplitude: float = 0.01,
     iterates = ck.run_scheme(state.rho, state.v, eps, tuned, delta1, dt_target,
                              n_max=max(n_keep, 12), tol=1e-12)
     rows = ck.contraction_report(iterates, tuned)
-    ratios = [r.ratio for r in rows if 2 <= r.n <= 8 and math.isfinite(r.ratio)]
 
     times = iterates[0].times
     dt = float(times[1] - times[0])
@@ -237,5 +236,5 @@ def contraction_study(eps: float = 0.25, amplitude: float = 0.01,
         dv = final.v(j) - s.v
         sup = max(sup, math.sqrt(l2_norm(dr) ** 2 + l2_norm(dv) ** 2))
     return ContractionStudy(eta=eta, rows=rows,
-                            max_ratio=max(ratios) if ratios else float("inf"),
+                            max_ratio=ck.max_ratio(iterates, tuned, first=2, last=8),
                             sup_l2_vs_rk4=sup)

@@ -13,20 +13,27 @@ degenerates. The one-dimensional problem
 
 is solvable iff the perpendicular average has mean one. Both potentials
 are gauged to zero mean; only their gradients enter the dynamics.
+
+The solves act on coefficient arrays with any leading axes (`field_coeffs`
+and its parts); the field functions wrap them for a single density.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SolvabilityError
 from .spectral import (
+    PERP1,
+    PERP2,
+    Grid,
     SpectralField,
     derivative,
-    perp_average,
-    zeros,
+    derivative_coeffs,
+    perp_average_coeffs,
 )
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -57,15 +64,68 @@ class Forces:
     eps: float
 
 
-def solve_phi(rho: SpectralField, eps: float) -> SpectralField:
-    """Screened perpendicular Poisson solve for phi, zero-mean gauge."""
-    grid = rho.grid
+def _phi_coeffs(grid: Grid, rho: np.ndarray, eps: float) -> np.ndarray:
+    """Screened perpendicular Poisson solve on coefficient arrays
+    [..., *grid.shape], zero-mean gauge."""
     kpar = grid.mode_grid(grid.par_axis)
     symbol = TWO_PI_SQ * (eps**2 * kpar.astype(float) ** 2 + grid.kperp_sq)
     perp_zero = grid.kperp_sq == 0
     safe = np.where(perp_zero, 1.0, symbol)
-    coeffs = np.where(perp_zero, 0.0, rho.coeffs / safe)
-    return SpectralField(grid, coeffs, rho.real)
+    return np.where(perp_zero, 0.0, rho / safe)
+
+
+def _V_coeffs(line: Grid, rho_bar: np.ndarray, eps: float,
+             tol: float = 1e-8) -> np.ndarray:
+    """Parallel Poisson solve on coefficient arrays [..., n_par]; every
+    perpendicular average must have mean 1."""
+    means = np.real(rho_bar[..., 0])
+    bad = np.abs(means - 1.0) > tol
+    if np.any(bad):
+        mean = float(means[bad][0])
+        raise SolvabilityError(
+            f"perpendicular average has mean {mean!r}; the parallel Poisson "
+            "equation is solvable only for mean 1")
+    k = line.modes(0).astype(float)
+    safe = np.where(k == 0, 1.0, eps * TWO_PI_SQ * k**2)
+    return np.where(k == 0, 0.0, rho_bar / safe)
+
+
+def _perp_field_coeffs(grid: Grid, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E_perp = (-d2 phi, d1 phi) on coefficient arrays; a missing axis
+    gives an identically zero component."""
+    e1 = (-derivative_coeffs(grid, phi, PERP2) if PERP2 in grid.axes
+          else np.zeros(phi.shape, dtype=complex))
+    e2 = (derivative_coeffs(grid, phi, PERP1) if PERP1 in grid.axes
+          else np.zeros(phi.shape, dtype=complex))
+    return e1, e2
+
+
+class FieldCoeffs(NamedTuple):
+    """Coefficient arrays of the potentials and forces (see solve_fields)."""
+
+    phi: np.ndarray
+    V: np.ndarray
+    Eperp1: np.ndarray
+    Eperp2: np.ndarray
+    eps_dpar_phi: np.ndarray
+    Epar: np.ndarray
+
+
+def field_coeffs(grid: Grid, rho: np.ndarray, eps: float) -> FieldCoeffs:
+    """All potentials and forces of charge densities given as coefficient
+    arrays [..., *grid.shape]; leading axes are samples solved at once."""
+    phi = _phi_coeffs(grid, rho, eps)
+    line = grid.par_grid
+    V = _V_coeffs(line, perp_average_coeffs(grid, rho), eps)
+    e1, e2 = _perp_field_coeffs(grid, phi)
+    return FieldCoeffs(phi=phi, V=V, Eperp1=e1, Eperp2=e2,
+                       eps_dpar_phi=eps * derivative_coeffs(grid, phi, grid.par_axis),
+                       Epar=-derivative_coeffs(line, V, 0))
+
+
+def solve_phi(rho: SpectralField, eps: float) -> SpectralField:
+    """Screened perpendicular Poisson solve for phi, zero-mean gauge."""
+    return SpectralField(rho.grid, _phi_coeffs(rho.grid, rho.coeffs, eps), rho.real)
 
 
 def solve_V(rho_bar: SpectralField, eps: float, tol: float = 1e-8) -> SpectralField:
@@ -73,15 +133,7 @@ def solve_V(rho_bar: SpectralField, eps: float, tol: float = 1e-8) -> SpectralFi
     grid = rho_bar.grid
     if grid.ndim != 1:
         raise SolvabilityError("solve_V expects a parallel-only field")
-    mean = float(np.real(rho_bar.coeffs[0]))
-    if abs(mean - 1.0) > tol:
-        raise SolvabilityError(
-            f"perpendicular average has mean {mean!r}; the parallel Poisson "
-            "equation is solvable only for mean 1")
-    k = grid.modes(0).astype(float)
-    safe = np.where(k == 0, 1.0, eps * TWO_PI_SQ * k**2)
-    coeffs = np.where(k == 0, 0.0, rho_bar.coeffs / safe)
-    return SpectralField(grid, coeffs, rho_bar.real)
+    return SpectralField(grid, _V_coeffs(grid, rho_bar.coeffs, eps, tol), rho_bar.real)
 
 
 def perp_field(phi: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -90,11 +142,8 @@ def perp_field(phi: SpectralField) -> tuple[SpectralField, SpectralField]:
     On shear grids (no perp2 axis) the first component vanishes
     identically and the second is d1 phi.
     """
-    grid = phi.grid
-    axes = dict((ax, i) for i, ax in enumerate(grid.axes))
-    e1 = -derivative(phi, axes["perp2"]) if "perp2" in axes else zeros(grid)
-    e2 = derivative(phi, axes["perp1"]) if "perp1" in axes else zeros(grid)
-    return e1, e2
+    e1, e2 = _perp_field_coeffs(phi.grid, phi.coeffs)
+    return SpectralField(phi.grid, e1, phi.real), SpectralField(phi.grid, e2, phi.real)
 
 
 def parallel_force(V: SpectralField) -> SpectralField:
@@ -104,13 +153,15 @@ def parallel_force(V: SpectralField) -> SpectralField:
 
 def solve_fields(rho: SpectralField, eps: float) -> tuple[Potentials, Forces]:
     """All potentials and forces for a given charge density."""
-    phi = solve_phi(rho, eps)
-    V = solve_V(perp_average(rho), eps)
-    e1, e2 = perp_field(phi)
     grid = rho.grid
-    eps_dpar_phi = eps * derivative(phi, grid.par_axis)
+    c = field_coeffs(grid, rho.coeffs, eps)
+
+    def field(coeffs, on=grid):
+        return SpectralField(on, coeffs, rho.real)
+
     return (
-        Potentials(phi=phi, V=V, eps=eps),
-        Forces(Eperp1=e1, Eperp2=e2, eps_dpar_phi=eps_dpar_phi,
-               Epar=parallel_force(V), eps=eps),
+        Potentials(phi=field(c.phi), V=field(c.V, grid.par_grid), eps=eps),
+        Forces(Eperp1=field(c.Eperp1), Eperp2=field(c.Eperp2),
+               eps_dpar_phi=field(c.eps_dpar_phi),
+               Epar=field(c.Epar, grid.par_grid), eps=eps),
     )

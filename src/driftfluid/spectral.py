@@ -14,6 +14,13 @@ Conventions (fixed once, used everywhere):
 * the analytic norm |f|_delta = sum_k |coeff(k)| delta^|k| uses the l1
   wavevector length |k| = |k1|+|k2|+|kpar|, which makes the Banach-algebra
   inequality exact by the triangle inequality on exponents.
+
+The transforms, products, derivatives and averages behind the field
+functions are array-level helpers (`collocation_values`, `product_coeffs`,
+`derivative_coeffs`, `perp_average_coeffs`, `embed_parallel_coeffs`) that
+act on the trailing grid axes of a coefficient array. A leading axis, such
+as the time samples of a trajectory, is evaluated in one call with the same
+arithmetic as one field at a time.
 """
 
 from __future__ import annotations
@@ -129,10 +136,7 @@ class Grid:
     @cached_property
     def ell1(self) -> np.ndarray:
         """l1 wavevector length |k1|+|k2|+|kpar| on the coefficient array."""
-        total = np.zeros(self.shape, dtype=int)
-        for i in range(self.ndim):
-            total = total + np.abs(self.mode_grid(i))
-        return total
+        return _ell1(self.shape)
 
     @cached_property
     def kperp_sq(self) -> np.ndarray:
@@ -154,6 +158,20 @@ class Grid:
     def par_grid(self) -> "Grid":
         return Grid.line(self.shape[self.par_axis]) if self.ndim > 1 else self
 
+    def _fft_axes(self, array: np.ndarray) -> tuple[int, ...] | None:
+        """The grid's axes of `array`, counted from its end so that leading
+        (batch) axes are left alone. None (numpy's every-axis default,
+        which skips a per-call shape lookup) when there is no leading axis."""
+        return None if array.ndim == self.ndim else tuple(range(-self.ndim, 0))
+
+    @cached_property
+    def _par_line(self) -> tuple:
+        """Index of the k_perp = 0 line of a coefficient array with any
+        leading axes."""
+        index = [0] * self.ndim
+        index[self.par_axis] = slice(None)
+        return (Ellipsis, *index)
+
     def coordinates(self, axis) -> np.ndarray:
         n = self.shape[self.axis_index(axis)]
         return np.arange(n) / n
@@ -162,6 +180,15 @@ class Grid:
         """Collocation coordinates of every axis, ij indexing."""
         return np.meshgrid(*(self.coordinates(i) for i in range(self.ndim)),
                            indexing="ij")
+
+
+def _ell1(shape: tuple[int, ...]) -> np.ndarray:
+    """|k1|+|k2|+|kpar| on a coefficient array of the given mode counts."""
+    total = np.zeros(shape, dtype=int)
+    for i, n in enumerate(shape):
+        k = np.abs(np.rint(np.fft.fftfreq(n) * n).astype(int))
+        total = total + k.reshape([n if j == i else 1 for j in range(len(shape))])
+    return total
 
 
 def _conjugate_reflection(coeffs: np.ndarray) -> np.ndarray:
@@ -189,7 +216,7 @@ class SpectralField:
 
     @cached_property
     def _values(self) -> np.ndarray:
-        vals = np.fft.ifftn(self.coeffs) * self.grid.size
+        vals = collocation_values(self.grid, self.coeffs)
         vals.setflags(write=False)
         return vals
 
@@ -301,14 +328,48 @@ def inverse(field: SpectralField, tol: float = 1e-6) -> np.ndarray:
     return vals
 
 
+# -- array-level helpers: coefficient arrays [..., *grid.shape] -----------
+
+def collocation_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Complex values of the trigonometric interpolant at the collocation
+    points, over the trailing grid axes."""
+    return np.fft.ifftn(coeffs, axes=grid._fft_axes(coeffs)) * grid.size
+
+
+def product_coeffs(grid: Grid, f_vals: np.ndarray, g_vals: np.ndarray,
+                   real: bool) -> np.ndarray:
+    """Dealiased coefficients of the pointwise product of two sets of
+    collocation values (see product())."""
+    vals = f_vals.real * g_vals.real if real else f_vals * g_vals
+    coeffs = np.fft.fftn(vals, axes=grid._fft_axes(vals)) / grid.size
+    return coeffs * grid.dealias_mask
+
+
+def derivative_coeffs(grid: Grid, coeffs: np.ndarray, axis) -> np.ndarray:
+    """Coefficients of the partial derivative along `axis` (see derivative())."""
+    return coeffs * grid._derivative_mults[grid.axis_index(axis)]
+
+
+def perp_average_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """The k_perp = 0 line of every coefficient array (see perp_average())."""
+    return np.array(coeffs[grid._par_line], copy=True)
+
+
+def embed_parallel_coeffs(grid: Grid, line: np.ndarray) -> np.ndarray:
+    """Parallel-only coefficients placed on the k_perp = 0 line of `grid`,
+    keeping leading axes (see embed_parallel())."""
+    coeffs = np.zeros(line.shape[:-1] + grid.shape, dtype=complex)
+    coeffs[grid._par_line] = line
+    return coeffs
+
+
 def derivative(field: SpectralField, axis) -> SpectralField:
     """Spectral partial derivative: multiply by i 2 pi k_axis.
 
     The Nyquist mode is dropped: an odd derivative of the unpaired
     highest cosine has no real representation on the grid.
     """
-    i = field.grid.axis_index(axis)
-    return SpectralField(field.grid, field.coeffs * field.grid._derivative_mults[i],
+    return SpectralField(field.grid, derivative_coeffs(field.grid, field.coeffs, axis),
                          field.real)
 
 
@@ -325,13 +386,9 @@ def product(f: SpectralField, g: SpectralField) -> SpectralField:
     """
     if f.grid != g.grid:
         raise ConfigError("product() requires both fields on the same grid")
-    if f.real and g.real:
-        vals = f._values.real * g._values.real
-    else:
-        vals = f._values * g._values
-    coeffs = np.fft.fftn(vals) / f.grid.size
-    coeffs = coeffs * f.grid.dealias_mask
-    return SpectralField(f.grid, coeffs, f.real and g.real)
+    real = f.real and g.real
+    return SpectralField(f.grid, product_coeffs(f.grid, f._values, g._values, real),
+                         real)
 
 
 def dealias(field: SpectralField) -> SpectralField:
@@ -347,10 +404,8 @@ def perp_average(field: SpectralField) -> SpectralField:
     grid = field.grid
     if grid.ndim == 1:
         return field
-    index = [0] * grid.ndim
-    index[grid.par_axis] = slice(None)
-    line = field.coeffs[tuple(index)]
-    return SpectralField(grid.par_grid, np.array(line, copy=True), field.real)
+    return SpectralField(grid.par_grid, perp_average_coeffs(grid, field.coeffs),
+                         field.real)
 
 
 def embed_parallel(field: SpectralField, grid: Grid) -> SpectralField:
@@ -359,11 +414,7 @@ def embed_parallel(field: SpectralField, grid: Grid) -> SpectralField:
         raise ConfigError("embed_parallel() expects a parallel-only field")
     if grid.shape[grid.par_axis] != field.grid.shape[0]:
         raise ConfigError("parallel mode counts differ")
-    coeffs = np.zeros(grid.shape, dtype=complex)
-    index = [0] * grid.ndim
-    index[grid.par_axis] = slice(None)
-    coeffs[tuple(index)] = field.coeffs
-    return SpectralField(grid, coeffs, field.real)
+    return SpectralField(grid, embed_parallel_coeffs(grid, field.coeffs), field.real)
 
 
 def translate(field: SpectralField, shifts) -> SpectralField:
@@ -488,9 +539,16 @@ def shrinking_norm(times, fields, params: NormParams) -> float:
     """sup over the admissible (delta, t) wedge of
     |u(t)|_delta + (delta0 - delta - t/eta)^beta |grad u(t)|_delta,
     discretised over the stored samples and the configured delta grid.
+
+    `fields` is a sequence of fields on one grid, or their coefficients
+    stacked along a leading time axis. The norms of every (delta, t) pair
+    are two matrix products of |coeff| against the weights delta^|k| and
+    |k| delta^|k| (the conventions of analytic_norm() and gradient_norm()).
+    A non-finite norm saturates the result to +inf.
     """
     times = np.asarray(times, dtype=float)
-    fields = list(fields)
+    if not isinstance(fields, np.ndarray):
+        fields = list(fields)
     if times.ndim != 1 or len(fields) != times.size:
         raise ConfigError("times and fields must have matching length")
     if times.size == 0:
@@ -499,14 +557,22 @@ def shrinking_norm(times, fields, params: NormParams) -> float:
         raise ConfigError(
             f"trajectory times must lie in [0, {params.horizon}) "
             f"= [0, eta*(delta0-1))")
-    best = 0.0
-    for delta in params.delta_grid():
-        t_max = params.eta * (params.delta0 - delta)
-        for t, u in zip(times, fields):
-            if t > t_max + 1e-15:
-                continue
-            weight = max(params.delta0 - delta - t / params.eta, 0.0) ** params.beta
-            val = analytic_norm(u, delta) + weight * gradient_norm(u, delta)
-            if val > best:
-                best = val
-    return best
+    if isinstance(fields, np.ndarray):
+        coeffs, ell1 = fields, _ell1(fields.shape[1:])
+    else:
+        grid = fields[0].grid
+        if any(f.grid != grid for f in fields):
+            raise ConfigError("fields live on different grids")
+        coeffs, ell1 = np.stack([f.coeffs for f in fields]), grid.ell1
+    mags = np.abs(coeffs).reshape(times.size, -1)
+    ell1 = ell1.reshape(-1)
+    deltas = params.delta_grid()
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.power(deltas[:, None], ell1[None, :])      # [n_delta, N]
+        norms = mags @ weights.T                                # [n_t, n_delta]
+        grads = mags @ (ell1 * weights).T
+        gap = params.delta0 - deltas[None, :] - times[:, None] / params.eta
+        vals = norms + np.maximum(gap, 0.0) ** params.beta * grads
+    admissible = times[:, None] <= params.eta * (params.delta0 - deltas)[None, :] + 1e-15
+    best = float(np.max(vals, where=admissible, initial=0.0))
+    return best if math.isfinite(best) else math.inf

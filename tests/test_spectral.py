@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftfluid.errors import ConfigError, InvariantError
 from driftfluid.spectral import (
@@ -12,6 +13,7 @@ from driftfluid.spectral import (
     NormParams,
     SpectralField,
     analytic_norm,
+    collocation_values,
     constant,
     derivative,
     embed_parallel,
@@ -23,6 +25,7 @@ from driftfluid.spectral import (
     mean,
     perp_average,
     product,
+    product_coeffs,
     shrinking_norm,
     translate,
     zeros,
@@ -299,9 +302,11 @@ class TestShrinkingNorm:
         val = shrinking_norm([0.0], [f], p)
         assert val == pytest.approx(analytic_norm(f, p.delta0), rel=1e-12)
 
-    def test_matches_hand_rolled_sup(self, rng):
-        g = Grid.line(8)
-        p = self.params(n_delta=4)
+    @pytest.mark.parametrize("g,n_delta", [(Grid.line(8), 4),
+                                           (Grid.torus3d(4, 4, 8), 16)],
+                             ids=["line", "torus3d"])
+    def test_matches_hand_rolled_sup(self, rng, g, n_delta):
+        p = self.params(n_delta=n_delta)
         f1 = random_band_field(g, 2, rng)
         f2 = random_band_field(g, 2, rng)
         times = np.array([0.0, 0.3 * p.horizon])
@@ -320,6 +325,34 @@ class TestShrinkingNorm:
         f = random_band_field(g, 1, rng)
         with pytest.raises(ConfigError):
             shrinking_norm([p.horizon * 1.01], [f], p)
+
+    def test_stacked_coefficients_match_fields(self, rng):
+        g = Grid.torus3d(4, 4, 8)
+        p = self.params()
+        fields = [random_band_field(g, 2, rng) for _ in range(3)]
+        times = np.linspace(0.0, 0.5 * p.horizon, 3)
+        stacked = np.stack([f.coeffs for f in fields])
+        assert shrinking_norm(times, stacked, p) == shrinking_norm(times, fields, p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_saturates(self, rng, bad):
+        g = Grid.torus3d(4, 4, 8)
+        p = self.params()
+        fields = [random_band_field(g, 2, rng) for _ in range(2)]
+        coeffs = fields[1].coeffs.copy()
+        coeffs[1, 0, 2] = bad
+        fields[1] = SpectralField(g, coeffs)
+        times = [0.0, 0.2 * p.horizon]
+        assert shrinking_norm(times, fields, p) == math.inf
+        stacked = np.stack([f.coeffs for f in fields])
+        assert shrinking_norm(times, stacked, p) == math.inf
+
+    def test_rejects_fields_on_different_grids(self, rng):
+        p = self.params()
+        f = random_band_field(Grid.line(8), 1, rng)
+        h = random_band_field(Grid.line(16), 1, rng)
+        with pytest.raises(ConfigError):
+            shrinking_norm([0.0, 0.1], [f, h], p)
 
 
 class TestSecondDerivativeDiagnostic:
@@ -342,6 +375,30 @@ class TestSecondDerivativeDiagnostic:
                 for i in range(3):
                     for j in range(3):
                         assert second_derivative_norm(f, i, j, delta) <= bound + 1e-10
+
+
+PROPERTY_GRIDS = [Grid.line(8), Grid.line(16), Grid.shear2d(8, 8),
+                  Grid.shear2d(8, 16), Grid.torus3d(4, 4, 8), Grid.torus3d(8, 8, 8)]
+
+
+class TestBatchedProductProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(grid=st.sampled_from(PROPERTY_GRIDS), n_batch=st.integers(1, 4),
+           kmax=st.integers(0, 3), mean=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_leading_axis_matches_per_slice(self, grid, n_batch, kmax, mean, seed):
+        """A dealiased product over a leading axis equals the one-field
+        product() of every slice bitwise, and stays Hermitian."""
+        rng = np.random.default_rng(seed)
+        fs = [random_band_field(grid, kmax, rng, mean=mean) for _ in range(n_batch)]
+        gs = [random_band_field(grid, kmax, rng) for _ in range(n_batch)]
+        batched = product_coeffs(
+            grid, collocation_values(grid, np.stack([f.coeffs for f in fs])),
+            collocation_values(grid, np.stack([g.coeffs for g in gs])), True)
+        per_slice = np.stack([product(f, g).coeffs for f, g in zip(fs, gs)])
+        assert np.array_equal(batched, per_slice)
+        for coeffs in batched:
+            assert SpectralField(grid, coeffs).hermitian_defect() <= 1e-14
 
 
 class TestFieldUtilities:
