@@ -18,7 +18,8 @@ An iterate is evaluated over its whole time axis at once: the samples are
 stacked along a leading axis, and the field solves, dealiased products and
 derivatives of all of them are single array-level calls (the helpers behind
 spectral.product and poisson.solve_fields, so every sample gets the same
-arithmetic as a one-field call). The shrinking norm of a difference is two
+arithmetic as a one-field call). The transport term is the drift-advection
+tendency of the eps integrator (epsilon.drift_advection). The shrinking norm of a difference is two
 matrix products over all (delta, t) pairs, and run_scheme records each
 consecutive difference once on the newer iterate, where the contraction
 report finds it again.
@@ -39,20 +40,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .epsilon import drift_advection
 from .errors import ConfigError
 from .poisson import field_coeffs
 from .quadrature import cumulative_integral
 from .spectral import (
-    PERP1,
-    PERP2,
     Grid,
     NormParams,
     SpectralField,
     collocation_values,
-    derivative_coeffs,
     embed_parallel,
     embed_parallel_coeffs,
-    product_coeffs,
     shrinking_norm,
 )
 
@@ -112,27 +110,6 @@ def initialize(rho0: SpectralField, v0: SpectralField, eps: float,
                    G=G, Epar=np.broadcast_to(E0, G.shape).copy())
 
 
-def _tendencies(grid: Grid, eps: float, rho: np.ndarray,
-                v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tendencies of the real fields rho and v, given as coefficient arrays
-    [n_t, *grid.shape]."""
-    par = grid.par_axis
-    forces = field_coeffs(grid, rho, eps)
-    rho_vals = collocation_values(grid, rho)
-    v_vals = collocation_values(grid, v)
-    dv_vals = collocation_values(grid, derivative_coeffs(grid, v, par))
-    dr = -derivative_coeffs(grid, product_coeffs(grid, v_vals, rho_vals, True), par)
-    dv = -product_coeffs(grid, v_vals, dv_vals, True) - forces.eps_dpar_phi
-    for comp, label in ((forces.Eperp1, PERP1), (forces.Eperp2, PERP2)):
-        if label in grid.axes:
-            comp_vals = collocation_values(grid, comp)
-            dr = dr - derivative_coeffs(
-                grid, product_coeffs(grid, comp_vals, rho_vals, True), label)
-            dv = dv - derivative_coeffs(
-                grid, product_coeffs(grid, comp_vals, v_vals, True), label)
-    return dr, dv
-
-
 def iterate(prev: Iterate, rho0: SpectralField, v0: SpectralField) -> Iterate:
     """One recursion step: quadrature of the previous iterate's tendencies,
     then a fresh field solve, all samples at once."""
@@ -140,7 +117,12 @@ def iterate(prev: Iterate, rho0: SpectralField, v0: SpectralField) -> Iterate:
     eps = prev.eps
     dt = float(prev.times[1] - prev.times[0])
     v = _stack(prev.w) + embed_parallel_coeffs(grid, prev.G)
-    drho, dw = _tendencies(grid, eps, _stack(prev.rho), v)
+    rho = _stack(prev.rho)
+    forces = field_coeffs(grid, rho, eps)
+    drho, dw = drift_advection(grid, collocation_values(grid, rho),
+                               collocation_values(grid, v), v,
+                               forces.Eperp1, forces.Eperp2)
+    dw -= forces.eps_dpar_phi
     rho_new = rho0.coeffs[None] + cumulative_integral(drho, dt)
     w_new = v0.coeffs[None] + cumulative_integral(dw, dt)
     epar = field_coeffs(grid, rho_new, eps).Epar

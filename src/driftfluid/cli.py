@@ -340,22 +340,15 @@ def _run_growth(cfg: RunConfig, out: Path, manifest: Manifest, root: Path) -> No
 
 
 def _run_dichotomy(cfg: RunConfig, out: Path, manifest: Manifest, root: Path) -> None:
-    p = dict(cfg.experiment_params)
-    report = toymodel.dichotomy_experiment(cfg.eps, **p)
+    report = toymodel.dichotomy_experiment(cfg.eps, **cfg.experiment_params)
+    trajectories = report.pop("trajectories")
     out.mkdir(parents=True, exist_ok=True)
     write_json_atomic(out / "dichotomy.json", report)
     manifest.add(out / "dichotomy.json", root)
     # per-branch time series at the largest eps (t, energy, H, masses)
-    from .spectral import Grid as _Grid
-    grid = _Grid.line(32)
-    ref = toymodel.ReferenceFlow(velocity=(p.get("mean_velocity", 0.1),))
-    horizon = p.get("horizon", 0.3)
-    for branch, stream in (("stable", 0.0),
-                           ("unstable", p.get("streaming", 0.5))):
-        eps = max(cfg.eps)
-        st = toymodel.dichotomy_data(grid, eps, stream)
-        dt = min(2.0 * math.pi * math.sqrt(eps) / 120.0, horizon / 64.0)
-        traj = toymodel.run(st, dt, int(math.ceil(horizon / dt)), ref=ref)
+    eps = max(report["eps"])
+    for branch in ("stable", "unstable"):
+        traj = trajectories[branch][eps]
         path = out / f"{branch}_timeseries.csv"
         names = ["t", "energy", "relative_entropy"] + \
             [f"mass_{i}" for i in range(traj.masses.shape[1])]

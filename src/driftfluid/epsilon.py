@@ -4,7 +4,10 @@ State is (rho, v) on a 3D (or shear-reduced) grid plus the running time
 integral G of the parallel electric field E_par = -d_par V, advanced with
 the same RK4 stages as the dynamical variables (Simpson on the stages).
 The filtered current is w = v - G. Potentials and forces are derived from
-rho on demand and never integrated.
+rho on demand and never integrated. The transport part of the tendency,
+drift_advection, is the one shared with the limit system and the CK
+iteration; a step is the shared RK4 step on the fields, whose cached
+collocation values the first stage reuses from per-sample recording.
 
 The density mean is a conserved, pinned quantity: the k = 0 tendency of
 rho vanishes identically (it is a divergence) and the coefficient is reset
@@ -24,20 +27,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdmissibilityError, BlowUpError, ConfigError
-from .poisson import Forces, Potentials, solve_fields
+from .errors import AdmissibilityError, ConfigError
+from .poisson import Forces, Potentials, field_coeffs, solve_fields
+from .quadrature import check_finite, rk4_step
 from .spectral import (
+    PERP1,
+    PERP2,
     Grid,
     NormParams,
     SpectralField,
     analytic_norm,
+    collocation_values,
+    constant,
     dealias,
     derivative,
+    derivative_coeffs,
     embed_parallel,
+    embed_parallel_coeffs,
     inverse,
     mean,
     perp_average,
     product,
+    product_coeffs,
     zeros,
 )
 
@@ -94,19 +105,13 @@ def make_eps_state(rho: SpectralField, v: SpectralField, eps: float,
     if float(np.min(inverse(rho))) <= 0.0:
         raise AdmissibilityError("initial density must be strictly positive")
     if adm_const is not None:
-        fluct = perp_average(rho) - _unit_line(rho.grid)
+        fluct = perp_average(rho) - constant(rho.grid.par_grid, 1.0)
         bound = adm_const * math.sqrt(eps)
         val = analytic_norm(fluct, 1.0)
         if val > bound:
             raise AdmissibilityError(
                 f"|<rho>_perp - 1|_1 = {val:.3e} exceeds C sqrt(eps) = {bound:.3e}")
     return EpsState(t=0.0, eps=eps, rho=rho, v=v, G=zeros(rho.grid.par_grid))
-
-
-def _unit_line(grid: Grid) -> SpectralField:
-    c = np.zeros(grid.par_grid.shape, dtype=complex)
-    c[0] = 1.0
-    return SpectralField(grid.par_grid, c)
 
 
 def dt_policy(eps: float, max_speed_par: float = 0.0, max_speed_perp: float = 0.0,
@@ -128,39 +133,64 @@ def oscillation_period(eps: float) -> float:
     return 2.0 * math.pi * math.sqrt(eps)
 
 
-def _perp_div(e1: SpectralField, e2: SpectralField, f: SpectralField) -> SpectralField:
-    """d1(E1 f) + d2(E2 f) over whichever perpendicular axes exist."""
-    grid = f.grid
-    out = zeros(grid)
-    for comp, label in ((e1, "perp1"), (e2, "perp2")):
+def drift_advection(grid: Grid, rho_vals: np.ndarray, v_vals: np.ndarray,
+                    v: np.ndarray, e1: np.ndarray,
+                    e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transport operator shared by the eps system, its limit and the
+    CK iteration: E x B drift in the perpendicular plane plus parallel
+    advection,
+
+        (-d_par(v rho) - div_perp(E_perp rho), -v d_par v - div_perp(E_perp v)),
+
+    on coefficient arrays [..., *grid.shape] of real fields, leading axes
+    evaluated at once. rho and v enter through their collocation values
+    (v also through its coefficients, for d_par v), so a caller that needs
+    those values again transforms them once. A perpendicular axis the grid
+    lacks contributes nothing.
+    """
+    par = grid.par_axis
+    # few live temporaries (d_par v values freed at once, in-place sums):
+    # on large grids each freed one can be re-faulted from the OS
+    drho = -derivative_coeffs(grid, product_coeffs(grid, v_vals, rho_vals, True), par)
+    dv = -product_coeffs(grid, v_vals, collocation_values(
+        grid, derivative_coeffs(grid, v, par)), True)
+    for comp, label in ((e1, PERP1), (e2, PERP2)):
         if label in grid.axes:
-            out = out + derivative(product(comp, f), label)
-    return out
+            comp_vals = collocation_values(grid, comp)
+            drho -= derivative_coeffs(
+                grid, product_coeffs(grid, comp_vals, rho_vals, True), label)
+            dv -= derivative_coeffs(
+                grid, product_coeffs(grid, comp_vals, v_vals, True), label)
+    return drho, dv
 
 
-def tendencies(rho: SpectralField, v: SpectralField, eps: float,
-               forces: Forces | None = None):
+def _rhs(rho: SpectralField, v: SpectralField, eps: float):
+    """Tendencies of (rho, v, G): the drift-advection tendency plus the
+    forces -eps d_par phi + E_par, and dG/dt = E_par. The collocation
+    values the fields cache are reused."""
+    grid = rho.grid
+    forces = field_coeffs(grid, rho.coeffs, eps)
+    drho, dv = drift_advection(grid, rho._values, v._values, v.coeffs,
+                               forces.Eperp1, forces.Eperp2)
+    dv -= forces.eps_dpar_phi
+    dv += embed_parallel_coeffs(grid, forces.Epar)
+    return (SpectralField(grid, drho), SpectralField(grid, dv),
+            SpectralField(grid.par_grid, forces.Epar))
+
+
+def tendencies(rho: SpectralField, v: SpectralField, eps: float):
     """(d_t rho, d_t v, forces) for the full system.
 
     d_t rho is a pure divergence so its k = 0 and exact k_perp = 0
     bookkeeping follow from the spectral derivative (zero at k = 0).
     """
-    if forces is None:
-        _, forces = solve_fields(rho, eps)
-    grid = rho.grid
-    drho = -_perp_div(forces.Eperp1, forces.Eperp2, rho) \
-        - derivative(product(v, rho), grid.par_axis)
-    dv = -_perp_div(forces.Eperp1, forces.Eperp2, v) \
-        - product(v, derivative(v, grid.par_axis)) \
-        - forces.eps_dpar_phi \
-        + embed_parallel(forces.Epar, grid)
-    return drho, dv, forces
+    drho, dv, _ = _rhs(rho, v, eps)
+    return drho, dv, solve_fields(rho, eps)[1]
 
 
 def rhs(state: EpsState):
     """Tendencies of (rho, v, G); dG/dt = E_par."""
-    drho, dv, forces = tendencies(state.rho, state.v, state.eps)
-    return drho, dv, forces.Epar
+    return _rhs(state.rho, state.v, state.eps)
 
 
 def wave_source(rho: SpectralField, v: SpectralField, forces: Forces,
@@ -197,35 +227,14 @@ def eps_dtE0(rho: SpectralField, v: SpectralField) -> SpectralField:
     return SpectralField(m.grid, -c, m.real)
 
 
-def _pin_mean(rho: SpectralField) -> SpectralField:
-    c = np.array(rho.coeffs, copy=True)
-    c[(0,) * rho.grid.ndim] = 1.0
-    return SpectralField(rho.grid, c, rho.real)
-
-
 def step(state: EpsState, dt: float) -> EpsState:
-    """Classical RK4 step; G advances through the same stage quadrature."""
-    s = state
-
-    def eval_rhs(rho, v):
-        drho, dv, forces = tendencies(rho, v, s.eps)
-        return drho, dv, forces.Epar
-
-    k1 = eval_rhs(s.rho, s.v)
-    k2 = eval_rhs(s.rho + 0.5 * dt * k1[0], s.v + 0.5 * dt * k1[1])
-    k3 = eval_rhs(s.rho + 0.5 * dt * k2[0], s.v + 0.5 * dt * k2[1])
-    k4 = eval_rhs(s.rho + dt * k3[0], s.v + dt * k3[1])
-
-    def combine(cur, i):
-        return cur + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-
-    rho = _pin_mean(combine(s.rho, 0))
-    v = combine(s.v, 1)
-    G = combine(s.G, 2)
-    if not (np.all(np.isfinite(rho.coeffs)) and np.all(np.isfinite(v.coeffs))):
-        raise BlowUpError(f"non-finite state at t = {s.t + dt}",
-                          last_state=s, last_time=s.t)
-    return EpsState(t=s.t + dt, eps=s.eps, rho=rho, v=v, G=G)
+    """Classical RK4 step; G advances through the same stage quadrature.
+    The conserved density mean is pinned to one afterwards."""
+    rho, v, G = rk4_step(lambda y, c: _rhs(y[0], y[1], state.eps),
+                         (state.rho, state.v, state.G), dt)
+    rho.coeffs[(0,) * rho.grid.ndim] = 1.0    # a fresh field, nothing cached yet
+    check_finite((rho, v, G), state, dt, "eps")
+    return EpsState(t=state.t + dt, eps=state.eps, rho=rho, v=v, G=G)
 
 
 def energy(state: EpsState) -> float:
@@ -260,7 +269,7 @@ def energy(state: EpsState) -> float:
 def diagnostics(state: EpsState, params: NormParams | None = None) -> dict:
     params = params or NormParams()
     pots, forces = state.fields()
-    fluct = state.rho - _embedded_one(state.grid)
+    fluct = state.rho - constant(state.grid, 1.0)
     rec = {
         "t": state.t,
         "mass": mean(state.rho),
@@ -272,12 +281,6 @@ def diagnostics(state: EpsState, params: NormParams | None = None) -> dict:
             math.sqrt(state.eps) * forces.Epar, params.delta),
     }
     return rec
-
-
-def _embedded_one(grid: Grid) -> SpectralField:
-    c = np.zeros(grid.shape, dtype=complex)
-    c[(0,) * grid.ndim] = 1.0
-    return SpectralField(grid, c)
 
 
 @dataclass

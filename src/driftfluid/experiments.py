@@ -170,17 +170,12 @@ def filtering_sweep(eps_list, n_par: int = 16, alpha: float = 0.05,
         dt = epsilon.dt_policy(eps)
         n_steps = int(math.ceil(horizon / dt))
         traj = epsilon.run(state, dt, n_steps)
-        sq = math.sqrt(eps)
         W0c = np.array(traj.mom_bar[0], copy=True)
         W0c[0] = 0.0
-        dec = oscillations.decompose(traj.times, traj.Epar, eps,
-                                     SpectralField(grid.par_grid, W0c))
-        corr = oscillations.extract_correctors(dec.times, sq * dec.E1, eps,
-                                               window_periods=window_periods)
-        i0 = int(np.searchsorted(dec.times, corr.times[0] - 1e-12))
-        res = oscillations.oscillation_residual(
-            corr.times, sq * traj.Epar[i0: i0 + len(corr.times)],
-            corr.Eplus, corr.Eminus, eps)
+        record = oscillations.analyze(traj.times, traj.Epar, eps,
+                                      SpectralField(grid.par_grid, W0c),
+                                      window_periods=window_periods)
+        corr, dec = record.correctors, record.decomposition
         sel_r = (corr.times >= average_range[0]) & (corr.times <= average_range[1])
         # weak smallness: W oscillates at O(1) amplitude but its time
         # average over a fixed window shrinks like sqrt(eps)
@@ -188,7 +183,7 @@ def filtering_sweep(eps_list, n_par: int = 16, alpha: float = 0.05,
         w_mean_field = np.mean(dec.W[sel_w], axis=0)
         entries.append(FilterEntry(
             eps=float(eps),
-            residual=float(np.mean(res[sel_r])),
+            residual=float(np.mean(record.residual[sel_r])),
             w_average=float(np.sqrt(np.sum(np.abs(w_mean_field) ** 2)))))
     return FilterResult(entries=entries)
 

@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdmissibilityError, BlowUpError, ConfigError
+from .epsilon import drift_advection
+from .errors import AdmissibilityError, ConfigError
 from .poisson import perp_field, solve_phi
+from .quadrature import check_finite, rk4_step
 from .spectral import (
     Grid,
     SpectralField,
@@ -102,7 +104,8 @@ def project_initial(rho0: SpectralField, v0: SpectralField) -> LimitState:
 
 
 def tendencies(rho: SpectralField, v: SpectralField, with_pressure: bool = True):
-    """(d_t rho, d_t v, constraint flux residual).
+    """(d_t rho, d_t v, constraint flux residual): the drift-advection
+    tendency with E_perp from the eps = 0 symbol, plus the pressure closure.
 
     The k_perp = 0 modes of d_t rho are analytically -d_par <rho v>_perp,
     zero on the constraint manifold; their discrete magnitude is returned
@@ -110,26 +113,18 @@ def tendencies(rho: SpectralField, v: SpectralField, with_pressure: bool = True)
     identically.
     """
     grid = rho.grid
-    phi = solve_phi(rho, 0.0)
-    e1, e2 = perp_field(phi)
-    par = grid.par_axis
-
-    drho = -derivative(product(v, rho), par)
-    dv = -product(v, derivative(v, par))
-    for comp, label in ((e1, "perp1"), (e2, "perp2")):
-        if label in grid.axes:
-            drho = drho - derivative(product(comp, rho), label)
-            dv = dv - derivative(product(comp, v), label)
+    e1, e2 = perp_field(solve_phi(rho, 0.0))
+    # the fields cache their collocation values, which the closure reuses
+    drho, dv = drift_advection(grid, rho._values, v._values, v.coeffs,
+                               e1.coeffs, e2.coeffs)
+    dv = SpectralField(grid, dv)
     if with_pressure:
         dv = dv - embed_parallel(pressure_gradient(rho, v), grid)
-
     index = [0] * grid.ndim
-    index[par] = slice(None)
-    line = drho.coeffs[tuple(index)]
-    residual = float(np.sqrt(np.sum(np.abs(line) ** 2)))
-    coeffs = np.array(drho.coeffs, copy=True)
-    coeffs[tuple(index)] = 0.0
-    return SpectralField(grid, coeffs, drho.real), dv, residual
+    index[grid.par_axis] = slice(None)
+    residual = float(np.sqrt(np.sum(np.abs(drho[tuple(index)]) ** 2)))
+    drho[tuple(index)] = 0.0
+    return SpectralField(grid, drho), dv, residual
 
 
 def rhs(state: LimitState):
@@ -138,17 +133,10 @@ def rhs(state: LimitState):
 
 def step(state: LimitState, dt: float, with_pressure: bool = True) -> LimitState:
     """Classical RK4 step; raises BlowUpError on non-finite output."""
-    s = state
-    k1 = tendencies(s.rho, s.v, with_pressure)
-    k2 = tendencies(s.rho + 0.5 * dt * k1[0], s.v + 0.5 * dt * k1[1], with_pressure)
-    k3 = tendencies(s.rho + 0.5 * dt * k2[0], s.v + 0.5 * dt * k2[1], with_pressure)
-    k4 = tendencies(s.rho + dt * k3[0], s.v + dt * k3[1], with_pressure)
-    rho = s.rho + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    v = s.v + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    if not (np.all(np.isfinite(rho.coeffs)) and np.all(np.isfinite(v.coeffs))):
-        raise BlowUpError(f"non-finite limit state at t = {s.t + dt}",
-                          last_state=s, last_time=s.t)
-    return LimitState(t=s.t + dt, rho=rho, v=v)
+    rho, v = rk4_step(lambda y, c: tendencies(*y, with_pressure)[:2],
+                      (state.rho, state.v), dt)
+    check_finite((rho, v), state, dt, "limit")
+    return LimitState(t=state.t + dt, rho=rho, v=v)
 
 
 @dataclass

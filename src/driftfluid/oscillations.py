@@ -27,8 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .quadrature import cumulative_integral, midpoints, oscillatory_convolutions
-from .spectral import Grid, SpectralField, derivative, product
+from .quadrature import (
+    cumulative_integral,
+    midpoints,
+    oscillatory_convolutions,
+    rk4_step,
+)
+from .spectral import (
+    Grid,
+    SpectralField,
+    collocation_values,
+    derivative_coeffs,
+    product_coeffs,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -178,11 +189,6 @@ class CorrectorSeries:
     Eplus: np.ndarray
     Eminus: np.ndarray
 
-    def at(self, t: float) -> tuple[SpectralField, SpectralField]:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return (SpectralField(self.grid, self.Eplus[i], real=False),
-                SpectralField(self.grid, self.Eminus[i], real=False))
-
 
 def extract_correctors(times, sqrt_eps_E1, eps: float,
                        window_periods: int = 4) -> CorrectorSeries:
@@ -253,25 +259,20 @@ def advect_correctors(Eplus0: SpectralField, Eminus0: SpectralField,
     ubar_coeffs = np.asarray(ubar_coeffs, dtype=complex)
     if ubar_coeffs.shape != (len(times), grid.shape[0]):
         raise ConfigError("ubar series does not match the corrector time grid")
-    ub_mid = midpoints(ubar_coeffs)
+    ubar_at = {0.0: ubar_coeffs[:-1], 0.5: midpoints(ubar_coeffs),
+               1.0: ubar_coeffs[1:]}
     out_p = np.empty_like(ubar_coeffs)
     out_m = np.empty_like(ubar_coeffs)
     out_p[0] = Eplus0.coeffs
     out_m[0] = Eminus0.coeffs
 
-    def f(e_coeffs, u_coeffs):
-        e = SpectralField(grid, e_coeffs, real=False)
-        u = SpectralField(grid, u_coeffs, real=True)
-        return -product(u, derivative(e, 0)).coeffs
-
     for j in range(len(times) - 1):
-        for out in (out_p, out_m):
-            y = out[j]
-            k1 = f(y, ubar_coeffs[j])
-            k2 = f(y + 0.5 * dt * k1, ub_mid[j])
-            k3 = f(y + 0.5 * dt * k2, ub_mid[j])
-            k4 = f(y + dt * k3, ubar_coeffs[j + 1])
-            out[j + 1] = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        def f(y, c):
+            u_vals = collocation_values(grid, ubar_at[c][j])
+            return tuple(-product_coeffs(grid, u_vals, collocation_values(
+                grid, derivative_coeffs(grid, e, 0)), False) for e in y)
+
+        out_p[j + 1], out_m[j + 1] = rk4_step(f, (out_p[j], out_m[j]), dt)
     return CorrectorSeries(grid=grid, times=times, Eplus=out_p, Eminus=out_m)
 
 

@@ -116,7 +116,7 @@ def random_band(grid: Grid, eps: float = 1.0, kmax: int = 2,
                 admissible: bool = True):
     """Random band-limited fluctuation data with prescribed coefficient
     decay; when admissible, the parallel-average fluctuation of rho is
-    rescaled to amplitude * sqrt(eps)."""
+    rescaled to amplitude * sqrt(eps). v has L2 norm amplitude / 2."""
     rng = np.random.default_rng(seed)
 
     def sample() -> SpectralField:
@@ -153,5 +153,5 @@ def random_band(grid: Grid, eps: float = 1.0, kmax: int = 2,
     base = np.zeros(grid.shape, dtype=complex)
     base[(0,) * grid.ndim] = 1.0
     rho = SpectralField(grid, base + fluct.coeffs)
-    v = (0.5 * amplitude / max(l2_norm(fluct), 1e-300)) * sample()
-    return rho, v
+    v = sample()
+    return rho, (0.5 * amplitude / max(l2_norm(v), 1e-300)) * v

@@ -1,4 +1,4 @@
-"""Time-series quadrature helpers.
+"""Time-series quadrature helpers and the shared time integrator.
 
 Two tools used throughout the trajectory analysis:
 
@@ -12,13 +12,17 @@ Two tools used throughout the trajectory analysis:
   interval is integrated against the trigonometric kernel exactly, so the
   error is O(dt^4) in the sampling of g and independent of how fast the
   kernel oscillates. A plain trapezoid variant is kept for comparison.
+
+Every time-stepped system (the eps system, its limit, the two-phase and
+multi-phase reductions, corrector transport) advances with the one RK4
+step here; all but corrector transport then apply the one blow-up check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BlowUpError, ConfigError
 
 # integral over one interval of the cubic through 4 samples, times 1/dt
 _W_INTERIOR = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0     # nodes j-1 .. j+2
@@ -29,6 +33,29 @@ _W_LAST = _W_FIRST[::-1].copy()                             # nodes n-4 .. n-1
 _W_MID_INTERIOR = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _W_MID_FIRST = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 _W_MID_LAST = _W_MID_FIRST[::-1].copy()
+
+
+def rk4_step(f, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of dy/dt = f(y, c).
+
+    The state y is a tuple of arrays or fields, and f returns the tuple of
+    their tendencies; c is the stage's fraction of the step (0, 1/2, 1/2,
+    1), for tendencies with an explicitly time-dependent coefficient.
+    """
+    k1 = f(y, 0.0)
+    k2 = f(tuple(a + 0.5 * dt * k for a, k in zip(y, k1)), 0.5)
+    k3 = f(tuple(a + 0.5 * dt * k for a, k in zip(y, k2)), 0.5)
+    k4 = f(tuple(a + dt * k for a, k in zip(y, k3)), 1.0)
+    return tuple(a + (dt / 6.0) * (p + 2.0 * q + 2.0 * r + s)
+                 for a, p, q, r, s in zip(y, k1, k2, k3, k4))
+
+
+def check_finite(y: tuple, last_state, dt: float, system: str) -> None:
+    """Raise BlowUpError carrying `last_state` (the state a step of length
+    dt started from) unless every field of y is finite."""
+    if not all(np.all(np.isfinite(f.coeffs)) for f in y):
+        raise BlowUpError(f"non-finite {system} state at t = {last_state.t + dt}",
+                          last_state=last_state, last_time=last_state.t)
 
 
 def _check_series(y: np.ndarray) -> np.ndarray:

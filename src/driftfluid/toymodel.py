@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, SolvabilityError
+from .quadrature import check_finite, rk4_step
 from .spectral import (
     Grid,
     SpectralField,
@@ -132,47 +133,25 @@ def tendencies(state: MultiPhaseState):
 
 
 def step(state: MultiPhaseState, dt: float) -> MultiPhaseState:
-    s = state
+    n = state.n_phases
+    dim = state.grid.ndim
 
-    def shifted(fac, k):
-        rho = tuple(r + fac * dr for r, dr in zip(s.rho, k[0]))
-        u = tuple(tuple(c + fac * dc for c, dc in zip(uu, duu))
-                  for uu, duu in zip(s.u, k[1]))
-        return MultiPhaseState(s.t, s.eps, rho, u)
+    def unflatten(y):
+        return y[:n], tuple(y[n + i * dim: n + (i + 1) * dim] for i in range(n))
 
-    k1 = tendencies(s)
-    k2 = tendencies(shifted(0.5 * dt, k1))
-    k3 = tendencies(shifted(0.5 * dt, k2))
-    k4 = tendencies(shifted(dt, k3))
+    def f(y, c):
+        drho, du = tendencies(MultiPhaseState(state.t, state.eps, *unflatten(y)))
+        return (*drho, *(dc for duu in du for dc in duu))
 
-    def combine(cur, i, *idx):
-        terms = [k[0][i] if not idx else k[1][i][idx[0]] for k in (k1, k2, k3, k4)]
-        return cur + (dt / 6.0) * (terms[0] + 2.0 * terms[1] + 2.0 * terms[2] + terms[3])
-
-    rho = tuple(combine(r, i) for i, r in enumerate(s.rho))
-    u = tuple(tuple(combine(c, i, j) for j, c in enumerate(uu))
-              for i, uu in enumerate(s.u))
-    out = MultiPhaseState(t=s.t + dt, eps=s.eps, rho=rho, u=u)
-    flat = [f.coeffs for f in rho] + [c.coeffs for uu in u for c in uu]
-    if not all(np.all(np.isfinite(c)) for c in flat):
-        raise BlowUpError(f"toy-model blow-up at t = {out.t}",
-                          last_state=s, last_time=s.t)
-    return out
+    y = rk4_step(f, (*state.rho, *(c for uu in state.u for c in uu)), dt)
+    check_finite(y, state, dt, "toy-model")
+    return MultiPhaseState(state.t + dt, state.eps, *unflatten(y))
 
 
 def energy(state: MultiPhaseState) -> float:
-    V = solve_potential(total_density(state), state.eps)
-    kin = 0.0
-    for r, uu in zip(state.rho, state.u):
-        rv = inverse(r)
-        speed2 = sum(inverse(c) ** 2 for c in uu)
-        kin += float(np.mean(rv * speed2))
-    kin *= 0.5 / state.n_phases
-    grad2 = 0.0
-    for i in range(state.grid.ndim):
-        k = state.grid.mode_grid(i).astype(float)
-        grad2 += TWO_PI_SQ * float(np.sum(k**2 * np.abs(V.coeffs) ** 2))
-    return kin + 0.5 * state.eps * grad2
+    """The conserved energy: the relative entropy against the zero
+    reference velocity with zero potential."""
+    return relative_entropy(state, ReferenceFlow(velocity=(0.0,) * state.grid.ndim))
 
 
 @dataclass(frozen=True)
@@ -314,12 +293,14 @@ def dichotomy_experiment(eps_list, streaming: float = 0.5,
     carries the relative tolerance `rtol` for the shared O(eps) data terms
     and the integration drift, both orders of magnitude below the branch
     separation. Blow-up in a branch yields a partial entry evaluated at
-    the last valid sample.
+    the last valid sample. The run behind each entry is kept under
+    report["trajectories"][branch][eps].
     """
     grid = Grid.line(n_points)
     ref = ReferenceFlow(velocity=(mean_velocity,))
     report: dict = {"eps": list(map(float, eps_list)),
-                    "horizon": horizon, "stable": {}, "unstable": {}}
+                    "horizon": horizon, "stable": {}, "unstable": {},
+                    "trajectories": {"stable": {}, "unstable": {}}}
     for branch, stream in (("stable", 0.0), ("unstable", streaming)):
         for eps in eps_list:
             state = dichotomy_data(grid, eps, stream, mean_velocity,
@@ -327,6 +308,7 @@ def dichotomy_experiment(eps_list, streaming: float = 0.5,
             dt = min(2.0 * math.pi * math.sqrt(eps) / 120.0, horizon / 64.0)
             n_steps = int(math.ceil(horizon / dt))
             traj = run(state, dt, n_steps, ref=ref)
+            report["trajectories"][branch][float(eps)] = traj
             report[branch][float(eps)] = {
                 "H_initial": float(traj.entropy[0]),
                 "H_final": float(traj.entropy[-1]),

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError, ConfigError
+from .quadrature import check_finite, rk4_step
 from .spectral import (
     Grid,
     SpectralField,
@@ -94,27 +95,10 @@ def tendencies(state: TwoPhaseState):
 
 
 def step(state: TwoPhaseState, dt: float) -> TwoPhaseState:
-    s = state
-
-    def at(r, a, b):
-        return TwoPhaseState(s.t, r, a, b)
-
-    k1 = tendencies(s)
-    k2 = tendencies(at(s.rho1 + 0.5 * dt * k1[0], s.v1 + 0.5 * dt * k1[1],
-                       s.v2 + 0.5 * dt * k1[2]))
-    k3 = tendencies(at(s.rho1 + 0.5 * dt * k2[0], s.v1 + 0.5 * dt * k2[1],
-                       s.v2 + 0.5 * dt * k2[2]))
-    k4 = tendencies(at(s.rho1 + dt * k3[0], s.v1 + dt * k3[1], s.v2 + dt * k3[2]))
-
-    def combine(cur, i):
-        return cur + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-
-    out = TwoPhaseState(t=s.t + dt, rho1=combine(s.rho1, 0),
-                        v1=combine(s.v1, 1), v2=combine(s.v2, 2))
-    if not all(np.all(np.isfinite(f.coeffs)) for f in (out.rho1, out.v1, out.v2)):
-        raise BlowUpError(f"two-phase blow-up at t = {out.t}",
-                          last_state=s, last_time=s.t)
-    return out
+    y = rk4_step(lambda y, c: tendencies(TwoPhaseState(state.t, *y)),
+                 (state.rho1, state.v1, state.v2), dt)
+    check_finite(y, state, dt, "two-phase")
+    return TwoPhaseState(state.t + dt, *y)
 
 
 @dataclass
@@ -287,7 +271,6 @@ class GrowthRow:
 class GrowthResult:
     background: tuple[float, float, float]
     rows: list[GrowthRow]
-    doubling_time: float | None
     blew_up: bool
 
 
@@ -383,7 +366,7 @@ def growth_experiment(background, k_max: int, horizon: float,
         rows.append(GrowthRow(k=k, sigma_lin=complex(sig_lead),
                               sigma_meas=sigma_meas, r_squared=r2, n_fit=n_fit))
     return GrowthResult(background=tuple(background), rows=rows,
-                        doubling_time=None, blew_up=blew_up)
+                        blew_up=blew_up)
 
 
 def survival_time(background, kind: str, param: float, k_max: int,

@@ -10,7 +10,7 @@ from driftfluid import presets
 from driftfluid.cli import RunConfig, main, run, validate
 from driftfluid.errors import ConfigError
 from driftfluid.specio import read_spec, write_csv, write_spec
-from driftfluid.spectral import Grid, analytic_norm, inverse, perp_average
+from driftfluid.spectral import Grid, analytic_norm, inverse, l2_norm, perp_average
 
 from conftest import random_band_field
 
@@ -87,6 +87,12 @@ class TestPresets:
         r2, v2 = presets.build("random_band", g, eps=0.1, kmax=2, seed=7)
         assert np.array_equal(r1.coeffs, r2.coeffs)
         assert np.array_equal(v1.coeffs, v2.coeffs)
+
+    @pytest.mark.parametrize("amplitude", [1e-3, 1e-1])
+    def test_random_band_velocity_norm(self, amplitude):
+        g = Grid.torus3d(4, 4, 16)
+        _, v = presets.build("random_band", g, eps=0.01, amplitude=amplitude)
+        assert l2_norm(v) == pytest.approx(0.5 * amplitude, rel=1e-12)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -183,6 +189,44 @@ class TestRunner:
         assert "stable" in report and "unstable" in report
         head = (tmp_path / "stable_timeseries.csv").read_bytes().split(b"\r\n")[0]
         assert head == b"t,energy,relative_entropy,mass_0,mass_1"
+
+    def test_dichotomy_timeseries_match_report(self, tmp_path):
+        """The per-branch CSVs are the runs behind dichotomy.json, with
+        every experiment parameter honoured."""
+        cfg = RunConfig.from_dict({
+            "experiment": "dichotomy", "eps": [1e-1, 1e-2],
+            "experiment_params": {"horizon": 0.1, "mean_velocity": 0.3,
+                                  "structure": 0.1, "offset": 0.05,
+                                  "ripple": 0.2, "n_points": 16}})
+        run(cfg, tmp_path, reference_mode=True)
+        report = json.loads((tmp_path / "dichotomy.json").read_text())
+        assert "trajectories" not in report
+        for branch in ("stable", "unstable"):
+            rows = (tmp_path / f"{branch}_timeseries.csv").read_text().splitlines()
+            header = rows[0].split(",")
+            last = dict(zip(header, rows[-1].split(",")))
+            assert float(last["relative_entropy"]) == report[branch]["0.1"]["H_final"]
+            assert float(last["t"]) == report[branch]["0.1"]["t_final"]
+
+    def test_eps_sweep_workers_match_single_worker(self, tmp_path):
+        raw = {"experiment": "eps_sweep", "grid": [4, 4, 16],
+               "eps": [1e-1, 2.5e-2], "horizon": 0.5,
+               "dt": {"samples_per_period": 40},
+               "experiment_params": {"compare_time": 0.25,
+                                     "average_range": [0.1, 0.5]},
+               "initial_data": {"preset": "single_mode",
+                                "params": {"amplitude": 0.05}}}
+        manifests = {}
+        for workers in (1, 2):
+            run(RunConfig.from_dict(raw), tmp_path / str(workers), workers=workers)
+            manifests[workers] = json.loads(
+                (tmp_path / str(workers) / "manifest.json").read_text())
+        assert manifests[1]["files"] == manifests[2]["files"]
+        assert manifests[1]["checks"] == manifests[2]["checks"]
+        for member in ("eps_0.1", "eps_0.025"):
+            one = (tmp_path / "1" / member / "timeseries.csv").read_bytes()
+            two = (tmp_path / "2" / member / "timeseries.csv").read_bytes()
+            assert one == two
 
     def test_eps_sweep_companion_tables(self, tmp_path):
         cfg = RunConfig.from_dict({

@@ -1,16 +1,21 @@
-"""Quadrature utilities: cumulative integrals, midpoints, and the
-oscillatory kernel convolutions."""
+"""Quadrature utilities: cumulative integrals, midpoints, the
+oscillatory kernel convolutions, and the shared RK4 step with its
+non-finite check."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from driftfluid import epsilon, limit, toymodel, twostream
+from driftfluid.errors import BlowUpError
 from driftfluid.quadrature import (
     cumulative_integral,
     interval_integrals,
     midpoints,
     oscillatory_convolutions,
+    rk4_step,
 )
+from driftfluid.spectral import Grid, constant, forward
 
 
 class TestCumulativeIntegral:
@@ -91,3 +96,65 @@ class TestOscillatoryConvolutions:
         St, _ = oscillatory_convolutions(g[:, None], t[1] - t[0], omega,
                                          rule="trapezoid")
         assert np.max(np.abs(Sf - St)) < 1e-5
+
+
+class TestRK4Step:
+    def test_exact_for_cubic_in_time_forcing(self):
+        """dy/dt = 3 t^2, through the stage fraction c: Simpson's rule on
+        the stages integrates it exactly."""
+        t0, dt = 0.5, 0.25
+        (y,) = rk4_step(lambda s, c: (np.full(2, 3.0 * (t0 + c * dt) ** 2),),
+                        (np.full(2, t0**3),), dt)
+        assert np.allclose(y, (t0 + dt) ** 3, rtol=1e-15, atol=0.0)
+
+    def test_fields_and_arrays_give_the_same_step(self):
+        g = Grid.line(8)
+        x = g.meshgrid()[0]
+        f0 = forward(g, 1.0 + 0.1 * np.cos(2 * np.pi * x))
+        (a,) = rk4_step(lambda s, c: (-0.5 * s[0],), (f0,), 0.1)
+        (b,) = rk4_step(lambda s, c: (-0.5 * s[0],), (f0.coeffs,), 0.1)
+        assert np.array_equal(a.coeffs, b)
+
+
+def _torus_data():
+    g = Grid.torus3d(4, 4, 8)
+    x1, x2, xp = g.meshgrid()
+    rho = forward(g, 1.0 + 0.2 * np.cos(2 * np.pi * xp)
+                  + 0.1 * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * xp))
+    v = forward(g, np.sin(2 * np.pi * xp) + 0.5 * np.cos(2 * np.pi * x2))
+    return rho, v
+
+
+def _blow_up_cases():
+    rho, v = _torus_data()
+    return {
+        "epsilon": (epsilon.make_eps_state(rho, v, 0.01), epsilon.step,
+                    epsilon.EpsState),
+        "limit": (limit.project_initial(rho, v), limit.step, limit.LimitState),
+        "twostream": (twostream.seeded_state(Grid.line(16), (0.5, 1.0, -1.0),
+                                             "analytic", 0.5, 4, 1e-2),
+                      twostream.step, twostream.TwoPhaseState),
+        "toymodel": (toymodel.dichotomy_data(Grid.line(16), 0.01, 0.5),
+                     toymodel.step, toymodel.MultiPhaseState),
+    }
+
+
+class TestBlowUp:
+    @pytest.mark.parametrize("system", ["epsilon", "limit", "twostream", "toymodel"])
+    def test_step_raises_with_last_state(self, system):
+        state, step, state_type = _blow_up_cases()[system]
+        with np.errstate(all="ignore"):
+            with pytest.raises(BlowUpError) as info:
+                step(state, 1e200)
+        assert isinstance(info.value.last_state, state_type)
+        assert info.value.last_state is state
+        assert info.value.last_time == state.t
+
+    def test_eps_step_checks_the_field_integral(self):
+        rho, v = _torus_data()
+        state = epsilon.make_eps_state(rho, v, 0.01)
+        bad = epsilon.EpsState(t=state.t, eps=state.eps, rho=state.rho,
+                               v=state.v, G=constant(state.grid.par_grid, np.inf))
+        with np.errstate(all="ignore"):
+            with pytest.raises(BlowUpError):
+                epsilon.step(bad, 1e-3)
