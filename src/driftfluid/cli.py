@@ -171,16 +171,18 @@ def _run_eps_single(cfg: RunConfig, eps: float, out: Path,
     state = _build_eps_state(cfg, grid, eps)
     dt = cfg.policy_dt(eps)
     n_steps = int(math.ceil(cfg.horizon / dt))
-    params = cfg.norm_params()
     snap_every = cfg.snapshot_every
-    traj = epsilon.run(state, dt, n_steps, norm_params=params,
-                       keep_states=snap_every > 0)
+    probes = epsilon.diagnostic_probes(cfg.norm_params())
+    names = ["t", *probes]       # the CSV columns; snapshot states are not one
+    if snap_every > 0:
+        probes["state"] = lambda st: st
+    traj = epsilon.run(state, dt, n_steps, probes)
     out.mkdir(parents=True, exist_ok=True)
     files = []
     csv_path = out / "timeseries.csv"
-    names = ["t", "mass", "energy", "min_rho", "norm_rho_fluct", "norm_v",
-             "norm_sqrt_eps_Epar"]
-    write_csv(csv_path, names, traj.rows())
+    write_csv(csv_path, names,
+              ({"t": float(t), **{k: float(traj[k][i]) for k in names[1:]}}
+               for i, t in enumerate(traj.times)))
     files.append(csv_path)
     gp = out / "timeseries.gp"
     _plot_script(gp, "timeseries.csv",
@@ -188,15 +190,15 @@ def _run_eps_single(cfg: RunConfig, eps: float, out: Path,
                  f"eps = {eps}")
     files.append(gp)
     if snap_every > 0:
-        for i, st in enumerate(traj.states):
+        for i, st in enumerate(traj["state"]):
             if i % snap_every:
                 continue
             sp = out / f"state_{i:06d}.spec"
             write_spec(sp, {"rho": st.rho, "v": st.v}, time=st.t, eps=eps)
             files.append(sp)
     checks = {
-        f"mass_drift_eps_{eps:g}": bool(np.max(np.abs(traj.mass - 1.0)) < 1e-12),
-        f"positivity_eps_{eps:g}": traj.positivity_ok,
+        f"mass_drift_eps_{eps:g}": bool(np.max(np.abs(traj["mass"] - 1.0)) < 1e-12),
+        f"positivity_eps_{eps:g}": bool(np.all(traj["min_rho"] > 0.0)),
     }
     return files, checks
 
@@ -271,12 +273,14 @@ def _emit_sweep_companions(cfg: RunConfig, out: Path, manifest: Manifest,
     dt = cfg.policy_dt(eps)
     horizon = min(cfg.horizon, 2.5)
     n = int(math.ceil(horizon / dt))
-    lim_traj = limit.run(lim0, dt, n)
+    lim_traj = limit.run(lim0, dt, n, {
+        "mass": epsilon.mass,
+        "residual": lambda st: limit.constraint_residuals(st.rho, st.v)[1]})
     lim_csv = out / "limit_timeseries.csv"
     write_csv(lim_csv, ["t", "mass", "constraint_residual"],
               ({"t": float(t), "mass": float(m), "constraint_residual": float(r)}
-               for t, m, r in zip(lim_traj.times, lim_traj.mass,
-                                  lim_traj.residual)))
+               for t, m, r in zip(lim_traj.times, lim_traj["mass"],
+                                  lim_traj["residual"])))
     manifest.add(lim_csv, root)
 
     # the decomposition spends one oscillation period and the centered
@@ -285,11 +289,11 @@ def _emit_sweep_companions(cfg: RunConfig, out: Path, manifest: Manifest,
     horizon_c = max(horizon, 3.5 * period)
     n_c = int(math.ceil(horizon_c / dt))
     state = epsilon.make_eps_state(rho0, v0, eps)
-    traj = epsilon.run(state, dt, n_c)
-    W0c = np.array(traj.mom_bar[0], copy=True)
+    traj = epsilon.run(state, dt, n_c, experiments.FILTER_PROBES)
+    W0c = np.array(traj["mom_bar"][0], copy=True)
     W0c[0] = 0.0
-    record = oscillations.analyze(traj.times, traj.Epar, eps,
-                                  SpectralField(traj.par_grid, W0c),
+    record = oscillations.analyze(traj.times, traj["Epar"], eps,
+                                  SpectralField(grid.par_grid, W0c),
                                   window_periods=2)
     corr_csv = out / "correctors.csv"
     write_csv(corr_csv, ["t", "k_par", "re_eplus", "im_eplus", "residual"],
@@ -351,12 +355,12 @@ def _run_dichotomy(cfg: RunConfig, out: Path, manifest: Manifest, root: Path) ->
         traj = trajectories[branch][eps]
         path = out / f"{branch}_timeseries.csv"
         names = ["t", "energy", "relative_entropy"] + \
-            [f"mass_{i}" for i in range(traj.masses.shape[1])]
+            [f"mass_{i}" for i in range(traj["masses"].shape[1])]
         write_csv(path, names,
                   ({"t": float(t), "energy": float(e), "relative_entropy": float(h),
                     **{f"mass_{i}": float(m) for i, m in enumerate(ms)}}
-                   for t, e, h, ms in zip(traj.times, traj.energy,
-                                          traj.entropy, traj.masses)))
+                   for t, e, h, ms in zip(traj.times, traj["energy"],
+                                          traj["entropy"], traj["masses"])))
         manifest.add(path, root)
     manifest.checks["stable_branch_decreasing"] = report["stable_strictly_decreasing"]
     manifest.checks["unstable_branch_nondecreasing"] = report["unstable_nondecreasing"]

@@ -6,8 +6,8 @@ the same RK4 stages as the dynamical variables (Simpson on the stages).
 The filtered current is w = v - G. Potentials and forces are derived from
 rho on demand and never integrated. The transport part of the tendency,
 drift_advection, is the one shared with the limit system and the CK
-iteration; a step is the shared RK4 step on the fields, whose cached
-collocation values the first stage reuses from per-sample recording.
+iteration; a step is the shared RK4 step on the fields, whose first stage
+reuses any collocation values a recording probe has cached on them.
 
 The density mean is a conserved, pinned quantity: the k = 0 tendency of
 rho vanishes identically (it is a divergence) and the coefficient is reset
@@ -23,13 +23,13 @@ far above the 1e-6 conservation target, so the default is stricter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AdmissibilityError, ConfigError
 from .poisson import Forces, Potentials, field_coeffs, solve_fields
-from .quadrature import check_finite, rk4_step
+from .quadrature import Trajectory, check_finite, evolve, rk4_step
 from .spectral import (
     PERP1,
     PERP2,
@@ -145,8 +145,9 @@ def drift_advection(grid: Grid, rho_vals: np.ndarray, v_vals: np.ndarray,
     on coefficient arrays [..., *grid.shape] of real fields, leading axes
     evaluated at once. rho and v enter through their collocation values
     (v also through its coefficients, for d_par v), so a caller that needs
-    those values again transforms them once. A perpendicular axis the grid
-    lacks contributes nothing.
+    those values again transforms them once. The perpendicular drift
+    needs both perpendicular axes: on a grid without one, E_perp has no
+    component whose divergence is non-zero, and nothing is computed.
     """
     par = grid.par_axis
     # few live temporaries (d_par v values freed at once, in-place sums):
@@ -154,20 +155,25 @@ def drift_advection(grid: Grid, rho_vals: np.ndarray, v_vals: np.ndarray,
     drho = -derivative_coeffs(grid, product_coeffs(grid, v_vals, rho_vals, True), par)
     dv = -product_coeffs(grid, v_vals, collocation_values(
         grid, derivative_coeffs(grid, v, par)), True)
+    if PERP1 not in grid.axes or PERP2 not in grid.axes:
+        return drho, dv
     for comp, label in ((e1, PERP1), (e2, PERP2)):
-        if label in grid.axes:
-            comp_vals = collocation_values(grid, comp)
-            drho -= derivative_coeffs(
-                grid, product_coeffs(grid, comp_vals, rho_vals, True), label)
-            dv -= derivative_coeffs(
-                grid, product_coeffs(grid, comp_vals, v_vals, True), label)
+        comp_vals = collocation_values(grid, comp)
+        drho -= derivative_coeffs(
+            grid, product_coeffs(grid, comp_vals, rho_vals, True), label)
+        dv -= derivative_coeffs(
+            grid, product_coeffs(grid, comp_vals, v_vals, True), label)
     return drho, dv
 
 
-def _rhs(rho: SpectralField, v: SpectralField, eps: float):
-    """Tendencies of (rho, v, G): the drift-advection tendency plus the
-    forces -eps d_par phi + E_par, and dG/dt = E_par. The collocation
-    values the fields cache are reused."""
+def tendencies(rho: SpectralField, v: SpectralField, eps: float):
+    """Tendencies (d_t rho, d_t v, d_t G) of the full system: the
+    drift-advection tendency plus the forces -eps d_par phi + E_par, and
+    dG/dt = E_par. The collocation values the fields cache are reused.
+
+    d_t rho is a pure divergence so its k = 0 and exact k_perp = 0
+    bookkeeping follow from the spectral derivative (zero at k = 0).
+    """
     grid = rho.grid
     forces = field_coeffs(grid, rho.coeffs, eps)
     drho, dv = drift_advection(grid, rho._values, v._values, v.coeffs,
@@ -176,21 +182,6 @@ def _rhs(rho: SpectralField, v: SpectralField, eps: float):
     dv += embed_parallel_coeffs(grid, forces.Epar)
     return (SpectralField(grid, drho), SpectralField(grid, dv),
             SpectralField(grid.par_grid, forces.Epar))
-
-
-def tendencies(rho: SpectralField, v: SpectralField, eps: float):
-    """(d_t rho, d_t v, forces) for the full system.
-
-    d_t rho is a pure divergence so its k = 0 and exact k_perp = 0
-    bookkeeping follow from the spectral derivative (zero at k = 0).
-    """
-    drho, dv, _ = _rhs(rho, v, eps)
-    return drho, dv, solve_fields(rho, eps)[1]
-
-
-def rhs(state: EpsState):
-    """Tendencies of (rho, v, G); dG/dt = E_par."""
-    return _rhs(state.rho, state.v, state.eps)
 
 
 def wave_source(rho: SpectralField, v: SpectralField, forces: Forces,
@@ -230,7 +221,7 @@ def eps_dtE0(rho: SpectralField, v: SpectralField) -> SpectralField:
 def step(state: EpsState, dt: float) -> EpsState:
     """Classical RK4 step; G advances through the same stage quadrature.
     The conserved density mean is pinned to one afterwards."""
-    rho, v, G = rk4_step(lambda y, c: _rhs(y[0], y[1], state.eps),
+    rho, v, G = rk4_step(lambda y, c: tendencies(y[0], y[1], state.eps),
                          (state.rho, state.v, state.G), dt)
     rho.coeffs[(0,) * rho.grid.ndim] = 1.0    # a fresh field, nothing cached yet
     check_finite((rho, v, G), state, dt, "eps")
@@ -266,124 +257,46 @@ def energy(state: EpsState) -> float:
     return kinetic + 0.5 * e * (perp_energy + e**2 * par_energy) + 0.5 * e * v_energy
 
 
-def diagnostics(state: EpsState, params: NormParams | None = None) -> dict:
-    params = params or NormParams()
-    pots, forces = state.fields()
-    fluct = state.rho - constant(state.grid, 1.0)
-    rec = {
-        "t": state.t,
-        "mass": mean(state.rho),
-        "energy": energy(state),
-        "min_rho": state.min_rho(),
-        "norm_rho_fluct": analytic_norm(fluct, params.delta),
-        "norm_v": analytic_norm(state.v, params.delta),
-        "norm_sqrt_eps_Epar": analytic_norm(
-            math.sqrt(state.eps) * forces.Epar, params.delta),
+def mass(state) -> float:
+    """Mean density of an eps or limit state (pinned to one)."""
+    return mean(state.rho)
+
+
+def parallel_field(state: EpsState) -> np.ndarray:
+    """Coefficients of E_par."""
+    return field_coeffs(state.grid, state.rho.coeffs, state.eps).Epar
+
+
+def mean_current(state) -> np.ndarray:
+    """Coefficients of <rho v>_perp of an eps or limit state (the limit's
+    mean parallel current u-bar)."""
+    return perp_average(product(state.rho, state.v)).coeffs
+
+
+def diagnostic_probes(params: NormParams) -> dict:
+    """Probes (functions of the state, see run) of the mass, the energy,
+    the minimum density and the analytic norms |rho - 1|_delta, |v|_delta
+    and |sqrt(eps) E_par|_delta."""
+    d = params.delta
+    return {
+        "mass": mass,
+        "energy": energy,
+        "min_rho": EpsState.min_rho,
+        "norm_rho_fluct": lambda st: analytic_norm(st.rho - constant(st.grid, 1.0), d),
+        "norm_v": lambda st: analytic_norm(st.v, d),
+        "norm_sqrt_eps_Epar": lambda st: analytic_norm(
+            math.sqrt(st.eps) * SpectralField(st.grid.par_grid, parallel_field(st)), d),
     }
-    return rec
 
 
-@dataclass
-class EpsTrajectory:
-    """Recorded time series of one run (per-sample parallel fields and
-    scalar diagnostics; full states kept only on request)."""
-
-    eps: float
-    grid: Grid
-    times: np.ndarray
-    Epar: np.ndarray          # [n_t, n_par] coefficients
-    source: np.ndarray        # wave source g, [n_t, n_par]
-    rho_bar: np.ndarray       # <rho>_perp, [n_t, n_par]
-    mom_bar: np.ndarray       # <rho v>_perp, [n_t, n_par]
-    mass: np.ndarray
-    energy: np.ndarray
-    min_rho: np.ndarray
-    positivity_ok: bool
-    eps_dtE0: np.ndarray      # [n_par]
-    final_state: "EpsState | None" = None
-    norms: dict = field(default_factory=dict)
-    states: list = field(default_factory=list)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def par_grid(self) -> Grid:
-        return self.grid.par_grid
-
-    def sqrt_eps_Epar(self) -> np.ndarray:
-        return math.sqrt(self.eps) * self.Epar
-
-    def rows(self):
-        """Flat per-sample records for CSV output."""
-        for i, t in enumerate(self.times):
-            row = {
-                "t": float(t),
-                "mass": float(self.mass[i]),
-                "energy": float(self.energy[i]),
-                "min_rho": float(self.min_rho[i]),
-            }
-            for key, series in self.norms.items():
-                row[key] = float(series[i])
-            yield row
+def diagnostics(state: EpsState, params: NormParams | None = None) -> dict:
+    """The time and every diagnostic probe of one state."""
+    probes = diagnostic_probes(params or NormParams())
+    return {"t": state.t, **{name: probe(state) for name, probe in probes.items()}}
 
 
-def run(state: EpsState, dt: float, n_steps: int, record_every: int = 1,
-        norm_params: NormParams | None = None,
-        keep_states: bool = False) -> EpsTrajectory:
-    """Advance n_steps and record every record_every-th sample (plus t=0).
-
-    A positivity breach is flagged, not fatal; NaN blow-up raises
-    BlowUpError carrying the last valid state.
-    """
-    if n_steps % record_every != 0:
-        raise ConfigError("record_every must divide n_steps")
-    npar = state.grid.par_grid.shape[0]
-    n_rec = n_steps // record_every + 1
-    times = np.empty(n_rec)
-    epar = np.empty((n_rec, npar), dtype=complex)
-    source = np.empty_like(epar)
-    rho_bar = np.empty_like(epar)
-    mom_bar = np.empty_like(epar)
-    mass = np.empty(n_rec)
-    en = np.empty(n_rec)
-    min_rho = np.empty(n_rec)
-    norm_series = {k: np.empty(n_rec) for k in
-                   ("norm_rho_fluct", "norm_v", "norm_sqrt_eps_Epar")} \
-        if norm_params else {}
-    states = []
-    positivity_ok = True
-    dte0 = eps_dtE0(state.rho, state.v)
-
-    def record(i, st):
-        nonlocal positivity_ok
-        _, forces = st.fields()
-        times[i] = st.t
-        epar[i] = forces.Epar.coeffs
-        source[i] = wave_source(st.rho, st.v, forces, st.eps).coeffs
-        rho_bar[i] = perp_average(st.rho).coeffs
-        mom_bar[i] = perp_average(product(st.rho, st.v)).coeffs
-        mass[i] = mean(st.rho)
-        en[i] = energy(st)
-        min_rho[i] = st.min_rho()
-        if min_rho[i] <= 0.0:
-            positivity_ok = False
-        if norm_params:
-            d = diagnostics(st, norm_params)
-            for k in norm_series:
-                norm_series[k][i] = d[k]
-        if keep_states:
-            states.append(st)
-
-    record(0, state)
-    current = state
-    for n in range(1, n_steps + 1):
-        current = step(current, dt)
-        if n % record_every == 0:
-            record(n // record_every, current)
-    return EpsTrajectory(
-        eps=state.eps, grid=state.grid, times=times, Epar=epar, source=source,
-        rho_bar=rho_bar, mom_bar=mom_bar, mass=mass, energy=en,
-        min_rho=min_rho, positivity_ok=positivity_ok, eps_dtE0=dte0.coeffs,
-        final_state=current, norms=norm_series, states=states)
+def run(state: EpsState, dt: float, n_steps: int, probes: dict) -> Trajectory:
+    """Advance n_steps, recording each probe at t = 0 and after every step
+    (see quadrature.evolve). A positivity breach is not fatal; NaN blow-up
+    raises BlowUpError carrying the last valid state."""
+    return evolve(step, state, dt, n_steps, probes)

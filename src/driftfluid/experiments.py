@@ -33,16 +33,14 @@ def matched_well_prepared_data(grid: Grid, amplitude: float = 0.05):
     return forward(grid, rho), forward(grid, v)
 
 
-def _two_leg_eps_run(state, dt, n1, n2):
-    leg1 = epsilon.run(state, dt, n1)
-    leg2 = epsilon.run(leg1.final_state, dt, n2)
-    series = {
-        "times": np.concatenate([leg1.times, leg2.times[1:]]),
-        "Epar": np.concatenate([leg1.Epar, leg2.Epar[1:]]),
-        "mom_bar": np.concatenate([leg1.mom_bar, leg2.mom_bar[1:]]),
-        "mass": np.concatenate([leg1.mass, leg2.mass[1:]]),
-        "energy": np.concatenate([leg1.energy, leg2.energy[1:]]),
-    }
+def _two_legs(run, state, dt, n1, n2, probes):
+    """Run n1 then n2 steps: the state between the legs, and the times and
+    probe series of both legs joined."""
+    leg1 = run(state, dt, n1, probes)
+    leg2 = run(leg1.final_state, dt, n2, probes)
+    series = {name: np.concatenate([leg1[name], leg2[name][1:]])
+              for name in probes}
+    series["times"] = np.concatenate([leg1.times, leg2.times[1:]])
     return leg1.final_state, series
 
 
@@ -93,12 +91,12 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
         n1 = int(round(compare_time / dt))
         n2 = max(int(math.ceil((horizon - compare_time) / dt)), 4)
         state = epsilon.make_eps_state(rho0, v0, eps)
-        eps_mid, series = _two_leg_eps_run(state, dt, n1, n2)
-
-        lim_leg1 = limit.run(lim0, dt, n1)
-        lim_mid = lim_leg1.final_state
-        lim_leg2 = limit.run(lim_mid, dt, n2)
-        ubar = np.concatenate([lim_leg1.ubar, lim_leg2.ubar[1:]])
+        eps_mid, series = _two_legs(epsilon.run, state, dt, n1, n2, {
+            "Epar": epsilon.parallel_field, "mom_bar": epsilon.mean_current,
+            "mass": epsilon.mass, "energy": epsilon.energy})
+        lim_mid, lim_series = _two_legs(limit.run, lim0, dt, n1, n2,
+                                        {"ubar": epsilon.mean_current})
+        ubar = lim_series["ubar"]
         times = series["times"]
 
         # correctors: initial data from the eps data, transport by the
@@ -131,6 +129,11 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
         ))
     return SweepResult(grid=grid, horizon=horizon, compare_time=compare_time,
                        entries=entries)
+
+
+# what oscillation filtering reads off an eps run: E_par, and <rho v>_perp
+# for the initial filtered primitive
+FILTER_PROBES = {"Epar": epsilon.parallel_field, "mom_bar": epsilon.mean_current}
 
 
 @dataclass
@@ -169,10 +172,10 @@ def filtering_sweep(eps_list, n_par: int = 16, alpha: float = 0.05,
                                        eps, adm_const=2.0 * alpha)
         dt = epsilon.dt_policy(eps)
         n_steps = int(math.ceil(horizon / dt))
-        traj = epsilon.run(state, dt, n_steps)
-        W0c = np.array(traj.mom_bar[0], copy=True)
+        traj = epsilon.run(state, dt, n_steps, FILTER_PROBES)
+        W0c = np.array(traj["mom_bar"][0], copy=True)
         W0c[0] = 0.0
-        record = oscillations.analyze(traj.times, traj.Epar, eps,
+        record = oscillations.analyze(traj.times, traj["Epar"], eps,
                                       SpectralField(grid.par_grid, W0c),
                                       window_periods=window_periods)
         corr, dec = record.correctors, record.decomposition
@@ -223,10 +226,10 @@ def contraction_study(eps: float = 0.25, amplitude: float = 0.01,
 
     times = iterates[0].times
     dt = float(times[1] - times[0])
-    traj = epsilon.run(state, dt, len(times) - 1, keep_states=True)
+    traj = epsilon.run(state, dt, len(times) - 1, {"state": lambda st: st})
     final = iterates[-1]
     sup = 0.0
-    for j, s in enumerate(traj.states):
+    for j, s in enumerate(traj["state"]):
         dr = final.rho[j] - s.rho
         dv = final.v(j) - s.v
         sup = max(sup, math.sqrt(l2_norm(dr) ** 2 + l2_norm(dv) ** 2))

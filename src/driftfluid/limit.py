@@ -18,14 +18,14 @@ tendency modes are projected to zero, which keeps <rho>_perp = 1 exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .epsilon import drift_advection
 from .errors import AdmissibilityError, ConfigError
 from .poisson import perp_field, solve_phi
-from .quadrature import check_finite, rk4_step
+from .quadrature import Trajectory, check_finite, evolve, rk4_step
 from .spectral import (
     Grid,
     SpectralField,
@@ -127,10 +127,6 @@ def tendencies(rho: SpectralField, v: SpectralField, with_pressure: bool = True)
     return SpectralField(grid, drho), dv, residual
 
 
-def rhs(state: LimitState):
-    return tendencies(state.rho, state.v)
-
-
 def step(state: LimitState, dt: float, with_pressure: bool = True) -> LimitState:
     """Classical RK4 step; raises BlowUpError on non-finite output."""
     rho, v = rk4_step(lambda y, c: tendencies(*y, with_pressure)[:2],
@@ -139,51 +135,13 @@ def step(state: LimitState, dt: float, with_pressure: bool = True) -> LimitState
     return LimitState(t=state.t + dt, rho=rho, v=v)
 
 
-@dataclass
-class LimitTrajectory:
-    grid: Grid
-    times: np.ndarray
-    ubar: np.ndarray            # <rho v>_perp coefficients, [n_t, n_par]
-    residual: np.ndarray        # constraint flux residual per sample
-    mass: np.ndarray
-    final_state: "LimitState | None" = None
-    states: list = field(default_factory=list)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-def run(state: LimitState, dt: float, n_steps: int, record_every: int = 1,
-        keep_states: bool = False, with_pressure: bool = True) -> LimitTrajectory:
-    if n_steps % record_every != 0:
-        raise ConfigError("record_every must divide n_steps")
-    n_rec = n_steps // record_every + 1
-    npar = state.grid.par_grid.shape[0]
-    times = np.empty(n_rec)
-    ubar = np.empty((n_rec, npar), dtype=complex)
-    residual = np.empty(n_rec)
-    mass = np.empty(n_rec)
-    states = []
-
-    def record(i, st):
-        times[i] = st.t
-        ubar[i] = perp_average(product(st.rho, st.v)).coeffs
-        _, dres = constraint_residuals(st.rho, st.v)
-        residual[i] = dres
-        mass[i] = mean(st.rho)
-        if keep_states:
-            states.append(st)
-
-    record(0, state)
-    current = state
-    for n in range(1, n_steps + 1):
-        current = step(current, dt, with_pressure)
-        if n % record_every == 0:
-            record(n // record_every, current)
-    return LimitTrajectory(grid=state.grid, times=times, ubar=ubar,
-                           residual=residual, mass=mass, final_state=current,
-                           states=states)
+def run(state: LimitState, dt: float, n_steps: int, probes: dict,
+        with_pressure: bool = True) -> Trajectory:
+    """Advance n_steps, recording each probe at t = 0 and after every step
+    (see quadrature.evolve); blow-up raises BlowUpError with the last
+    valid state."""
+    return evolve(lambda st, h: step(st, h, with_pressure), state, dt,
+                  n_steps, probes)
 
 
 def shear_flow(grid: Grid, phi_profile, v_profile) -> LimitState:

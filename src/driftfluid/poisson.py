@@ -15,7 +15,9 @@ is solvable iff the perpendicular average has mean one. Both potentials
 are gauged to zero mean; only their gradients enter the dynamics.
 
 The solves act on coefficient arrays with any leading axes (`field_coeffs`
-and its parts); the field functions wrap them for a single density.
+and its parts); the field functions wrap them for a single density. The
+multi-phase toy model's full-torus problem -eps Lap V = sigma - 1 is the
+same division on its own grid (`V_coeffs`).
 """
 
 from __future__ import annotations
@@ -74,20 +76,22 @@ def _phi_coeffs(grid: Grid, rho: np.ndarray, eps: float) -> np.ndarray:
     return np.where(perp_zero, 0.0, rho / safe)
 
 
-def _V_coeffs(line: Grid, rho_bar: np.ndarray, eps: float,
+def V_coeffs(grid: Grid, source: np.ndarray, eps: float,
              tol: float = 1e-8) -> np.ndarray:
-    """Parallel Poisson solve on coefficient arrays [..., n_par]; every
-    perpendicular average must have mean 1."""
-    means = np.real(rho_bar[..., 0])
+    """Solve -eps Lap V = source - 1 on coefficient arrays [..., *grid.shape]
+    by division with eps (2 pi)^2 |k|^2, summed over every axis of `grid`:
+    the parallel problem on a line grid, the full-torus one otherwise.
+    Every sample of the source must have mean 1."""
+    means = np.real(source[(...,) + (0,) * grid.ndim])
     bad = np.abs(means - 1.0) > tol
     if np.any(bad):
         mean = float(means[bad][0])
         raise SolvabilityError(
-            f"perpendicular average has mean {mean!r}; the parallel Poisson "
-            "equation is solvable only for mean 1")
-    k = line.modes(0).astype(float)
-    safe = np.where(k == 0, 1.0, eps * TWO_PI_SQ * k**2)
-    return np.where(k == 0, 0.0, rho_bar / safe)
+            f"Poisson source has mean {mean!r}; -eps Lap V = source - 1 is "
+            "solvable only for mean 1")
+    ksq = sum(grid.mode_grid(i).astype(float) ** 2 for i in range(grid.ndim))
+    safe = np.where(ksq == 0, 1.0, eps * TWO_PI_SQ * ksq)
+    return np.where(ksq == 0, 0.0, source / safe)
 
 
 def _perp_field_coeffs(grid: Grid, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +120,7 @@ def field_coeffs(grid: Grid, rho: np.ndarray, eps: float) -> FieldCoeffs:
     arrays [..., *grid.shape]; leading axes are samples solved at once."""
     phi = _phi_coeffs(grid, rho, eps)
     line = grid.par_grid
-    V = _V_coeffs(line, perp_average_coeffs(grid, rho), eps)
+    V = V_coeffs(line, perp_average_coeffs(grid, rho), eps)
     e1, e2 = _perp_field_coeffs(grid, phi)
     return FieldCoeffs(phi=phi, V=V, Eperp1=e1, Eperp2=e2,
                        eps_dpar_phi=eps * derivative_coeffs(grid, phi, grid.par_axis),
@@ -133,7 +137,7 @@ def solve_V(rho_bar: SpectralField, eps: float, tol: float = 1e-8) -> SpectralFi
     grid = rho_bar.grid
     if grid.ndim != 1:
         raise SolvabilityError("solve_V expects a parallel-only field")
-    return SpectralField(grid, _V_coeffs(grid, rho_bar.coeffs, eps, tol), rho_bar.real)
+    return SpectralField(grid, V_coeffs(grid, rho_bar.coeffs, eps, tol), rho_bar.real)
 
 
 def perp_field(phi: SpectralField) -> tuple[SpectralField, SpectralField]:

@@ -15,10 +15,15 @@ Two tools used throughout the trajectory analysis:
 
 Every time-stepped system (the eps system, its limit, the two-phase and
 multi-phase reductions, corrector transport) advances with the one RK4
-step here; all but corrector transport then apply the one blow-up check.
+step here; all but corrector transport then apply the one blow-up check
+and run through the one loop, `evolve`, which records only the probes its
+caller names into a `Trajectory`.
 """
 
 from __future__ import annotations
+
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +61,66 @@ def check_finite(y: tuple, last_state, dt: float, system: str) -> None:
     if not all(np.all(np.isfinite(f.coeffs)) for f in y):
         raise BlowUpError(f"non-finite {system} state at t = {last_state.t + dt}",
                           last_state=last_state, last_time=last_state.t)
+
+
+@dataclass
+class Trajectory:
+    """Samples of one run, at t = 0 and after every completed step: their
+    times, one series per probe (the probe's values stacked along time),
+    the last state reached, and whether every requested step completed
+    (False only when a blow-up ended the run)."""
+
+    times: np.ndarray
+    series: dict
+    final_state: object
+    complete: bool
+    dt: float
+
+    def __getitem__(self, name: str):
+        return self.series[name]
+
+
+def _stacked(values: list):
+    """Numbers and arrays stack along a leading time axis; other values
+    (states, say) stay a list."""
+    if isinstance(values[0], (numbers.Number, np.ndarray, list)):
+        return np.array(values)
+    return values
+
+
+def evolve(step, state, dt: float, n_steps: int, probes: dict,
+           stop_when=None, partial: bool = False) -> Trajectory:
+    """Advance `state` by n_steps calls of step(state, dt), sampling every
+    probe (a function of the state) at t = 0 and after each step.
+
+    `stop_when(state)`, checked after each sample, may end the run early.
+    A BlowUpError from the step propagates, unless `partial`: then the run
+    ends at the last finite state with complete False.
+    """
+    samples = {name: [] for name in probes}
+    times = []
+
+    def record(st):
+        times.append(st.t)
+        for name, probe in probes.items():
+            samples[name].append(probe(st))
+
+    record(state)
+    complete = True
+    for _ in range(n_steps):
+        try:
+            state = step(state, dt)
+        except BlowUpError:
+            if not partial:
+                raise
+            complete = False
+            break
+        record(state)
+        if stop_when is not None and stop_when(state):
+            break
+    return Trajectory(times=np.array(times),
+                      series={k: _stacked(v) for k, v in samples.items()},
+                      final_state=state, complete=complete, dt=dt)
 
 
 def _check_series(y: np.ndarray) -> np.ndarray:

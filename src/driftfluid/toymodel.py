@@ -25,12 +25,13 @@ the bound is lost: the dichotomy experiment below measures both branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, SolvabilityError
-from .quadrature import check_finite, rk4_step
+from .errors import ConfigError, SolvabilityError
+from .poisson import TWO_PI_SQ, V_coeffs
+from .quadrature import Trajectory, check_finite, evolve, rk4_step
 from .spectral import (
     Grid,
     SpectralField,
@@ -43,8 +44,6 @@ from .spectral import (
     translate,
     zeros,
 )
-
-TWO_PI_SQ = (2.0 * math.pi) ** 2
 
 
 @dataclass(frozen=True)
@@ -95,21 +94,9 @@ def total_density(state: MultiPhaseState) -> SpectralField:
     return (1.0 / state.n_phases) * acc
 
 
-def solve_potential(sigma: SpectralField, eps: float) -> SpectralField:
-    """-eps Lap V = sigma - 1 on the full torus, zero-mean gauge."""
-    grid = sigma.grid
-    if abs(mean(sigma) - 1.0) > 1e-8:
-        raise SolvabilityError("potential source must have mean 1")
-    ksq = np.zeros(grid.shape)
-    for i in range(grid.ndim):
-        ksq = ksq + grid.mode_grid(i).astype(float) ** 2
-    safe = np.where(ksq == 0.0, 1.0, eps * TWO_PI_SQ * ksq)
-    coeffs = np.where(ksq == 0.0, 0.0, sigma.coeffs / safe)
-    return SpectralField(grid, coeffs, sigma.real)
-
-
 def electric_field(state: MultiPhaseState) -> tuple[SpectralField, ...]:
-    V = solve_potential(total_density(state), state.eps)
+    V = SpectralField(state.grid, V_coeffs(state.grid, total_density(state).coeffs,
+                                           state.eps))
     return tuple(-derivative(V, i) for i in range(state.grid.ndim))
 
 
@@ -177,7 +164,7 @@ def relative_entropy(state: MultiPhaseState, ref: ReferenceFlow) -> float:
     """H >= 0, zero iff the state matches the reference on the grid."""
     if len(ref.velocity) != state.grid.ndim:
         raise ConfigError("reference velocity dimension mismatch")
-    V = solve_potential(total_density(state), state.eps)
+    V = V_coeffs(state.grid, total_density(state).coeffs, state.eps)
     kin = 0.0
     for r, uu in zip(state.rho, state.u):
         rv = inverse(r)
@@ -187,58 +174,15 @@ def relative_entropy(state: MultiPhaseState, ref: ReferenceFlow) -> float:
     grad2 = 0.0
     for i in range(state.grid.ndim):
         k = state.grid.mode_grid(i).astype(float)
-        grad2 += TWO_PI_SQ * float(np.sum(k**2 * np.abs(V.coeffs) ** 2))
+        grad2 += TWO_PI_SQ * float(np.sum(k**2 * np.abs(V) ** 2))
     return kin + 0.5 * state.eps * grad2
 
 
-@dataclass
-class ToyTrajectory:
-    times: np.ndarray
-    energy: np.ndarray
-    entropy: np.ndarray | None
-    masses: np.ndarray            # [n_t, n_phases]
-    complete: bool
-    states: list = field(default_factory=list)
-
-
-def run(state: MultiPhaseState, dt: float, n_steps: int,
-        ref: ReferenceFlow | None = None, record_every: int = 1,
-        keep_states: bool = False) -> ToyTrajectory:
-    """Advance and record; blow-up truncates the record (partial report)."""
-    if n_steps % record_every != 0:
-        raise ConfigError("record_every must divide n_steps")
-    n_rec = n_steps // record_every + 1
-    times = np.empty(n_rec)
-    en = np.empty(n_rec)
-    ent = np.empty(n_rec) if ref is not None else None
-    masses = np.empty((n_rec, state.n_phases))
-    states = []
-
-    def record(i, st):
-        times[i] = st.t
-        en[i] = energy(st)
-        if ref is not None:
-            ent[i] = relative_entropy(st, ref)
-        masses[i] = [mean(r) for r in st.rho]
-        if keep_states:
-            states.append(st)
-
-    record(0, state)
-    current = state
-    filled = 1
-    complete = True
-    for n in range(1, n_steps + 1):
-        try:
-            current = step(current, dt)
-        except BlowUpError:
-            complete = False
-            break
-        if n % record_every == 0:
-            record(n // record_every, current)
-            filled += 1
-    return ToyTrajectory(times=times[:filled], energy=en[:filled],
-                         entropy=None if ent is None else ent[:filled],
-                         masses=masses[:filled], complete=complete, states=states)
+def run(state: MultiPhaseState, dt: float, n_steps: int, probes: dict) -> Trajectory:
+    """Advance n_steps, recording each probe at t = 0 and after every step
+    (see quadrature.evolve); a blow-up ends the record at the last finite
+    state with complete False."""
+    return evolve(step, state, dt, n_steps, probes, partial=True)
 
 
 # -- the stability/instability dichotomy ------------------------------------
@@ -307,11 +251,14 @@ def dichotomy_experiment(eps_list, streaming: float = 0.5,
                                    structure, offset, ripple)
             dt = min(2.0 * math.pi * math.sqrt(eps) / 120.0, horizon / 64.0)
             n_steps = int(math.ceil(horizon / dt))
-            traj = run(state, dt, n_steps, ref=ref)
+            traj = run(state, dt, n_steps, {
+                "energy": energy,
+                "entropy": lambda st: relative_entropy(st, ref),
+                "masses": lambda st: [mean(r) for r in st.rho]})
             report["trajectories"][branch][float(eps)] = traj
             report[branch][float(eps)] = {
-                "H_initial": float(traj.entropy[0]),
-                "H_final": float(traj.entropy[-1]),
+                "H_initial": float(traj["entropy"][0]),
+                "H_final": float(traj["entropy"][-1]),
                 "t_final": float(traj.times[-1]),
                 "complete": traj.complete,
             }

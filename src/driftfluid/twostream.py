@@ -23,12 +23,12 @@ spaces (while analytic-decay data keeps a finite lifespan).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError
-from .quadrature import check_finite, rk4_step
+from .errors import ConfigError
+from .quadrature import Trajectory, check_finite, evolve, rk4_step
 from .spectral import (
     Grid,
     SpectralField,
@@ -36,7 +36,6 @@ from .spectral import (
     derivative,
     inverse,
     l2_norm,
-    mean,
     product,
 )
 
@@ -63,12 +62,12 @@ class TwoPhaseState:
         return float(min(np.min(vals), np.min(1.0 - vals)))
 
 
-def make_two_phase(rho1: SpectralField, v1: SpectralField, v2: SpectralField,
-                   margin: float = 0.0) -> TwoPhaseState:
+def make_two_phase(rho1: SpectralField, v1: SpectralField,
+                   v2: SpectralField) -> TwoPhaseState:
     if not (rho1.grid == v1.grid == v2.grid) or rho1.grid.ndim != 1:
         raise ConfigError("two-phase fields must share one parallel grid")
     state = TwoPhaseState(t=0.0, rho1=dealias(rho1), v1=dealias(v1), v2=dealias(v2))
-    if state.interior_margin() <= margin:
+    if state.interior_margin() <= 0.0:
         raise ConfigError("rho1 must take values strictly inside (0, 1)")
     return state
 
@@ -101,69 +100,14 @@ def step(state: TwoPhaseState, dt: float) -> TwoPhaseState:
     return TwoPhaseState(state.t + dt, *y)
 
 
-@dataclass
-class TwoPhaseTrajectory:
-    grid: Grid
-    times: np.ndarray
-    rho1: np.ndarray          # [n_t, n_par] coefficients
-    v1: np.ndarray
-    v2: np.ndarray
-    mass1: np.ndarray
-    flux_residual: np.ndarray
-    interior_ok: bool
-    states: list = field(default_factory=list)
-
-
-def run(state: TwoPhaseState, dt: float, n_steps: int, record_every: int = 1,
-        margin: float = 1e-3, keep_states: bool = False,
-        stop_when=None) -> TwoPhaseTrajectory:
-    """Advance the two-phase system, flagging loss of the strict interior
-    0 < rho1 < 1. `stop_when(state)` may truncate the run early (used by
-    growth fits); partial output is returned, never an exception."""
-    if n_steps % record_every != 0:
-        raise ConfigError("record_every must divide n_steps")
-    n_rec = n_steps // record_every + 1
-    npar = state.grid.shape[0]
-    times = np.empty(n_rec)
-    r1 = np.empty((n_rec, npar), dtype=complex)
-    u1 = np.empty_like(r1)
-    u2 = np.empty_like(r1)
-    mass1 = np.empty(n_rec)
-    resid = np.empty(n_rec)
-    states = []
-    interior_ok = True
-
-    def record(i, st):
-        nonlocal interior_ok
-        times[i] = st.t
-        r1[i] = st.rho1.coeffs
-        u1[i] = st.v1.coeffs
-        u2[i] = st.v2.coeffs
-        mass1[i] = mean(st.rho1)
-        resid[i] = momentum_flux_residual(st)
-        if st.interior_margin() <= margin:
-            interior_ok = False
-        if keep_states:
-            states.append(st)
-
-    record(0, state)
-    current = state
-    filled = 1
+def run(state: TwoPhaseState, dt: float, n_steps: int, probes: dict,
+        stop_when=None) -> Trajectory:
+    """Advance n_steps, recording each probe at t = 0 and after every step
+    (see quadrature.evolve). `stop_when(state)` may truncate the run early
+    (used by growth fits); a blow-up ends the record at the last finite
+    state with complete False, never with an exception."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps + 1):
-            try:
-                current = step(current, dt)
-            except BlowUpError:
-                break
-            if n % record_every == 0:
-                record(n // record_every, current)
-                filled += 1
-            if stop_when is not None and stop_when(current):
-                break
-    return TwoPhaseTrajectory(
-        grid=state.grid, times=times[:filled], rho1=r1[:filled], v1=u1[:filled],
-        v2=u2[:filled], mass1=mass1[:filled], flux_residual=resid[:filled],
-        interior_ok=interior_ok, states=states)
+        return evolve(step, state, dt, n_steps, probes, stop_when, partial=True)
 
 
 # -- linear theory ---------------------------------------------------------
@@ -274,15 +218,14 @@ class GrowthResult:
     blew_up: bool
 
 
-def perturbation_norm(traj: TwoPhaseTrajectory, background) -> np.ndarray:
-    r1, v1b, v2b = background
-    out = np.zeros(len(traj.times))
-    with np.errstate(over="ignore"):
-        for series, base in ((traj.rho1, r1), (traj.v1, v1b), (traj.v2, v2b)):
-            d = np.array(series, copy=True)
-            d[:, 0] -= base
-            out += np.sum(np.abs(d) ** 2, axis=1)
-    return np.sqrt(out)
+def perturbation_norm(state: TwoPhaseState, background) -> float:
+    """L2 distance of (rho1, v1, v2) from the constant background."""
+    total = 0.0
+    for f, base in zip((state.rho1, state.v1, state.v2), background):
+        d = np.array(f.coeffs, copy=True)
+        d[0] -= base
+        total += float(np.sum(np.abs(d) ** 2))
+    return math.sqrt(total)
 
 
 def mode_matched_points(k: int) -> int:
@@ -355,14 +298,14 @@ def growth_experiment(background, k_max: int, horizon: float,
                  0.25 / (grid.shape[0] * vmax), horizon / 64.0)
         n_steps = int(math.ceil(horizon / dt))
         ceiling = fit_ceiling * background[0]
-        traj = run(state, dt, n_steps,
+        traj = run(state, dt, n_steps, {"rho1": lambda st: st.rho1.coeffs},
                    stop_when=lambda st, k=k, c=4 * ceiling:
                    abs(st.rho1.coeffs[k]) > c)
-        if len(traj.times) < n_steps + 1 and np.abs(traj.rho1[-1, k]) < ceiling:
+        amp = np.abs(traj["rho1"][:, k])
+        if not traj.complete and amp[-1] < ceiling:
             blew_up = True
-        sigma_meas, r2, n_fit = _fit_mode(
-            traj.times, np.abs(traj.rho1[:, k]),
-            fit_floor * np.abs(traj.rho1[0, k]), ceiling)
+        sigma_meas, r2, n_fit = _fit_mode(traj.times, amp, fit_floor * amp[0],
+                                          ceiling)
         rows.append(GrowthRow(k=k, sigma_lin=complex(sig_lead),
                               sigma_meas=sigma_meas, r_squared=r2, n_fit=n_fit))
     return GrowthResult(background=tuple(background), rows=rows,
@@ -382,8 +325,9 @@ def survival_time(background, kind: str, param: float, k_max: int,
                     for k in range(1, k_max + 1))
     dt = min(0.12 / max(sigma_max, 1e-6), horizon / 64.0)
     n_steps = int(math.ceil(horizon / dt))
-    traj = run(state, dt, n_steps)
-    pert = perturbation_norm(traj, background)
+    traj = run(state, dt, n_steps,
+               {"pert": lambda st: perturbation_norm(st, background)})
+    pert = traj["pert"]
     target = factor * pert[0]
     above = np.nonzero(pert >= target)[0]
     if not len(above):

@@ -117,14 +117,15 @@ def _single_mode_run(eps, n_periods, amplitude=0.05):
         zeros(g), eps, adm_const=2 * amplitude)
     dt = epsilon.dt_policy(eps)
     n = int(round(n_periods * epsilon.oscillation_period(eps) / dt))
-    return epsilon.run(st, dt, n), st
+    return epsilon.run(st, dt, n, {"Epar": epsilon.parallel_field,
+                                   "energy": epsilon.energy}), st
 
 
 def test_criterion_04_oscillation_frequency():
     t0 = time.perf_counter()
     eps = 1e-2
     traj, _ = _single_mode_run(eps, 20)
-    series = traj.sqrt_eps_Epar()[:, 1]
+    series = math.sqrt(eps) * traj["Epar"][:, 1]
     series = series - series.mean()
     amp = np.abs(np.fft.fft(series))
     freqs = 2 * np.pi * np.fft.fftfreq(len(series), d=traj.dt)
@@ -147,16 +148,20 @@ def test_criterion_05_duhamel_consistency():
     st = epsilon.make_eps_state(rho0, v0, eps)
     dt = epsilon.dt_policy(eps)
     n = int(round(2 * epsilon.oscillation_period(eps) / dt))
-    traj = epsilon.run(st, dt, n)
-    src = oscillations.WaveSource(grid=traj.par_grid, times=traj.times,
-                                  coeffs=traj.source)
+    probes = {"Epar": epsilon.parallel_field,
+              "source": lambda s: epsilon.wave_source(s.rho, s.v, s.fields()[1],
+                                                      s.eps).coeffs}
+    traj = epsilon.run(st, dt, n, probes)
+    src = oscillations.WaveSource(grid=g.par_grid, times=traj.times,
+                                  coeffs=traj["source"])
     rec = oscillations.duhamel_sqrt_eps_E(
-        src, eps, SpectralField(traj.par_grid, traj.Epar[0]),
-        SpectralField(traj.par_grid, traj.eps_dtE0))
-    err = float(np.max(np.abs(rec - traj.sqrt_eps_Epar())))
-    refined = epsilon.run(st, dt / 2, 2 * n, record_every=2)
-    richardson = float(np.max(np.abs(traj.sqrt_eps_Epar()
-                                     - refined.sqrt_eps_Epar()))) * 16.0 / 15.0
+        src, eps, SpectralField(g.par_grid, traj["Epar"][0]),
+        epsilon.eps_dtE0(st.rho, st.v))
+    sqrt_eps_Epar = math.sqrt(eps) * traj["Epar"]
+    err = float(np.max(np.abs(rec - sqrt_eps_Epar)))
+    refined = epsilon.run(st, dt / 2, 2 * n, {"Epar": epsilon.parallel_field})
+    richardson = float(np.max(np.abs(sqrt_eps_Epar - math.sqrt(eps)
+                                     * refined["Epar"][::2]))) * 16.0 / 15.0
     ok = err <= 5.0 * richardson
     _report(5, f"wave-equation reconstruction error {err:.2e} within 5x "
             f"Richardson estimate {richardson:.2e}",
@@ -167,14 +172,14 @@ def test_criterion_06_energy_conservation():
     t0 = time.perf_counter()
     eps = 1e-2
     traj, _ = _single_mode_run(eps, 10)
-    rel_drift = float(np.max(np.abs(traj.energy - traj.energy[0]))
-                      / traj.energy[0])
+    rel_drift = float(np.max(np.abs(traj["energy"] - traj["energy"][0]))
+                      / traj["energy"][0])
 
     grid = Grid.line(32)
     st = toymodel.dichotomy_data(grid, 1e-2, streaming=0.4)
     dt = 2 * math.pi * 0.1 / 120
-    toy = toymodel.run(st, dt, 240)
-    max_increase = float(np.max(np.diff(toy.energy), initial=0.0))
+    toy = toymodel.run(st, dt, 240, {"energy": toymodel.energy})
+    max_increase = float(np.max(np.diff(toy["energy"]), initial=0.0))
 
     ok = rel_drift < 1e-6 and max_increase < 1e-8
     _report(6, f"energy drift {rel_drift:.2e} < 1e-6 over 10 periods; "
@@ -253,7 +258,7 @@ def test_criterion_11_reductions():
     v_vals = 0.1 * np.cos(2 * np.pi * x2)
     st = limit.project_initial(forward(g, 1.0 + w_vals), forward(g, v_vals))
     dt = 0.01
-    traj = limit.run(st, dt, 100)
+    traj = limit.run(st, dt, 100, {})
     ref = Euler2DReference(n1, n2)
     w_hat = np.fft.fft2(w_vals[:, :, 0]) * ref.mask
     s_hat = np.fft.fft2(v_vals[:, :, 0]) * ref.mask
@@ -279,7 +284,7 @@ def test_criterion_11_reductions():
     dt2 = 2e-3
     for _ in range(100):
         tp = twostream.step(tp, dt2)
-    traj2 = limit.run(lim_state, dt2, 100)
+    traj2 = limit.run(lim_state, dt2, 100, {})
     r1b, v1b, v2b = limit.restrict_two_phase(traj2.final_state)
     shear_err = max(float(np.max(np.abs(r1b.coeffs - tp.rho1.coeffs))),
                     float(np.max(np.abs(v1b.coeffs - tp.v1.coeffs))),

@@ -19,7 +19,7 @@ from driftfluid.ck import (
     run_scheme,
     time_grid,
 )
-from driftfluid.epsilon import dt_policy, make_eps_state, run as eps_run
+from driftfluid.epsilon import dt_policy, make_eps_state, parallel_field, run as eps_run
 from driftfluid.errors import ConfigError
 from driftfluid.poisson import solve_fields
 from driftfluid.quadrature import cumulative_integral
@@ -136,13 +136,14 @@ class TestIterate:
         st = small_state(g, eps, amplitude=0.02)
         times = time_grid(PARAMS, 1.1, dt_policy(eps))
         dt = float(times[1] - times[0])
-        traj = eps_run(st, dt, len(times) - 1, keep_states=True)
+        traj = eps_run(st, dt, len(times) - 1,
+                       {"state": lambda s: s, "Epar": parallel_field})
         injected = Iterate(
             n=5, eps=eps, times=times,
-            rho=[s.rho for s in traj.states],
-            w=[s.w for s in traj.states],
-            G=np.stack([s.G.coeffs for s in traj.states]),
-            Epar=traj.Epar)
+            rho=[s.rho for s in traj["state"]],
+            w=[s.w for s in traj["state"]],
+            G=np.stack([s.G.coeffs for s in traj["state"]]),
+            Epar=traj["Epar"])
         mapped = iterate(injected, st.rho, st.v)
         d = iterate_difference(mapped, injected, PARAMS)
         # quadrature and RK4 errors, both O(dt^4) at tiny amplitude

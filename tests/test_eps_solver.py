@@ -13,8 +13,8 @@ from driftfluid.epsilon import (
     eps_dtE0,
     diagnostics,
     make_eps_state,
+    mass,
     oscillation_period,
-    rhs,
     run,
     step,
     tendencies,
@@ -29,6 +29,7 @@ from driftfluid.spectral import (
     forward,
     inverse,
     l2_norm,
+    perp_average,
     zeros,
 )
 
@@ -43,14 +44,14 @@ def equilibrium_state(grid, eps=0.1):
 class TestTendencies:
     def test_equilibrium_is_stationary(self):
         st = equilibrium_state(Grid.torus3d(4, 4, 8))
-        drho, dv, dE = rhs(st)
+        drho, dv, dE = tendencies(st.rho, st.v, st.eps)
         for f in (drho, dv, dE):
             assert np.max(np.abs(f.coeffs)) == 0.0
 
     def test_galilean_stream(self):
         g = Grid.torus3d(4, 4, 8)
         st = make_eps_state(constant(g, 1.0), constant(g, 0.7), 0.2)
-        drho, dv, dE = rhs(st)
+        drho, dv, dE = tendencies(st.rho, st.v, st.eps)
         for f in (drho, dv, dE):
             assert np.max(np.abs(f.coeffs)) < 1e-14
 
@@ -101,10 +102,11 @@ class TestStep:
                             zeros(g), eps)
         dt = dt_policy(eps)
         period = oscillation_period(eps)
-        traj = run(st, dt, int(round(period / dt)))
+        traj = run(st, dt, int(round(period / dt)),
+                   {"rho_bar": lambda s: perp_average(s.rho).coeffs})
         omega = 1.0 / math.sqrt(eps)
         # linearised mode oracle: rho_hat oscillates at omega, v follows
-        rb = traj.rho_bar[:, 1]
+        rb = traj["rho_bar"][:, 1]
         pred_r = rb[0] * np.cos(omega * traj.times)
         amp = abs(rb[0])
         assert np.max(np.abs(rb - pred_r)) / amp < 0.01
@@ -138,8 +140,8 @@ class TestStep:
         rho = random_band_field(g, 1, rng, amplitude=0.05, mean=1.0)
         v = random_band_field(g, 1, rng, amplitude=0.05)
         st = make_eps_state(rho, v, 0.04)
-        traj = run(st, dt_policy(0.04), 50)
-        assert np.max(np.abs(traj.mass - 1.0)) == 0.0
+        traj = run(st, dt_policy(0.04), 50, {"mass": mass})
+        assert np.max(np.abs(traj["mass"] - 1.0)) == 0.0
 
     def test_blow_up_reports_last_state(self):
         g = Grid.torus3d(4, 4, 8)
@@ -192,9 +194,29 @@ class TestEnergy:
             forward(g, 1 + 0.05 * math.sqrt(eps) * np.cos(2 * np.pi * xp)),
             zeros(g), eps)
         dt = dt_policy(eps)
-        traj = run(st, dt, int(round(2 * oscillation_period(eps) / dt)))
-        rel = np.max(np.abs(traj.energy - traj.energy[0])) / traj.energy[0]
+        traj = run(st, dt, int(round(2 * oscillation_period(eps) / dt)),
+                   {"energy": energy})
+        rel = np.max(np.abs(traj["energy"] - traj["energy"][0])) / traj["energy"][0]
         assert rel < 2e-7
+
+
+class TestRun:
+    def test_records_only_the_requested_probes(self, monkeypatch):
+        """A run computes what its probes ask for and nothing else: with the
+        wave source broken, a run recording the mass still succeeds."""
+        from driftfluid import epsilon
+
+        def broken(*args, **kwargs):
+            raise AssertionError("wave source computed without being asked for")
+
+        monkeypatch.setattr(epsilon, "wave_source", broken)
+        g = Grid.torus3d(4, 4, 8)
+        xp = g.meshgrid()[2]
+        st = make_eps_state(forward(g, 1 + 0.05 * np.cos(2 * np.pi * xp)),
+                            forward(g, 0.02 * np.sin(2 * np.pi * xp)), 0.1)
+        traj = run(st, dt_policy(0.1), 5, {"mass": mass})
+        assert list(traj.series) == ["mass"]
+        assert np.array_equal(traj["mass"], np.ones(6))
 
 
 class TestDiagnostics:
@@ -245,8 +267,8 @@ class TestStateValidation:
         st = make_eps_state(forward(g, 1 + 0.9 * np.cos(2 * np.pi * xp)),
                             forward(g, 2.0 * np.sin(2 * np.pi * xp)), 0.5,
                             adm_const=10.0)
-        traj = run(st, 0.02, 40)
-        assert traj.positivity_ok in (True, False)   # flag, not an exception
+        traj = run(st, 0.02, 40, {"min_rho": EpsState.min_rho})
+        assert traj.complete and len(traj["min_rho"]) == 41   # flag, not an exception
 
 
 class TestWaveSourceAndFiltering:
@@ -288,7 +310,7 @@ class TestWaveSourceAndFiltering:
             cur = st
             from driftfluid.spectral import embed_parallel
             for _ in range(40):
-                drho, dv, dE = rhs(cur)
+                drho, dv, dE = tendencies(cur.rho, cur.v, cur.eps)
                 dtw = dv - embed_parallel(dE, g)
                 sup = max(sup, l2_norm(dtw))
                 cur = step(cur, dt)

@@ -243,6 +243,17 @@ class TestRunner:
         head = (tmp_path / "limit_timeseries.csv").read_bytes().split(b"\r\n")[0]
         assert head == b"t,mass,constraint_residual"
 
+    def test_contraction_experiment_run(self, tmp_path):
+        """The contraction experiment at its default 4x4x8 grid."""
+        cfg = RunConfig.from_dict({"experiment": "contraction", "eps": [0.25]})
+        run(cfg, tmp_path, reference_mode=True)
+        data = json.loads((tmp_path / "manifest.json").read_text())
+        assert data["passed"]
+        assert {f["path"] for f in data["files"]} == {"contraction.csv",
+                                                      "contraction.json"}
+        study = json.loads((tmp_path / "contraction.json").read_text())
+        assert study["eta"] == 2.859375
+
     def test_growth_experiment_run(self, tmp_path):
         cfg = RunConfig.from_dict({
             "experiment": "growth", "horizon": 2.0,

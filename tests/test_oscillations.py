@@ -8,9 +8,12 @@ import pytest
 
 from driftfluid.epsilon import (
     dt_policy,
+    eps_dtE0,
     make_eps_state,
     oscillation_period,
+    parallel_field,
     run,
+    wave_source,
 )
 from driftfluid.errors import ConfigError, InvariantError
 from driftfluid.oscillations import (
@@ -159,10 +162,12 @@ class TestDuhamel:
             forward(grid, 1 + 0.1 * math.sqrt(eps) * np.cos(2 * np.pi * xp)),
             forward(grid, 0.05 * np.sin(2 * np.pi * xp)), eps)
         dt = dt_policy(eps)
-        traj = run(st, dt, 160)
-        src = WaveSource(grid=traj.par_grid, times=traj.times, coeffs=traj.source)
-        E0 = SpectralField(traj.par_grid, traj.Epar[0])
-        D = SpectralField(traj.par_grid, traj.eps_dtE0)
+        traj = run(st, dt, 160, {
+            "Epar": parallel_field,
+            "source": lambda s: wave_source(s.rho, s.v, s.fields()[1], s.eps).coeffs})
+        src = WaveSource(grid=grid.par_grid, times=traj.times, coeffs=traj["source"])
+        E0 = SpectralField(grid.par_grid, traj["Epar"][0])
+        D = eps_dtE0(st.rho, st.v)
         G = duhamel_G(src, eps, E0, D)
         E = duhamel_sqrt_eps_E(src, eps, E0, D) / math.sqrt(eps)
         dG = np.gradient(G, dt, axis=0)

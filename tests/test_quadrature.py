@@ -10,6 +10,7 @@ from driftfluid import epsilon, limit, toymodel, twostream
 from driftfluid.errors import BlowUpError
 from driftfluid.quadrature import (
     cumulative_integral,
+    evolve,
     interval_integrals,
     midpoints,
     oscillatory_convolutions,
@@ -158,3 +159,71 @@ class TestBlowUp:
         with np.errstate(all="ignore"):
             with pytest.raises(BlowUpError):
                 epsilon.step(bad, 1e-3)
+
+
+class _Doubling:
+    """Minimal state for the run loop: a time and one number that doubles
+    every step."""
+
+    def __init__(self, t, y):
+        self.t, self.y = t, y
+
+
+def _double(state, dt):
+    return _Doubling(state.t + dt, 2.0 * state.y)
+
+
+class TestEvolve:
+    def test_samples_at_zero_and_after_every_step(self):
+        traj = evolve(_double, _Doubling(0.0, 1.0), 0.5, 4,
+                      {"y": lambda s: s.y, "pair": lambda s: np.array([s.y, -s.y])})
+        assert np.array_equal(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
+        assert np.array_equal(traj["y"], [1.0, 2.0, 4.0, 8.0, 16.0])
+        assert traj["pair"].shape == (5, 2)
+        assert traj.final_state.y == 16.0 and traj.final_state.t == 2.0
+        assert traj.complete and traj.dt == 0.5
+
+    def test_non_numeric_values_stay_a_list(self):
+        traj = evolve(_double, _Doubling(0.0, 1.0), 0.5, 2, {"state": lambda s: s})
+        assert isinstance(traj["state"], list)
+        assert traj["state"][-1] is traj.final_state
+
+    def test_stop_when_truncates_after_the_sample(self):
+        traj = evolve(_double, _Doubling(0.0, 1.0), 0.5, 10, {"y": lambda s: s.y},
+                      stop_when=lambda s: s.y > 5.0)
+        assert np.array_equal(traj["y"], [1.0, 2.0, 4.0, 8.0])
+        assert traj.final_state.y == 8.0 and traj.complete
+
+    def test_eps_run_final_state_is_the_last_step(self):
+        rho, v = _torus_data()
+        state = epsilon.make_eps_state(rho, v, 0.01)
+        traj = epsilon.run(state, 1e-3, 3, {"mass": epsilon.mass})
+        cur = state
+        for _ in range(3):
+            cur = epsilon.step(cur, 1e-3)
+        assert np.array_equal(traj.final_state.rho.coeffs, cur.rho.coeffs)
+        assert np.array_equal(traj.final_state.v.coeffs, cur.v.coeffs)
+        assert np.array_equal(traj.final_state.G.coeffs, cur.G.coeffs)
+        assert len(traj["mass"]) == 4
+
+    @pytest.mark.parametrize("system", ["epsilon", "limit"])
+    def test_blow_up_raises_from_the_run(self, system):
+        state, _, state_type = _blow_up_cases()[system]
+        module = {"epsilon": epsilon, "limit": limit}[system]
+        with np.errstate(all="ignore"):
+            with pytest.raises(BlowUpError) as info:
+                module.run(state, 1e200, 3, {"mass": epsilon.mass})
+        assert info.value.last_state is state
+        assert isinstance(info.value.last_state, state_type)
+
+    @pytest.mark.parametrize("system", ["twostream", "toymodel"])
+    def test_blow_up_returns_the_partial_record(self, system):
+        state, _, _ = _blow_up_cases()[system]
+        module = {"twostream": twostream, "toymodel": toymodel}[system]
+        ok = module.run(state, 1e-4, 2, {"t": lambda s: s.t})
+        with np.errstate(all="ignore"):
+            cut = module.run(ok.final_state, 1e200, 3, {"t": lambda s: s.t})
+        assert ok.complete and len(ok.times) == 3
+        assert not cut.complete
+        assert cut.final_state is ok.final_state
+        assert np.array_equal(cut.times, [ok.final_state.t])
