@@ -22,6 +22,14 @@ run: RFC-4180 CSV tables, `.spec` snapshots, gnuplot-compatible plot
 scripts, and a manifest.json (written atomically) listing every file,
 the config echo, versions, wall time, and inline invariant check results.
 Exit status is nonzero iff an inline check fails.
+
+In "eps_sweep", "grid" and "eps" govern every table. The per-eps
+eps_<eps>/timeseries.csv follow "horizon", "dt", "initial_data",
+"adm_const" and "seed". convergence.csv, and limit_timeseries.csv and
+correctors.csv at the smallest eps, come from the same runs of
+experiments.quasineutral_sweep on matched well-prepared data, with
+"experiment_params" forwarded to it (its horizon defaults to
+min(horizon, 2.5)).
 """
 
 from __future__ import annotations
@@ -37,8 +45,10 @@ import numpy as np
 
 from . import __version__, epsilon, experiments, presets, toymodel, twostream
 from .errors import AdmissibilityError, ConfigError
+from .oscillations import corrector_rows
+from .quadrature import states_at
 from .specio import write_csv, write_json_atomic, write_spec
-from .spectral import Grid, NormParams, analytic_norm, perp_average
+from .spectral import Grid, NormParams
 
 EXPERIMENTS = ("eps_run", "eps_sweep", "contraction", "growth", "dichotomy")
 
@@ -164,8 +174,8 @@ def _build_eps_state(cfg: RunConfig, grid: Grid, eps: float):
     return epsilon.make_eps_state(rho0, v0, eps, adm_const=cfg.adm_const)
 
 
-def _run_eps_single(cfg: RunConfig, eps: float, out: Path,
-                    root: Path) -> tuple[list[Path], dict]:
+def _run_eps_single(cfg: RunConfig, eps: float,
+                    out: Path) -> tuple[list[Path], dict]:
     """One eps run; returns the emitted files and its inline checks."""
     grid = cfg.make_grid()
     state = _build_eps_state(cfg, grid, eps)
@@ -175,7 +185,7 @@ def _run_eps_single(cfg: RunConfig, eps: float, out: Path,
     probes = epsilon.diagnostic_probes(cfg.norm_params())
     names = ["t", *probes]       # the CSV columns; snapshot states are not one
     if snap_every > 0:
-        probes["state"] = lambda st: st
+        probes["state"] = states_at(range(0, n_steps + 1, snap_every))
     traj = epsilon.run(state, dt, n_steps, probes)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -191,7 +201,7 @@ def _run_eps_single(cfg: RunConfig, eps: float, out: Path,
     files.append(gp)
     if snap_every > 0:
         for i, st in enumerate(traj["state"]):
-            if i % snap_every:
+            if st is None:
                 continue
             sp = out / f"state_{i:06d}.spec"
             write_spec(sp, {"rho": st.rho, "v": st.v}, time=st.t, eps=eps)
@@ -203,33 +213,29 @@ def _run_eps_single(cfg: RunConfig, eps: float, out: Path,
     return files, checks
 
 
-def _sweep_member(raw_cfg: dict, eps: float, out_dir: str, root_dir: str):
+def _sweep_member(raw_cfg: dict, eps: float, out_dir: str):
     """Worker-pool entry point (must be picklable)."""
     cfg = RunConfig.from_dict(raw_cfg)
-    files, checks = _run_eps_single(cfg, eps, Path(out_dir), Path(root_dir))
+    files, checks = _run_eps_single(cfg, eps, Path(out_dir))
     return [str(f) for f in files], checks
 
 
 def _run_eps_sweep(cfg: RunConfig, out: Path, manifest: Manifest,
-                   root: Path, workers: int) -> None:
+                   workers: int) -> None:
     jobs = [(eps, out / f"eps_{eps:g}") for eps in cfg.eps]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         raw = _config_echo(cfg)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_member, raw, eps, str(d), str(root))
+            futures = [pool.submit(_sweep_member, raw, eps, str(d))
                        for eps, d in jobs]
-            for fut in futures:          # submission order: deterministic
-                files, checks = fut.result()
-                for f in files:
-                    manifest.add(Path(f), root)
-                manifest.checks.update(checks)
+            members = [fut.result() for fut in futures]  # submission order
     else:
-        for eps, d in jobs:
-            files, checks = _run_eps_single(cfg, eps, d, root)
-            for f in files:
-                manifest.add(f, root)
-            manifest.checks.update(checks)
+        members = [_run_eps_single(cfg, eps, d) for eps, d in jobs]
+    for files, checks in members:
+        for f in files:
+            manifest.add(Path(f), out)
+        manifest.checks.update(checks)
 
     kwargs = dict(cfg.experiment_params)
     kwargs.setdefault("horizon", min(cfg.horizon, 2.5))
@@ -243,11 +249,21 @@ def _run_eps_sweep(cfg: RunConfig, out: Path, manifest: Manifest,
                 "v_error_raw": e.v_error_raw, "residual": e.residual,
                 "mass_drift": e.mass_drift, "energy_drift": e.energy_drift}
                for e in res.entries))
-    manifest.add(csv_path, root)
+    manifest.add(csv_path, out)
 
-    # limit-flow reference run at the smallest eps sampling, with the
-    # constraint-residual column, plus the demodulated corrector table
-    _emit_sweep_companions(cfg, out, manifest, root, min(cfg.eps))
+    # the limit flow at the smallest eps's sampling over the horizon, with
+    # the constraint-residual column, and the demodulated corrector table
+    lim = res.limit_trajectory
+    n = math.ceil(res.horizon / lim.dt) + 1
+    lim_csv = out / "limit_timeseries.csv"
+    write_csv(lim_csv, ["t", "mass", "constraint_residual"],
+              ({"t": float(t), "mass": float(m), "constraint_residual": float(r)}
+               for t, m, r in zip(lim.times[:n], lim["mass"], lim["residual"])))
+    manifest.add(lim_csv, out)
+    corr_csv = out / "correctors.csv"
+    write_csv(corr_csv, ["t", "k_par", "re_eplus", "im_eplus", "residual"],
+              corrector_rows(res.correctors))
+    manifest.add(corr_csv, out)
 
     gp = out / "convergence.gp"
     gp.write_text("\n".join([
@@ -257,52 +273,13 @@ def _run_eps_sweep(cfg: RunConfig, out: Path, manifest: Manifest,
         "plot 'convergence.csv' using 1:2 with linespoints title 'rho error',"
         " 'convergence.csv' using 1:3 with linespoints title 'v error'",
     ]) + "\n")
-    manifest.add(gp, root)
+    manifest.add(gp, out)
     manifest.checks["rho_error_decreasing"] = res.strictly_decreasing("rho_error")
     manifest.checks["v_error_decreasing"] = res.strictly_decreasing("v_error_filtered")
     manifest.checks["residual_decreasing"] = res.strictly_decreasing("residual")
 
 
-def _emit_sweep_companions(cfg: RunConfig, out: Path, manifest: Manifest,
-                           root: Path, eps: float) -> None:
-    from . import limit, oscillations
-    from .spectral import SpectralField
-    grid = cfg.make_grid()
-    rho0, v0 = experiments.matched_well_prepared_data(grid)
-    lim0 = limit.project_initial(rho0, v0)
-    dt = cfg.policy_dt(eps)
-    horizon = min(cfg.horizon, 2.5)
-    n = int(math.ceil(horizon / dt))
-    lim_traj = limit.run(lim0, dt, n, {
-        "mass": epsilon.mass,
-        "residual": lambda st: limit.constraint_residuals(st.rho, st.v)[1]})
-    lim_csv = out / "limit_timeseries.csv"
-    write_csv(lim_csv, ["t", "mass", "constraint_residual"],
-              ({"t": float(t), "mass": float(m), "constraint_residual": float(r)}
-               for t, m, r in zip(lim_traj.times, lim_traj["mass"],
-                                  lim_traj["residual"])))
-    manifest.add(lim_csv, root)
-
-    # the decomposition spends one oscillation period and the centered
-    # demodulation window two more: size the companion run accordingly
-    period = epsilon.oscillation_period(eps)
-    horizon_c = max(horizon, 3.5 * period)
-    n_c = int(math.ceil(horizon_c / dt))
-    state = epsilon.make_eps_state(rho0, v0, eps)
-    traj = epsilon.run(state, dt, n_c, experiments.FILTER_PROBES)
-    W0c = np.array(traj["mom_bar"][0], copy=True)
-    W0c[0] = 0.0
-    record = oscillations.analyze(traj.times, traj["Epar"], eps,
-                                  SpectralField(grid.par_grid, W0c),
-                                  window_periods=2)
-    corr_csv = out / "correctors.csv"
-    write_csv(corr_csv, ["t", "k_par", "re_eplus", "im_eplus", "residual"],
-              oscillations.corrector_rows(record))
-    manifest.add(corr_csv, root)
-
-
-def _run_contraction(cfg: RunConfig, out: Path, manifest: Manifest,
-                     root: Path) -> None:
+def _run_contraction(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
     kwargs = dict(cfg.experiment_params)
     kwargs.setdefault("eps", cfg.eps[0])
     study = experiments.contraction_study(params=cfg.norm_params(), **kwargs)
@@ -314,16 +291,16 @@ def _run_contraction(cfg: RunConfig, out: Path, manifest: Manifest,
               ({"n": r.n, "norm_rho_diff": r.d_rho, "norm_w_diff": r.d_w,
                 "norm_G_diff": r.d_G, "norm_E_diff": r.d_E, "ratio": r.ratio}
                for r in study.rows))
-    manifest.add(csv_path, root)
+    manifest.add(csv_path, out)
     write_json_atomic(out / "contraction.json", {
         "eta": study.eta, "max_ratio": study.max_ratio,
         "sup_l2_vs_rk4": study.sup_l2_vs_rk4})
-    manifest.add(out / "contraction.json", root)
+    manifest.add(out / "contraction.json", out)
     manifest.checks["contraction_rate"] = study.max_ratio <= 0.5
     manifest.checks["fixed_point_matches_rk4"] = study.sup_l2_vs_rk4 <= 1e-6
 
 
-def _run_growth(cfg: RunConfig, out: Path, manifest: Manifest, root: Path) -> None:
+def _run_growth(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
     p = dict(cfg.experiment_params)
     background = tuple(p.pop("background", (0.5, 1.0, -1.0)))
     k_max = int(p.pop("k_max", 5))
@@ -336,19 +313,19 @@ def _run_growth(cfg: RunConfig, out: Path, manifest: Manifest, root: Path) -> No
               ({"k": r.k, "re_sigma_lin": r.sigma_lin.real,
                 "im_sigma_lin": r.sigma_lin.imag, "sigma_meas": r.sigma_meas,
                 "r_squared": r.r_squared} for r in res.rows))
-    manifest.add(csv_path, root)
+    manifest.add(csv_path, out)
     within = [abs(r.sigma_meas - r.sigma_lin.real) <= 0.1 * abs(r.sigma_lin.real)
               for r in res.rows if r.sigma_lin.real > 1e-9]
     manifest.checks["growth_matches_linear_theory"] = bool(all(within)) if within else True
     manifest.checks["growth_run_completed"] = not res.blew_up
 
 
-def _run_dichotomy(cfg: RunConfig, out: Path, manifest: Manifest, root: Path) -> None:
+def _run_dichotomy(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
     report = toymodel.dichotomy_experiment(cfg.eps, **cfg.experiment_params)
     trajectories = report.pop("trajectories")
     out.mkdir(parents=True, exist_ok=True)
     write_json_atomic(out / "dichotomy.json", report)
-    manifest.add(out / "dichotomy.json", root)
+    manifest.add(out / "dichotomy.json", out)
     # per-branch time series at the largest eps (t, energy, H, masses)
     eps = max(report["eps"])
     for branch in ("stable", "unstable"):
@@ -361,7 +338,7 @@ def _run_dichotomy(cfg: RunConfig, out: Path, manifest: Manifest, root: Path) ->
                     **{f"mass_{i}": float(m) for i, m in enumerate(ms)}}
                    for t, e, h, ms in zip(traj.times, traj["energy"],
                                           traj["entropy"], traj["masses"])))
-        manifest.add(path, root)
+        manifest.add(path, out)
     manifest.checks["stable_branch_decreasing"] = report["stable_strictly_decreasing"]
     manifest.checks["unstable_branch_nondecreasing"] = report["unstable_nondecreasing"]
 
@@ -375,18 +352,18 @@ def run(cfg: RunConfig, out_dir, reference_mode: bool = False,
     manifest = Manifest(config=_config_echo(cfg))
     start = time.perf_counter()
     if cfg.experiment == "eps_run":
-        files, checks = _run_eps_single(cfg, cfg.eps[0], root / "run", root)
+        files, checks = _run_eps_single(cfg, cfg.eps[0], root / "run")
         for f in files:
             manifest.add(f, root)
         manifest.checks.update(checks)
     elif cfg.experiment == "eps_sweep":
-        _run_eps_sweep(cfg, root, manifest, root, workers)
+        _run_eps_sweep(cfg, root, manifest, workers)
     elif cfg.experiment == "contraction":
-        _run_contraction(cfg, root, manifest, root)
+        _run_contraction(cfg, root, manifest)
     elif cfg.experiment == "growth":
-        _run_growth(cfg, root, manifest, root)
+        _run_growth(cfg, root, manifest)
     elif cfg.experiment == "dichotomy":
-        _run_dichotomy(cfg, root, manifest, root)
+        _run_dichotomy(cfg, root, manifest)
     manifest.wall_time = time.perf_counter() - start
     write_json_atomic(root / "manifest.json", {
         "config": manifest.config,
@@ -413,23 +390,13 @@ def validate(cfg: RunConfig) -> dict:
     if cfg.experiment in ("eps_run", "eps_sweep"):
         for eps in cfg.eps:
             try:
-                state = _build_eps_state(cfg, grid, eps)
+                _build_eps_state(cfg, grid, eps)
             except AdmissibilityError as exc:
                 findings.append(f"eps={eps:g}: admissibility failure: {exc}")
                 continue
             except ConfigError as exc:
                 findings.append(f"eps={eps:g}: {exc}")
                 continue
-            fluct = perp_average(state.rho)
-            c = np.array(fluct.coeffs, copy=True)
-            c[0] -= 1.0
-            from .spectral import SpectralField
-            norm = analytic_norm(SpectralField(fluct.grid, c), 1.0)
-            bound = cfg.adm_const * math.sqrt(eps)
-            if norm > bound:
-                findings.append(
-                    f"eps={eps:g}: |<rho>_perp - 1|_1 = {norm:.3e} exceeds "
-                    f"C sqrt(eps) = {bound:.3e}")
             dt = cfg.policy_dt(eps)
             resolve = 2.0 * math.pi * math.sqrt(eps) / epsilon.MIN_SAMPLES_PER_PERIOD
             if dt > resolve:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ck, epsilon, limit, oscillations
+from .quadrature import Trajectory, states_at
 from .spectral import (
     Grid,
     NormParams,
@@ -33,15 +34,28 @@ def matched_well_prepared_data(grid: Grid, amplitude: float = 0.05):
     return forward(grid, rho), forward(grid, v)
 
 
-def _two_legs(run, state, dt, n1, n2, probes):
-    """Run n1 then n2 steps: the state between the legs, and the times and
-    probe series of both legs joined."""
-    leg1 = run(state, dt, n1, probes)
-    leg2 = run(leg1.final_state, dt, n2, probes)
-    series = {name: np.concatenate([leg1[name], leg2[name][1:]])
-              for name in probes}
-    series["times"] = np.concatenate([leg1.times, leg2.times[1:]])
-    return leg1.final_state, series
+# what oscillation filtering reads off an eps run: E_par, and <rho v>_perp
+# for the initial filtered primitive
+FILTER_PROBES = {"Epar": epsilon.parallel_field, "mom_bar": epsilon.mean_current}
+
+
+def _analyze(times, Epar, mom_bar, eps: float, par_grid: Grid,
+             window_periods: int) -> oscillations.OscillationRecord:
+    """oscillations.analyze of an eps run, the filtered primitive starting
+    from the fluctuation of <rho v>_perp at t = 0."""
+    W0 = np.array(mom_bar[0], copy=True)
+    W0[0] = 0.0
+    return oscillations.analyze(times, Epar, eps, SpectralField(par_grid, W0),
+                                window_periods=window_periods)
+
+
+class _EpsEntries:
+    """Results with one entry per eps."""
+
+    def strictly_decreasing(self, attr: str) -> bool:
+        vals = [getattr(e, attr) for e in
+                sorted(self.entries, key=lambda e: -e.eps)]
+        return all(b < a for a, b in zip(vals, vals[1:]))
 
 
 @dataclass
@@ -56,16 +70,16 @@ class SweepEntry:
 
 
 @dataclass
-class SweepResult:
+class SweepResult(_EpsEntries):
     grid: Grid
     horizon: float
     compare_time: float
     entries: list[SweepEntry]
-
-    def strictly_decreasing(self, attr: str) -> bool:
-        vals = [getattr(e, attr) for e in
-                sorted(self.entries, key=lambda e: -e.eps)]
-        return all(b < a for a, b in zip(vals, vals[1:]))
+    # at the smallest eps: the limit run, with "mass" and constraint
+    # "residual" probes over at least the horizon, and the demodulated
+    # corrector record (two-period window)
+    limit_trajectory: Trajectory
+    correctors: oscillations.OscillationRecord
 
 
 def quasineutral_sweep(eps_list, grid: Grid | None = None,
@@ -81,40 +95,59 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
     by the mean parallel current of the limit flow. Reported per eps:
     density error and corrector-filtered velocity error at compare_time,
     and the corrector-subtraction residual averaged over average_range
-    (common to all sweep members)."""
+    (common to all sweep members). Each eps and limit trajectory is run
+    once; at the smallest eps both go on as long as the limit table and
+    the demodulated correctors of the result need."""
     grid = grid or Grid.torus3d(4, 4, 16)
     rho0, v0 = matched_well_prepared_data(grid, amplitude)
     lim0 = limit.project_initial(rho0, v0)
+    eps_min = min(eps_list)
     entries = []
     for eps in sorted(eps_list, reverse=True):
         dt = epsilon.dt_policy(eps, samples_per_period=samples_per_period)
         n1 = int(round(compare_time / dt))
-        n2 = max(int(math.ceil((horizon - compare_time) / dt)), 4)
-        state = epsilon.make_eps_state(rho0, v0, eps)
-        eps_mid, series = _two_legs(epsilon.run, state, dt, n1, n2, {
-            "Epar": epsilon.parallel_field, "mom_bar": epsilon.mean_current,
-            "mass": epsilon.mass, "energy": epsilon.energy})
-        lim_mid, lim_series = _two_legs(limit.run, lim0, dt, n1, n2,
-                                        {"ubar": epsilon.mean_current})
-        ubar = lim_series["ubar"]
-        times = series["times"]
+        n = n1 + max(math.ceil((horizon - compare_time) / dt), 4)
+        eps_probes = {**FILTER_PROBES, "mass": epsilon.mass,
+                      "energy": epsilon.energy, "mid": states_at([n1])}
+        lim_probes = {"ubar": epsilon.mean_current, "mid": states_at([n1])}
+        n_eps = n_lim = n
+        if eps == eps_min:
+            # the demodulation spends one oscillation period on the
+            # decomposition and two on its centred window
+            n_corr = math.ceil(max(horizon, 3.5 * epsilon.oscillation_period(eps)) / dt)
+            n_eps = max(n, n_corr)
+            n_lim = max(n, math.ceil(horizon / dt))
+            lim_probes["mass"] = epsilon.mass
+            lim_probes["residual"] = lambda st: limit.constraint_residuals(st.rho, st.v)[1]
+        traj = epsilon.run(epsilon.make_eps_state(rho0, v0, eps), dt, n_eps,
+                           eps_probes)
+        lim_traj = limit.run(lim0, dt, n_lim, lim_probes)
+        if eps == eps_min:
+            record = _analyze(traj.times[: n_corr + 1], traj["Epar"][: n_corr + 1],
+                              traj["mom_bar"], eps, grid.par_grid, 2)
+        times = traj.times[: n + 1]
+        Epar = traj["Epar"][: n + 1]
+        mass = traj["mass"][: n + 1]
+        energy = traj["energy"][: n + 1]
 
         # correctors: initial data from the eps data, transport by the
         # limit flow's mean parallel current
         sq = math.sqrt(eps)
-        E0 = SpectralField(grid.par_grid, sq * series["Epar"][0])
-        m0 = SpectralField(grid.par_grid, series["mom_bar"][0])
+        E0 = SpectralField(grid.par_grid, sq * Epar[0])
+        m0 = SpectralField(grid.par_grid, traj["mom_bar"][0])
         ep0, em0 = oscillations.corrector_initial_data(E0, m0)
-        corr = oscillations.advect_correctors(ep0, em0, times, ubar)
+        corr = oscillations.advect_correctors(ep0, em0, times,
+                                              lim_traj["ubar"][: n + 1])
 
         res = oscillations.oscillation_residual(
-            times, sq * series["Epar"], corr.Eplus, corr.Eminus, eps)
+            times, sq * Epar, corr.Eplus, corr.Eminus, eps)
         sel = (times >= average_range[0]) & (times <= average_range[1])
 
         j = int(np.argmin(np.abs(times - compare_time)))
         osc = oscillations.reconstruct_W(times[j: j + 1], corr.Eplus[j: j + 1],
                                          corr.Eminus[j: j + 1], eps)[0]
         osc_field = SpectralField(grid.par_grid, osc, real=False)
+        eps_mid, lim_mid = traj["mid"][n1], lim_traj["mid"][n1]
         dv_raw = eps_mid.v - lim_mid.v
         dv_filt = dv_raw - embed_parallel(osc_field, grid)
         drho = eps_mid.rho - lim_mid.rho
@@ -124,16 +157,12 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
             v_error_filtered=float(np.sqrt(np.sum(np.abs(dv_filt.coeffs) ** 2))),
             v_error_raw=l2_norm(dv_raw),
             residual=float(np.mean(res[sel])),
-            mass_drift=float(np.max(np.abs(series["mass"] - 1.0))),
-            energy_drift=float(np.max(np.abs(series["energy"] - series["energy"][0]))),
+            mass_drift=float(np.max(np.abs(mass - 1.0))),
+            energy_drift=float(np.max(np.abs(energy - energy[0]))),
         ))
     return SweepResult(grid=grid, horizon=horizon, compare_time=compare_time,
-                       entries=entries)
-
-
-# what oscillation filtering reads off an eps run: E_par, and <rho v>_perp
-# for the initial filtered primitive
-FILTER_PROBES = {"Epar": epsilon.parallel_field, "mom_bar": epsilon.mean_current}
+                       entries=entries, limit_trajectory=lim_traj,
+                       correctors=record)
 
 
 @dataclass
@@ -144,13 +173,8 @@ class FilterEntry:
 
 
 @dataclass
-class FilterResult:
+class FilterResult(_EpsEntries):
     entries: list[FilterEntry]
-
-    def strictly_decreasing(self, attr: str) -> bool:
-        vals = [getattr(e, attr) for e in
-                sorted(self.entries, key=lambda e: -e.eps)]
-        return all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def filtering_sweep(eps_list, n_par: int = 16, alpha: float = 0.05,
@@ -173,11 +197,8 @@ def filtering_sweep(eps_list, n_par: int = 16, alpha: float = 0.05,
         dt = epsilon.dt_policy(eps)
         n_steps = int(math.ceil(horizon / dt))
         traj = epsilon.run(state, dt, n_steps, FILTER_PROBES)
-        W0c = np.array(traj["mom_bar"][0], copy=True)
-        W0c[0] = 0.0
-        record = oscillations.analyze(traj.times, traj["Epar"], eps,
-                                      SpectralField(grid.par_grid, W0c),
-                                      window_periods=window_periods)
+        record = _analyze(traj.times, traj["Epar"], traj["mom_bar"], eps,
+                          grid.par_grid, window_periods)
         corr, dec = record.correctors, record.decomposition
         sel_r = (corr.times >= average_range[0]) & (corr.times <= average_range[1])
         # weak smallness: W oscillates at O(1) amplitude but its time

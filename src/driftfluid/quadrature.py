@@ -22,6 +22,7 @@ caller names into a `Trajectory`.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -121,6 +122,14 @@ def evolve(step, state, dt: float, n_steps: int, probes: dict,
     return Trajectory(times=np.array(times),
                       series={k: _stacked(v) for k, v in samples.items()},
                       final_state=state, complete=complete, dt=dt)
+
+
+def states_at(samples):
+    """A probe that keeps the state at the chosen sample indices (0 is the
+    sample at t = 0) and records None at every other sample, so a run holds
+    only the states its caller uses. Each run needs a probe of its own."""
+    index = itertools.count()
+    return lambda st: st if next(index) in samples else None
 
 
 def _check_series(y: np.ndarray) -> np.ndarray:

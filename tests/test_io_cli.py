@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from driftfluid import presets
+from driftfluid import epsilon, limit, presets
 from driftfluid.cli import RunConfig, main, run, validate
 from driftfluid.errors import ConfigError
 from driftfluid.specio import read_spec, write_csv, write_spec
@@ -228,13 +228,22 @@ class TestRunner:
             two = (tmp_path / "2" / member / "timeseries.csv").read_bytes()
             assert one == two
 
-    def test_eps_sweep_companion_tables(self, tmp_path):
+    def test_eps_sweep_companion_tables(self, tmp_path, monkeypatch):
+        """The companion tables come from the sweep's own runs: one eps
+        run per member and per sweep eps, one limit run per sweep eps."""
+        calls = {"epsilon": 0, "limit": 0}
+        for name, module in (("epsilon", epsilon), ("limit", limit)):
+            def counting(*args, _run=module.run, _name=name, **kwargs):
+                calls[_name] += 1
+                return _run(*args, **kwargs)
+            monkeypatch.setattr(module, "run", counting)
         cfg = RunConfig.from_dict({
             "experiment": "eps_sweep", "eps": [1e-1, 2.5e-2], "horizon": 2.5,
             "initial_data": {"preset": "single_mode",
                              "params": {"amplitude": 0.05}}})
         manifest = run(cfg, tmp_path, reference_mode=True)
         assert manifest.ok()
+        assert calls == {"epsilon": 4, "limit": 2}
         listed = {f["path"] for f in manifest.files}
         assert {"convergence.csv", "limit_timeseries.csv",
                 "correctors.csv"} <= listed
@@ -242,6 +251,23 @@ class TestRunner:
         assert head == b"t,k_par,re_eplus,im_eplus,residual"
         head = (tmp_path / "limit_timeseries.csv").read_bytes().split(b"\r\n")[0]
         assert head == b"t,mass,constraint_residual"
+
+    def test_eps_sweep_companions_follow_sweep_parameters(self, tmp_path):
+        """limit_timeseries.csv samples the sweep's own time grid: its
+        horizon and samples per period, not the config's."""
+        cfg = RunConfig.from_dict({
+            "experiment": "eps_sweep", "eps": [2.5e-2], "horizon": 2.5,
+            "experiment_params": {"horizon": 1.0, "compare_time": 0.75,
+                                  "average_range": [0.2, 1.0],
+                                  "samples_per_period": 40},
+            "initial_data": {"preset": "single_mode",
+                             "params": {"amplitude": 0.05}}})
+        run(cfg, tmp_path, reference_mode=True)
+        rows = (tmp_path / "limit_timeseries.csv").read_text().splitlines()[1:]
+        t = np.array([float(r.split(",")[0]) for r in rows])
+        dt = epsilon.dt_policy(2.5e-2, samples_per_period=40)
+        n = math.ceil(1.0 / dt)
+        assert t == pytest.approx(dt * np.arange(n + 1), rel=1e-12, abs=1e-15)
 
     def test_contraction_experiment_run(self, tmp_path):
         """The contraction experiment at its default 4x4x8 grid."""

@@ -15,6 +15,7 @@ from driftfluid.quadrature import (
     midpoints,
     oscillatory_convolutions,
     rk4_step,
+    states_at,
 )
 from driftfluid.spectral import Grid, constant, forward
 
@@ -187,6 +188,12 @@ class TestEvolve:
         traj = evolve(_double, _Doubling(0.0, 1.0), 0.5, 2, {"state": lambda s: s})
         assert isinstance(traj["state"], list)
         assert traj["state"][-1] is traj.final_state
+
+    def test_states_at_keeps_only_the_chosen_samples(self):
+        traj = evolve(_double, _Doubling(0.0, 1.0), 0.5, 4,
+                      {"state": states_at([0, 3])})
+        assert [s is None for s in traj["state"]] == [False, True, True, False, True]
+        assert traj["state"][0].y == 1.0 and traj["state"][3].y == 8.0
 
     def test_stop_when_truncates_after_the_sample(self):
         traj = evolve(_double, _Doubling(0.0, 1.0), 0.5, 10, {"y": lambda s: s.y},
