@@ -18,11 +18,12 @@ An iterate is evaluated over its whole time axis at once: the samples are
 stacked along a leading axis, and the field solves, dealiased products and
 derivatives of all of them are single array-level calls (the helpers behind
 spectral.product and poisson.solve_fields, so every sample gets the same
-arithmetic as a one-field call). The transport term is the drift-advection
-tendency of the eps integrator (epsilon.drift_advection). The shrinking norm of a difference is two
-matrix products over all (delta, t) pairs, and run_scheme records each
-consecutive difference once on the newer iterate, where the contraction
-report finds it again.
+arithmetic as a one-field call). An iterate holds its coefficient arrays
+with that leading time axis. The transport term is the drift-advection
+tendency of the eps integrator (epsilon.drift_advection). The shrinking
+norm of a difference is two matrix products over all (delta, t) pairs;
+run_scheme returns each consecutive distance once, next to the iterates,
+and the contraction report and the rate certificate read those distances.
 
 On a short enough slab (eta small) consecutive differences contract
 geometrically in the shrinking analytic norms; the fixed point solves the
@@ -35,8 +36,7 @@ finds a certified contraction rate.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .spectral import (
     NormParams,
     SpectralField,
     collocation_values,
-    embed_parallel,
     embed_parallel_coeffs,
     shrinking_norm,
 )
@@ -57,27 +56,22 @@ from .spectral import (
 
 @dataclass
 class Iterate:
-    """One iterate: trajectories over a fixed uniform time grid."""
+    """One iterate: coefficient trajectories over a fixed uniform time grid,
+    stacked along a leading time axis."""
 
     n: int
     eps: float
+    grid: Grid
     times: np.ndarray
-    rho: list[SpectralField]
-    w: list[SpectralField]
-    G: np.ndarray        # [n_t, n_par] coefficients
-    Epar: np.ndarray     # [n_t, n_par] coefficients
-    # (weak reference to the previous iterate, params, iterate_difference to
-    # it), recorded by run_scheme; weak so that dropped iterates are freed
-    diff: tuple | None = field(default=None, init=False, repr=False,
-                               compare=False)
+    rho: np.ndarray      # [n_t, *grid.shape]
+    w: np.ndarray        # [n_t, *grid.shape]
+    G: np.ndarray        # [n_t, n_par]
+    Epar: np.ndarray     # [n_t, n_par]
 
     @property
-    def grid(self) -> Grid:
-        return self.rho[0].grid
-
-    def v(self, j: int) -> SpectralField:
-        return self.w[j] + embed_parallel(
-            SpectralField(self.grid.par_grid, self.G[j]), self.grid)
+    def v(self) -> np.ndarray:
+        """Velocity coefficients w + G, [n_t, *grid.shape]."""
+        return self.w + embed_parallel_coeffs(self.grid, self.G)
 
 
 def time_grid(params: NormParams, delta1: float, dt_target: float,
@@ -90,14 +84,6 @@ def time_grid(params: NormParams, delta1: float, dt_target: float,
     return np.linspace(0.0, horizon, n_t)
 
 
-def _stack(fields: list[SpectralField]) -> np.ndarray:
-    return np.stack([f.coeffs for f in fields])
-
-
-def _unstack(coeffs: np.ndarray, grid: Grid, real: bool = True) -> list[SpectralField]:
-    return [SpectralField(grid, c, real) for c in coeffs]
-
-
 def initialize(rho0: SpectralField, v0: SpectralField, eps: float,
                times: np.ndarray) -> Iterate:
     """Constant-in-time zeroth iterate with its induced field integral."""
@@ -105,9 +91,10 @@ def initialize(rho0: SpectralField, v0: SpectralField, eps: float,
     grid = rho0.grid
     E0 = field_coeffs(grid, rho0.coeffs, eps).Epar
     G = times[:, None] * E0[None, :]
-    w = _unstack(v0.coeffs - embed_parallel_coeffs(grid, G), grid)
-    return Iterate(n=0, eps=eps, times=times, rho=[rho0] * len(times), w=w,
-                   G=G, Epar=np.broadcast_to(E0, G.shape).copy())
+    return Iterate(n=0, eps=eps, grid=grid, times=times,
+                   rho=np.broadcast_to(rho0.coeffs, (len(times), *grid.shape)),
+                   w=v0.coeffs - embed_parallel_coeffs(grid, G), G=G,
+                   Epar=np.broadcast_to(E0, G.shape))
 
 
 def iterate(prev: Iterate, rho0: SpectralField, v0: SpectralField) -> Iterate:
@@ -116,20 +103,17 @@ def iterate(prev: Iterate, rho0: SpectralField, v0: SpectralField) -> Iterate:
     grid = prev.grid
     eps = prev.eps
     dt = float(prev.times[1] - prev.times[0])
-    v = _stack(prev.w) + embed_parallel_coeffs(grid, prev.G)
-    rho = _stack(prev.rho)
-    forces = field_coeffs(grid, rho, eps)
-    drho, dw = drift_advection(grid, collocation_values(grid, rho),
+    v = prev.v
+    forces = field_coeffs(grid, prev.rho, eps)
+    drho, dw = drift_advection(grid, collocation_values(grid, prev.rho),
                                collocation_values(grid, v), v,
                                forces.Eperp1, forces.Eperp2)
     dw -= forces.eps_dpar_phi
-    rho_new = rho0.coeffs[None] + cumulative_integral(drho, dt)
-    w_new = v0.coeffs[None] + cumulative_integral(dw, dt)
-    epar = field_coeffs(grid, rho_new, eps).Epar
-    G_new = cumulative_integral(epar, dt)
-    return Iterate(n=prev.n + 1, eps=eps, times=prev.times,
-                   rho=_unstack(rho_new, grid), w=_unstack(w_new, grid),
-                   G=G_new, Epar=epar)
+    rho = rho0.coeffs[None] + cumulative_integral(drho, dt)
+    w = v0.coeffs[None] + cumulative_integral(dw, dt)
+    epar = field_coeffs(grid, rho, eps).Epar
+    return Iterate(n=prev.n + 1, eps=eps, grid=grid, times=prev.times,
+                   rho=rho, w=w, G=cumulative_integral(epar, dt), Epar=epar)
 
 
 @dataclass
@@ -144,43 +128,35 @@ class ContractionRow:
 
 
 def iterate_difference(a: Iterate, b: Iterate, params: NormParams) -> dict:
-    """Shrinking-norm distances between two iterates, per quantity."""
+    """Shrinking-norm distances between two iterates, per quantity. A
+    non-finite coefficient gives +inf (see shrinking_norm), so the invalid
+    operations it meets on the way are expected."""
     times = a.times
     sq = math.sqrt(a.eps)
-    return {
-        "rho": shrinking_norm(times, _stack(a.rho) - _stack(b.rho), params),
-        "w": shrinking_norm(times, _stack(a.w) - _stack(b.w), params),
-        "G": shrinking_norm(times, a.G - b.G, params),
-        "E": shrinking_norm(times, sq * (a.Epar - b.Epar), params),
-    }
+    with np.errstate(invalid="ignore"):
+        return {
+            "rho": shrinking_norm(times, a.rho - b.rho, params),
+            "w": shrinking_norm(times, a.w - b.w, params),
+            "G": shrinking_norm(times, a.G - b.G, params),
+            "E": shrinking_norm(times, sq * (a.Epar - b.Epar), params),
+        }
 
 
-def _recorded_difference(a: Iterate, b: Iterate, params: NormParams) -> dict:
-    """iterate_difference(a, b, params), reusing the one run_scheme
-    recorded when it built a from b."""
-    if a.diff is not None:
-        prev, p, d = a.diff
-        if prev() is b and p == params:
-            return d
-    return iterate_difference(a, b, params)
-
-
-def contraction_report(iterates: list[Iterate],
-                       params: NormParams) -> list[ContractionRow]:
-    """Consecutive-difference norms and their ratios.
+def contraction_report(distances: list[dict]) -> list[ContractionRow]:
+    """Consecutive-difference norms and their ratios, from the distances
+    of run_scheme (distances[n - 1] between iterates n and n - 1).
 
     Flags live in the rows: the paper-rate certificate is max ratio <= 1/2
     over the reported range, checked by the caller."""
-    if len(iterates) < 3:
+    if len(distances) < 2:
         raise ConfigError("need at least 3 iterates for a contraction report")
     rows = []
     prev_total = None
-    for a, b in zip(iterates[1:], iterates[:-1]):
-        d = _recorded_difference(a, b, params)
+    for n, d in enumerate(distances, start=1):
         total = max(d.values())
         ratio = float("nan") if prev_total is None else (
             total / prev_total if prev_total > 0 else float("inf"))
-        rows.append(ContractionRow(n=a.n, d_rho=d["rho"], d_w=d["w"],
+        rows.append(ContractionRow(n=n, d_rho=d["rho"], d_w=d["w"],
                                    d_G=d["G"], d_E=d["E"], total=total,
                                    ratio=ratio))
         prev_total = total
@@ -189,33 +165,31 @@ def contraction_report(iterates: list[Iterate],
 
 def run_scheme(rho0: SpectralField, v0: SpectralField, eps: float,
                params: NormParams, delta1: float, dt_target: float,
-               n_max: int = 40, tol: float = 1e-10,
-               keep_all: bool = True):
+               n_max: int = 40, tol: float = 1e-10):
     """Iterate to convergence (shrinking-norm difference below tol) or
-    n_max; 2^-40 underflows double-precision differences anyway."""
+    n_max; 2^-40 underflows double-precision differences anyway.
+
+    Returns (iterates, distances), distances[n - 1] being the
+    iterate_difference between iterates n and n - 1 under params."""
     times = time_grid(params, delta1, dt_target)
     iterates = [initialize(rho0, v0, eps, times)]
+    distances = []
     for _ in range(n_max):
-        prev = iterates[-1]
-        nxt = iterate(prev, rho0, v0)
-        iterates.append(nxt)
-        d = iterate_difference(nxt, prev, params)
-        nxt.diff = (weakref.ref(prev), params, d)
-        if max(d.values()) < tol:
+        iterates.append(iterate(iterates[-1], rho0, v0))
+        distances.append(iterate_difference(iterates[-1], iterates[-2], params))
+        if max(distances[-1].values()) < tol:
             break
-        if not keep_all and len(iterates) > 3:
-            iterates.pop(0)
-    return iterates
+    return iterates, distances
 
 
-def max_ratio(iterates: list[Iterate], params: NormParams,
-              first: int = 2, last: int | None = None) -> float:
+def max_ratio(distances: list[dict], first: int = 2,
+              last: int | None = None) -> float:
     """Largest consecutive-difference ratio over iterations [first, last].
 
     A non-finite total in the range (a diverged iteration) gives +inf, so
     it can never certify a rate. Ratios after an exactly zero total (a
     converged tail, 0/0) are skipped."""
-    rows = [r for r in contraction_report(iterates, params)
+    rows = [r for r in contraction_report(distances)
             if r.n >= first and (last is None or r.n <= last)]
     if any(not math.isfinite(r.total) for r in rows):
         return math.inf
@@ -237,9 +211,9 @@ def bisect_eta(rho0: SpectralField, v0: SpectralField, eps: float,
 
     def feasible(eta: float) -> bool:
         p = replace(params, eta=eta)
-        its = run_scheme(rho0, v0, eps, p, delta1, dt_target,
-                         n_max=n_probe, tol=0.0)
-        return max_ratio(its, p, first=2, last=n_probe - 1) <= target
+        _, distances = run_scheme(rho0, v0, eps, p, delta1, dt_target,
+                                  n_max=n_probe, tol=0.0)
+        return max_ratio(distances, first=2, last=n_probe - 1) <= target
 
     eta = params.eta
     if feasible(eta):

@@ -12,12 +12,14 @@ Config schema (JSON object; unknown keys are rejected with their path):
       "dt": {"samples_per_period": 120, "cfl": 0.4, "dt": null},
       "norms": {"delta0": 1.5, "delta": 1.1, "eta": 1.0, "beta": 0.5},
       "initial_data": {"preset": "single_mode", "params": {...}},
-      "experiment_params": {...},      # forwarded to the experiment
+      "experiment_params": {...},      # keyword arguments of the experiment
       "adm_const": 10.0,
       "seed": 0
     }
 
-Only "experiment" is required; everything else has defaults. Outputs per
+Only "experiment" is required; everything else has defaults. The keys of
+"experiment_params" are the keyword arguments of the experiment's function
+that its runner does not supply (eps_run takes none). Outputs per
 run: RFC-4180 CSV tables, `.spec` snapshots, gnuplot-compatible plot
 scripts, and a manifest.json (written atomically) listing every file,
 the config echo, versions, wall time, and inline invariant check results.
@@ -35,6 +37,7 @@ min(horizon, 2.5)).
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 import time
@@ -64,6 +67,15 @@ _DEFAULTS = {
     "adm_const": 10.0,
     "seed": 0,
     "snapshot_every": 0,
+}
+
+# the function each experiment forwards "experiment_params" to, and the
+# arguments its runner supplies itself; eps_run takes none
+_EXPERIMENT_FUNCTIONS = {
+    "eps_sweep": (experiments.quasineutral_sweep, ("eps_list", "grid")),
+    "contraction": (experiments.contraction_study, ("params",)),
+    "growth": (twostream.growth_experiment, ("horizon", "seed")),
+    "dichotomy": (toymodel.dichotomy_experiment, ("eps_list",)),
 }
 
 
@@ -102,6 +114,9 @@ class RunConfig:
             raise ConfigError(
                 f"experiment must be one of {EXPERIMENTS}, got "
                 f"{merged['experiment']!r}")
+        fn, supplied = _EXPERIMENT_FUNCTIONS.get(merged["experiment"], (None, ()))
+        allowed = set(inspect.signature(fn).parameters) - set(supplied) if fn else ()
+        check_keys(merged["experiment_params"], allowed, "experiment_params.")
         if not merged["eps"] or any(e <= 0 for e in merged["eps"]):
             raise ConfigError("eps must be a non-empty list of positive values")
         if merged["horizon"] <= 0:

@@ -51,10 +51,6 @@ class LimitState:
     def grid(self) -> Grid:
         return self.rho.grid
 
-    def perp_potential(self) -> SpectralField:
-        """phi with E_perp = -grad^perp phi (the eps = 0 symbol)."""
-        return solve_phi(self.rho, 0.0)
-
 
 def pressure_gradient(rho: SpectralField, v: SpectralField) -> SpectralField:
     """d_par p = -d_par <rho v^2>_perp, a zero-mean parallel field."""
@@ -89,9 +85,7 @@ def project_initial(rho0: SpectralField, v0: SpectralField) -> LimitState:
         raise AdmissibilityError("density must be strictly positive")
     grid = rho0.grid
     coeffs = np.array(rho0.coeffs, copy=True)
-    index = [0] * grid.ndim
-    index[grid.par_axis] = slice(None)
-    coeffs[tuple(index)] = 0.0
+    coeffs[grid._par_line] = 0.0
     coeffs[(0,) * grid.ndim] = 1.0
     rho = SpectralField(grid, coeffs, rho0.real)
 
@@ -120,10 +114,8 @@ def tendencies(rho: SpectralField, v: SpectralField, with_pressure: bool = True)
     dv = SpectralField(grid, dv)
     if with_pressure:
         dv = dv - embed_parallel(pressure_gradient(rho, v), grid)
-    index = [0] * grid.ndim
-    index[grid.par_axis] = slice(None)
-    residual = float(np.sqrt(np.sum(np.abs(drho[tuple(index)]) ** 2)))
-    drho[tuple(index)] = 0.0
+    residual = float(np.sqrt(np.sum(np.abs(drho[grid._par_line]) ** 2)))
+    drho[grid._par_line] = 0.0
     return SpectralField(grid, drho), dv, residual
 
 

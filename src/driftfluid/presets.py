@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import Grid, SpectralField, dealias, forward, l2_norm, zeros
+from .spectral import Grid, SpectralField, constant, dealias, forward, l2_norm, zeros
 from . import limit as limit_mod
 
 PRESETS = ("equilibrium", "single_mode", "shear", "two_stream", "random_band")
@@ -41,9 +41,7 @@ def build(name: str, grid: Grid, eps: float = 1.0, **params):
 
 
 def equilibrium(grid: Grid, eps: float = 1.0) -> tuple[SpectralField, SpectralField]:
-    c = np.zeros(grid.shape, dtype=complex)
-    c[(0,) * grid.ndim] = 1.0
-    return SpectralField(grid, c), zeros(grid)
+    return constant(grid, 1.0), zeros(grid)
 
 
 def single_mode(grid: Grid, eps: float = 1.0, k_par: int = 1,
@@ -144,14 +142,9 @@ def random_band(grid: Grid, eps: float = 1.0, kmax: int = 2,
     fluct = (amplitude / max(l2_norm(fluct), 1e-300)) * fluct
     if admissible:
         # split off the k_perp = 0 part and rescale it to C sqrt(eps)
-        index = [0] * grid.ndim
-        index[grid.par_axis] = slice(None)
         coeffs = np.array(fluct.coeffs, copy=True)
-        line = np.array(coeffs[tuple(index)], copy=True)
-        coeffs[tuple(index)] = line * math.sqrt(eps)
+        coeffs[grid._par_line] *= math.sqrt(eps)
         fluct = SpectralField(grid, coeffs)
-    base = np.zeros(grid.shape, dtype=complex)
-    base[(0,) * grid.ndim] = 1.0
-    rho = SpectralField(grid, base + fluct.coeffs)
+    rho = constant(grid, 1.0) + fluct
     v = sample()
     return rho, (0.5 * amplitude / max(l2_norm(v), 1e-300)) * v

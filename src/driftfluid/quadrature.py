@@ -23,6 +23,7 @@ caller names into a `Trajectory`.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -181,9 +182,9 @@ def _trig_monomial_moments(theta: float, nmax: int = 3):
         ms, mc = [], []
         for n in range(nmax + 1):
             s = sum((-1) ** m * theta ** (2 * m + 1) /
-                    (_fact(2 * m + 1) * (n + 2 * m + 2)) for m in range(8))
+                    (math.factorial(2 * m + 1) * (n + 2 * m + 2)) for m in range(8))
             c = sum((-1) ** m * theta ** (2 * m) /
-                    (_fact(2 * m) * (n + 2 * m + 1)) for m in range(8))
+                    (math.factorial(2 * m) * (n + 2 * m + 1)) for m in range(8))
             ms.append(s)
             mc.append(c)
         return np.array(ms), np.array(mc)
@@ -202,13 +203,6 @@ def _trig_monomial_moments(theta: float, nmax: int = 3):
         ((t**3 - 6 * t) * st + (3 * t**2 - 6) * ct + 6) / t**4,
     ])
     return ms, mc
-
-
-def _fact(n: int) -> float:
-    out = 1.0
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # Lagrange cubics on stencil offsets, as monomial coefficient rows:
@@ -239,19 +233,12 @@ def _filon_weights(theta: float):
     binom = np.zeros((4, 4))
     for n in range(4):
         for j in range(n + 1):
-            binom[n, j] = _comb(n, j) * (-1.0) ** j
+            binom[n, j] = math.comb(n, j) * (-1.0) ** j
     out = {}
     for name, L in (("interior", _L_INTERIOR), ("first", _L_FIRST), ("last", _L_LAST)):
         # q coefficients: q_j = sum_n p_n * C(n,j) (-1)^j  (from (1-w)^n)
         Q = L @ binom
         out[name] = (Q @ ms, Q @ mc)
-    return out
-
-
-def _comb(n: int, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= (n - i) / (i + 1)
     return out
 
 

@@ -313,19 +313,20 @@ def inverse(field: SpectralField, tol: float = 1e-6) -> np.ndarray:
 
     For real fields the imaginary residue is rounding-level and discarded;
     a residue or Hermitian defect above `tol` (relative) signals genuinely
-    broken symmetry and raises.
+    broken symmetry and raises. The transform is the field's cached one
+    (the values products and tendencies read), and the caller gets a copy.
     """
     if field.real and field.hermitian_defect() > tol:
         raise InvariantError(
             f"Hermitian symmetry broken (defect {field.hermitian_defect():.2e})")
-    vals = np.fft.ifftn(field.coeffs) * field.grid.size
+    vals = field._values
     if field.real:
         scale = 1.0 + float(np.max(np.abs(vals.real)))
         residue = float(np.max(np.abs(vals.imag)))
         if residue > tol * scale:
             raise InvariantError(f"imaginary residue {residue:.2e} above {tol:.0e}")
         return np.ascontiguousarray(vals.real)
-    return vals
+    return vals.copy()
 
 
 # -- array-level helpers: coefficient arrays [..., *grid.shape] -----------

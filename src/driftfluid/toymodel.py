@@ -148,14 +148,6 @@ class ReferenceFlow:
 
     velocity: tuple[float, ...]
 
-    def velocity_fields(self, grid: Grid) -> tuple[SpectralField, ...]:
-        out = []
-        for i in range(grid.ndim):
-            c = np.zeros(grid.shape, dtype=complex)
-            c[(0,) * grid.ndim] = self.velocity[i]
-            out.append(SpectralField(grid, c))
-        return tuple(out)
-
     def transported(self, rho0: SpectralField, t: float) -> SpectralField:
         return translate(rho0, tuple(v * t for v in self.velocity))
 

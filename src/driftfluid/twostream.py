@@ -32,6 +32,7 @@ from .quadrature import Trajectory, check_finite, evolve, rk4_step
 from .spectral import (
     Grid,
     SpectralField,
+    constant,
     dealias,
     derivative,
     inverse,
@@ -193,13 +194,8 @@ def seeded_state(grid: Grid, background: tuple[float, float, float],
     amp = l2_amplitude / math.sqrt(2.0)
     pert_r = (amp / l2_norm(pert_r)) * pert_r
     pert_v = (amp / l2_norm(pert_v)) * pert_v
-    base = np.zeros(grid.shape[0], dtype=complex)
-    base[0] = r1
-    rho1 = SpectralField(grid, base + pert_r.coeffs)
-    c1 = np.zeros_like(base); c1[0] = v1b
-    c2 = np.zeros_like(base); c2[0] = v2b
-    return make_two_phase(rho1, SpectralField(grid, c1 + pert_v.coeffs),
-                          SpectralField(grid, c2))
+    return make_two_phase(constant(grid, r1) + pert_r,
+                          constant(grid, v1b) + pert_v, constant(grid, v2b))
 
 
 @dataclass
@@ -245,11 +241,9 @@ def _single_mode_state(grid: Grid, background, k: int, amplitude: float,
     pr, pv = np.exp(2j * np.pi * rng.random(2))
     cr[k] = a * pr / math.sqrt(2.0); cr[-k] = np.conj(cr[k])
     cv[k] = a * pv / math.sqrt(2.0); cv[-k] = np.conj(cv[k])
-    cr[0] += r1
-    cv[0] += v1b
-    c2 = np.zeros_like(cr); c2[0] = v2b
-    return make_two_phase(SpectralField(grid, cr), SpectralField(grid, cv),
-                          SpectralField(grid, c2))
+    return make_two_phase(constant(grid, r1) + SpectralField(grid, cr),
+                          constant(grid, v1b) + SpectralField(grid, cv),
+                          constant(grid, v2b))
 
 
 def _fit_mode(times, amp, floor, ceiling):

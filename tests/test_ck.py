@@ -69,7 +69,7 @@ class TestInitialize:
         expected = times[:, None] * forces.Epar.coeffs[None, :]
         assert np.max(np.abs(it0.G - expected)) < 1e-13
         # w^0(t) = v(0) - G^0(t) embeds the running integral
-        assert np.max(np.abs(it0.w[0].coeffs - st.v.coeffs)) < 1e-15
+        assert np.max(np.abs(it0.w[0] - st.v.coeffs)) < 1e-15
 
     def test_fields_satisfy_poisson_per_sample(self, rng):
         g = Grid.torus3d(4, 4, 8)
@@ -78,7 +78,7 @@ class TestInitialize:
         times = time_grid(PARAMS, 1.1, dt_policy(eps))
         it1 = iterate(initialize(st.rho, st.v, eps, times), st.rho, st.v)
         for j in (0, len(times) // 2, len(times) - 1):
-            _, forces = solve_fields(it1.rho[j], eps)
+            _, forces = solve_fields(SpectralField(g, it1.rho[j]), eps)
             assert np.max(np.abs(forces.Epar.coeffs - it1.Epar[j])) < 1e-11
 
 
@@ -90,7 +90,8 @@ def per_sample_iterate(prev, rho0, v0):
     dt = float(prev.times[1] - prev.times[0])
     drho, dw = [], []
     for j in range(len(prev.times)):
-        rho_j, v_j = prev.rho[j], prev.v(j)
+        rho_j = SpectralField(grid, prev.rho[j])
+        v_j = SpectralField(grid, prev.v[j])
         _, forces = solve_fields(rho_j, prev.eps)
         dr = -derivative(product(v_j, rho_j), par)
         dv = -product(v_j, derivative(v_j, par)) - forces.eps_dpar_phi
@@ -123,8 +124,7 @@ class TestIterate:
         times = time_grid(PARAMS, 1.1, dt_policy(eps))
         prev = iterate(initialize(st.rho, st.v, eps, times), st.rho, st.v)
         batched = iterate(prev, st.rho, st.v)
-        got = (np.stack([f.coeffs for f in batched.rho]),
-               np.stack([f.coeffs for f in batched.w]), batched.G, batched.Epar)
+        got = (batched.rho, batched.w, batched.G, batched.Epar)
         for a, b in zip(got, per_sample_iterate(prev, st.rho, st.v)):
             assert np.max(np.abs(a - b)) <= 1e-15
 
@@ -139,9 +139,9 @@ class TestIterate:
         traj = eps_run(st, dt, len(times) - 1,
                        {"state": lambda s: s, "Epar": parallel_field})
         injected = Iterate(
-            n=5, eps=eps, times=times,
-            rho=[s.rho for s in traj["state"]],
-            w=[s.w for s in traj["state"]],
+            n=5, eps=eps, grid=g, times=times,
+            rho=np.stack([s.rho.coeffs for s in traj["state"]]),
+            w=np.stack([s.w.coeffs for s in traj["state"]]),
             G=np.stack([s.G.coeffs for s in traj["state"]]),
             Epar=traj["Epar"])
         mapped = iterate(injected, st.rho, st.v)
@@ -154,9 +154,9 @@ class TestIterate:
         eps = 0.25
         st = small_state(g, eps)
         p = replace(PARAMS, eta=0.5)
-        its = run_scheme(st.rho, st.v, eps, p, 1.1, dt_policy(eps), n_max=8,
-                         tol=0.0)
-        rows = contraction_report(its, p)
+        _, distances = run_scheme(st.rho, st.v, eps, p, 1.1, dt_policy(eps),
+                                  n_max=8, tol=0.0)
+        rows = contraction_report(distances)
         ratios = [r.ratio for r in rows if math.isfinite(r.ratio)]
         assert all(r < 1.0 for r in ratios)
         assert ratios[-1] < 0.5
@@ -169,12 +169,18 @@ def geometric_iterates(factors):
     st = small_state(g, eps)
     times = time_grid(PARAMS, 1.1, dt_policy(eps))
     base = initialize(st.rho, st.v, eps, times)
-    return [Iterate(n=n, eps=eps, times=times,
-                    rho=[r + fac * st.rho for r in base.rho],
-                    w=[w + fac * st.v for w in base.w],
+    return [Iterate(n=n, eps=eps, grid=g, times=times,
+                    rho=base.rho + fac * st.rho.coeffs,
+                    w=base.w + fac * st.v.coeffs,
                     G=base.G + fac * np.ones_like(base.G),
                     Epar=base.Epar + fac * np.ones_like(base.Epar))
             for n, fac in enumerate(factors)]
+
+
+def consecutive_distances(iterates, params=PARAMS):
+    """iterate_difference of every iterate to the one before it."""
+    return [iterate_difference(a, b, params)
+            for a, b in zip(iterates[1:], iterates[:-1])]
 
 
 class TestContractionReport:
@@ -184,7 +190,7 @@ class TestContractionReport:
         st = small_state(g, eps)
         times = time_grid(PARAMS, 1.1, dt_policy(eps))
         it0 = initialize(st.rho, st.v, eps, times)
-        rows = contraction_report([it0, it0, it0], PARAMS)
+        rows = contraction_report(consecutive_distances([it0, it0, it0]))
         assert rows[0].total == 0.0
         assert rows[1].total == 0.0
 
@@ -193,7 +199,7 @@ class TestContractionReport:
         ratio equals q exactly."""
         q = 0.37
         its = geometric_iterates([q ** n for n in range(5)])
-        rows = contraction_report(its, PARAMS)
+        rows = contraction_report(consecutive_distances(its))
         for row in rows[1:]:
             assert row.ratio == pytest.approx(q, abs=1e-10)
 
@@ -203,7 +209,7 @@ class TestContractionReport:
         times = time_grid(PARAMS, 1.1, dt_policy(0.25))
         it0 = initialize(st.rho, st.v, 0.25, times)
         with pytest.raises(ConfigError):
-            contraction_report([it0, it0], PARAMS)
+            contraction_report(consecutive_distances([it0, it0]))
 
 
 class TestRecordedDifferences:
@@ -219,25 +225,14 @@ class TestRecordedDifferences:
             return direct(a, b, params)
 
         monkeypatch.setattr(ck, "iterate_difference", counted)
-        its = run_scheme(st.rho, st.v, eps, PARAMS, 1.1, dt_policy(eps),
-                         n_max=4, tol=0.0)
-        rows = contraction_report(its, PARAMS)
+        its, distances = run_scheme(st.rho, st.v, eps, PARAMS, 1.1,
+                                    dt_policy(eps), n_max=4, tol=0.0)
+        rows = contraction_report(distances)
         assert len(calls) == 4
-        assert [r.total for r in rows] == [
-            max(direct(a, b, PARAMS).values()) for a, b in zip(its[1:], its[:-1])]
-        # other norm parameters are a different difference
-        contraction_report(its, replace(PARAMS, beta=0.25))
-        assert len(calls) == 8
-
-    def test_dropped_iterates_are_freed(self):
-        g = Grid.torus3d(4, 4, 8)
-        eps = 0.25
-        st = small_state(g, eps)
-        its = run_scheme(st.rho, st.v, eps, PARAMS, 1.1, dt_policy(eps),
-                         n_max=5, tol=0.0, keep_all=False)
-        assert [it.n for it in its] == [3, 4, 5]
-        assert its[0].diff[0]() is None          # iterate 2 was dropped
-        assert its[1].diff[0]() is its[0]
+        # distances[n - 1] is the difference of iterates n and n - 1, bitwise
+        recomputed = [direct(a, b, PARAMS) for a, b in zip(its[1:], its[:-1])]
+        assert distances == recomputed
+        assert [r.total for r in rows] == [max(d.values()) for d in recomputed]
 
 
 class TestMaxRatio:
@@ -249,20 +244,22 @@ class TestMaxRatio:
         epar = last.Epar.copy()
         epar[1, 1] = np.inf
         its.append(replace(last, n=last.n + 1, Epar=epar))
-        rows = contraction_report(its, PARAMS)
+        distances = consecutive_distances(its)
+        rows = contraction_report(distances)
         assert [r.ratio for r in rows[1:3]] == pytest.approx([0.4, 0.4], abs=1e-10)
         assert math.isinf(rows[-1].total)
-        assert max_ratio(its, PARAMS, first=2) == math.inf
+        assert max_ratio(distances, first=2) == math.inf
         # outside [first, last] the diverged row certifies nothing either way
-        assert max_ratio(its, PARAMS, first=2, last=3) == pytest.approx(0.4, abs=1e-10)
+        assert max_ratio(distances, first=2, last=3) == pytest.approx(0.4, abs=1e-10)
 
     def test_exact_zero_totals_stay_feasible(self):
         """A converged tail (zero differences, 0/0 ratios) keeps the
         certificate of the contracting rows before it."""
-        its = geometric_iterates([1.0, 0.4, 0.16, 0.16, 0.16])
-        rows = contraction_report(its, PARAMS)
+        distances = consecutive_distances(
+            geometric_iterates([1.0, 0.4, 0.16, 0.16, 0.16]))
+        rows = contraction_report(distances)
         assert rows[-1].total == 0.0 and rows[-2].total == 0.0
-        assert max_ratio(its, PARAMS, first=2) == pytest.approx(0.4, abs=1e-10)
+        assert max_ratio(distances, first=2) == pytest.approx(0.4, abs=1e-10)
 
 
 class TestEtaSelection:
@@ -273,9 +270,9 @@ class TestEtaSelection:
         ratios = []
         for eta in (1.0, 0.5):
             p = replace(PARAMS, eta=eta)
-            its = run_scheme(st.rho, st.v, eps, p, 1.1, dt_policy(eps),
-                             n_max=6, tol=0.0)
-            ratios.append(max_ratio(its, p, first=2, last=5))
+            _, distances = run_scheme(st.rho, st.v, eps, p, 1.1,
+                                      dt_policy(eps), n_max=6, tol=0.0)
+            ratios.append(max_ratio(distances, first=2, last=5))
         assert ratios[1] < ratios[0]
 
     def test_bisection_certificate(self):
@@ -285,6 +282,6 @@ class TestEtaSelection:
         eta = bisect_eta(st.rho, st.v, eps, PARAMS, 1.1, dt_policy(eps),
                          n_bisect=6)
         p = replace(PARAMS, eta=eta)
-        its = run_scheme(st.rho, st.v, eps, p, 1.1, dt_policy(eps), n_max=7,
-                         tol=0.0)
-        assert max_ratio(its, p, first=2, last=6) <= 0.5
+        _, distances = run_scheme(st.rho, st.v, eps, p, 1.1, dt_policy(eps),
+                                  n_max=7, tol=0.0)
+        assert max_ratio(distances, first=2, last=6) <= 0.5

@@ -116,6 +116,30 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="experiment"):
             RunConfig.from_dict({"experiment": "warp_drive"})
 
+    @pytest.mark.parametrize("experiment, key", [
+        ("eps_sweep", "horizn"), ("eps_sweep", "eps_list"),
+        ("contraction", "params"), ("growth", "seed"),
+        ("dichotomy", "eps_list"), ("eps_run", "horizon")])
+    def test_unknown_experiment_param_rejected_with_path(self, experiment, key):
+        """experiment_params may set only the keyword arguments of the
+        experiment that its runner does not supply itself."""
+        with pytest.raises(ConfigError,
+                           match=f"unknown config key experiment_params.{key}$"):
+            RunConfig.from_dict({"experiment": experiment,
+                                 "experiment_params": {key: 1.0}})
+
+    def test_known_experiment_params_accepted(self):
+        for experiment, params in (
+                ("eps_sweep", {"horizon": 1.0, "compare_time": 0.75,
+                               "average_range": [0.2, 1.0],
+                               "samples_per_period": 40}),
+                ("contraction", {"eps": 0.25, "n_keep": 10}),
+                ("growth", {"background": [0.5, 1.0, -1.0], "k_max": 5}),
+                ("dichotomy", {"horizon": 0.1, "n_points": 16})):
+            cfg = RunConfig.from_dict({"experiment": experiment,
+                                       "experiment_params": params})
+            assert cfg.experiment_params == params
+
 
 class TestValidate:
     def test_admissible_preset_passes(self):
@@ -310,6 +334,13 @@ class TestCliEntryPoint:
                                         "grid": [4, 4, 16], "typo": 1}))
         assert main(["validate", "--config", str(cfg_path)]) == 2
         assert "typo" in capsys.readouterr().err
+
+    def test_misspelt_experiment_param_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "eps_sweep",
+                                        "experiment_params": {"horizn": 1.0}}))
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+        assert "experiment_params.horizn" in capsys.readouterr().err
 
     def test_run_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
