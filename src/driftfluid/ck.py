@@ -19,7 +19,9 @@ stacked along a leading axis, and the field solves, dealiased products and
 derivatives of all of them are single array-level calls (the helpers behind
 spectral.product and poisson.solve_fields, so every sample gets the same
 arithmetic as a one-field call). An iterate holds its coefficient arrays
-with that leading time axis. The transport term is the drift-advection
+with that leading time axis, in the full layout; the recursion step cuts
+them to their half layout (see spectral) once, computes on it, and
+completes the new iterate once. The transport term is the drift-advection
 tendency of the eps integrator (epsilon.drift_advection). The shrinking
 norm of a difference is two matrix products over all (delta, t) pairs;
 run_scheme returns each consecutive distance once, next to the iterates,
@@ -42,7 +44,7 @@ import numpy as np
 
 from .epsilon import drift_advection
 from .errors import ConfigError
-from .poisson import field_coeffs
+from .poisson import field_coeffs, parallel_coeffs
 from .quadrature import cumulative_integral
 from .spectral import (
     Grid,
@@ -50,6 +52,7 @@ from .spectral import (
     SpectralField,
     collocation_values,
     embed_parallel_coeffs,
+    full_coeffs,
     shrinking_norm,
 )
 
@@ -89,7 +92,7 @@ def initialize(rho0: SpectralField, v0: SpectralField, eps: float,
     """Constant-in-time zeroth iterate with its induced field integral."""
     times = np.asarray(times, dtype=float)
     grid = rho0.grid
-    E0 = field_coeffs(grid, rho0.coeffs, eps).Epar
+    E0 = parallel_coeffs(grid, rho0.coeffs, eps)[1]
     G = times[:, None] * E0[None, :]
     return Iterate(n=0, eps=eps, grid=grid, times=times,
                    rho=np.broadcast_to(rho0.coeffs, (len(times), *grid.shape)),
@@ -99,21 +102,24 @@ def initialize(rho0: SpectralField, v0: SpectralField, eps: float,
 
 def iterate(prev: Iterate, rho0: SpectralField, v0: SpectralField) -> Iterate:
     """One recursion step: quadrature of the previous iterate's tendencies,
-    then a fresh field solve, all samples at once."""
-    grid = prev.grid
+    then a fresh field solve, all samples at once on the half layout."""
+    grid, line = prev.grid, prev.grid.par_grid
     eps = prev.eps
     dt = float(prev.times[1] - prev.times[0])
-    v = prev.v
-    forces = field_coeffs(grid, prev.rho, eps)
-    drho, dw = drift_advection(grid, collocation_values(grid, prev.rho),
-                               collocation_values(grid, v), v,
+    m = grid.half.shape[-1]
+    rho, v = prev.rho[..., :m], prev.v[..., :m]
+    forces = field_coeffs(grid, rho, eps)
+    drho, dw = drift_advection(grid, collocation_values(grid, rho, True),
+                               collocation_values(grid, v, True), v,
                                forces.Eperp1, forces.Eperp2)
     dw -= forces.eps_dpar_phi
-    rho = rho0.coeffs[None] + cumulative_integral(drho, dt)
-    w = v0.coeffs[None] + cumulative_integral(dw, dt)
-    epar = field_coeffs(grid, rho, eps).Epar
+    rho = rho0.half_coeffs[None] + cumulative_integral(drho, dt)
+    w = v0.half_coeffs[None] + cumulative_integral(dw, dt)
+    epar = parallel_coeffs(grid, rho, eps)[1]
     return Iterate(n=prev.n + 1, eps=eps, grid=grid, times=prev.times,
-                   rho=rho, w=w, G=cumulative_integral(epar, dt), Epar=epar)
+                   rho=full_coeffs(grid, rho), w=full_coeffs(grid, w),
+                   G=full_coeffs(line, cumulative_integral(epar, dt)),
+                   Epar=full_coeffs(line, epar))
 
 
 @dataclass

@@ -6,8 +6,11 @@ the same RK4 stages as the dynamical variables (Simpson on the stages).
 The filtered current is w = v - G. Potentials and forces are derived from
 rho on demand and never integrated. The transport part of the tendency,
 drift_advection, is the one shared with the limit system and the CK
-iteration; a step is the shared RK4 step on the fields, whose first stage
-reuses any collocation values a recording probe has cached on them.
+iteration. A step is the shared RK4 step on half-layout coefficient
+arrays (see spectral): the state's fields are cut to their k_par >= 0 half
+once on entry and completed to the full layout once on exit, and the
+first stage reuses any collocation values a recording probe has cached on
+them.
 
 The density mean is a conserved, pinned quantity: the k = 0 tendency of
 rho vanishes identically (it is a divergence) and the coefficient is reset
@@ -28,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ConfigError
-from .poisson import Forces, Potentials, field_coeffs, solve_fields
+from .poisson import (
+    Forces,
+    Potentials,
+    field_coeffs,
+    parallel_coeffs,
+    phi_coeffs,
+    solve_fields,
+)
 from .quadrature import Trajectory, check_finite, evolve, rk4_step
 from .spectral import (
     PERP1,
@@ -43,7 +53,7 @@ from .spectral import (
     derivative,
     derivative_coeffs,
     embed_parallel,
-    embed_parallel_coeffs,
+    full_coeffs,
     inverse,
     mean,
     perp_average,
@@ -142,7 +152,7 @@ def drift_advection(grid: Grid, rho_vals: np.ndarray, v_vals: np.ndarray,
 
         (-d_par(v rho) - div_perp(E_perp rho), -v d_par v - div_perp(E_perp v)),
 
-    on coefficient arrays [..., *grid.shape] of real fields, leading axes
+    on half-layout coefficient arrays of real fields, leading axes
     evaluated at once. rho and v enter through their collocation values
     (v also through its coefficients, for d_par v), so a caller that needs
     those values again transforms them once. The perpendicular drift
@@ -154,11 +164,11 @@ def drift_advection(grid: Grid, rho_vals: np.ndarray, v_vals: np.ndarray,
     # on large grids each freed one can be re-faulted from the OS
     drho = -derivative_coeffs(grid, product_coeffs(grid, v_vals, rho_vals, True), par)
     dv = -product_coeffs(grid, v_vals, collocation_values(
-        grid, derivative_coeffs(grid, v, par)), True)
+        grid, derivative_coeffs(grid, v, par), True), True)
     if PERP1 not in grid.axes or PERP2 not in grid.axes:
         return drho, dv
     for comp, label in ((e1, PERP1), (e2, PERP2)):
-        comp_vals = collocation_values(grid, comp)
+        comp_vals = collocation_values(grid, comp, True)
         drho -= derivative_coeffs(
             grid, product_coeffs(grid, comp_vals, rho_vals, True), label)
         dv -= derivative_coeffs(
@@ -166,22 +176,25 @@ def drift_advection(grid: Grid, rho_vals: np.ndarray, v_vals: np.ndarray,
     return drho, dv
 
 
-def tendencies(rho: SpectralField, v: SpectralField, eps: float):
-    """Tendencies (d_t rho, d_t v, d_t G) of the full system: the
-    drift-advection tendency plus the forces -eps d_par phi + E_par, and
-    dG/dt = E_par. The collocation values the fields cache are reused.
+def tendencies(grid: Grid, rho: np.ndarray, v: np.ndarray, eps: float,
+               values: tuple | None = None):
+    """Tendencies (d_t rho, d_t v, d_t G) of the full system on half-layout
+    coefficient arrays (d_t G on the parallel grid's): the drift-advection
+    tendency plus the forces -eps d_par phi + E_par, and dG/dt = E_par.
+    `values`, the collocation values of rho and v, saves their transforms
+    when the caller has them.
 
     d_t rho is a pure divergence so its k = 0 and exact k_perp = 0
     bookkeeping follow from the spectral derivative (zero at k = 0).
     """
-    grid = rho.grid
-    forces = field_coeffs(grid, rho.coeffs, eps)
-    drho, dv = drift_advection(grid, rho._values, v._values, v.coeffs,
+    rho_vals, v_vals = values or (collocation_values(grid, rho, True),
+                                  collocation_values(grid, v, True))
+    forces = field_coeffs(grid, rho, eps)
+    drho, dv = drift_advection(grid, rho_vals, v_vals, v,
                                forces.Eperp1, forces.Eperp2)
     dv -= forces.eps_dpar_phi
-    dv += embed_parallel_coeffs(grid, forces.Epar)
-    return (SpectralField(grid, drho), SpectralField(grid, dv),
-            SpectralField(grid.par_grid, forces.Epar))
+    dv[grid._par_line] += forces.Epar
+    return drho, dv, forces.Epar
 
 
 def wave_source(rho: SpectralField, v: SpectralField, forces: Forces,
@@ -219,11 +232,18 @@ def eps_dtE0(rho: SpectralField, v: SpectralField) -> SpectralField:
 
 
 def step(state: EpsState, dt: float) -> EpsState:
-    """Classical RK4 step; G advances through the same stage quadrature.
-    The conserved density mean is pinned to one afterwards."""
-    rho, v, G = rk4_step(lambda y, c: tendencies(y[0], y[1], state.eps),
-                         (state.rho, state.v, state.G), dt)
-    rho.coeffs[(0,) * rho.grid.ndim] = 1.0    # a fresh field, nothing cached yet
+    """Classical RK4 step on the half layout; G advances through the same
+    stage quadrature. The conserved density mean is pinned to one
+    afterwards."""
+    grid, line = state.grid, state.G.grid
+    values = (state.rho._values, state.v._values)
+    rho, v, G = rk4_step(
+        lambda y, c: tendencies(grid, y[0], y[1], state.eps,
+                                values if c == 0.0 else None),
+        (state.rho.half_coeffs, state.v.half_coeffs, state.G.half_coeffs), dt)
+    rho[(0,) * grid.ndim] = 1.0
+    rho, v = (SpectralField(grid, full_coeffs(grid, c)) for c in (rho, v))
+    G = SpectralField(line, full_coeffs(line, G))
     check_finite((rho, v, G), state, dt, "eps")
     return EpsState(t=state.t + dt, eps=state.eps, rho=rho, v=v, G=G)
 
@@ -241,19 +261,18 @@ def energy(state: EpsState) -> float:
     exact when the cubic energy fluxes fit under the dealias cutoff
     (3 kmax < N/3 per axis); otherwise it holds up to that truncation.
     """
-    pots, _ = state.fields()
+    grid, e = state.grid, state.eps
     rho_vals = inverse(state.rho)
     v_vals = inverse(state.v)
     kinetic = 0.5 * float(np.mean(rho_vals * v_vals**2))
-    grid = state.grid
     kpar = grid.mode_grid(grid.par_axis).astype(float)
     four_pi_sq = (2.0 * np.pi) ** 2
-    phi2 = np.abs(pots.phi.coeffs) ** 2
+    phi2 = np.abs(phi_coeffs(grid, state.rho.coeffs, e)) ** 2
     perp_energy = four_pi_sq * float(np.sum(grid.kperp_sq * phi2))
     par_energy = four_pi_sq * float(np.sum(kpar**2 * phi2))
     kpar_line = grid.par_grid.modes(0).astype(float)
-    v_energy = four_pi_sq * float(np.sum(kpar_line**2 * np.abs(pots.V.coeffs) ** 2))
-    e = state.eps
+    V, _ = parallel_coeffs(grid, state.rho.coeffs, e)
+    v_energy = four_pi_sq * float(np.sum(kpar_line**2 * np.abs(V) ** 2))
     return kinetic + 0.5 * e * (perp_energy + e**2 * par_energy) + 0.5 * e * v_energy
 
 
@@ -264,7 +283,7 @@ def mass(state) -> float:
 
 def parallel_field(state: EpsState) -> np.ndarray:
     """Coefficients of E_par."""
-    return field_coeffs(state.grid, state.rho.coeffs, state.eps).Epar
+    return parallel_coeffs(state.grid, state.rho.coeffs, state.eps)[1]
 
 
 def mean_current(state) -> np.ndarray:

@@ -14,6 +14,9 @@ from the instantaneous state at every stage. With it, d_t <rho v>_perp = 0
 pointwise, so both constraints propagate; the discrete residual (from
 dealiasing truncation of triple products) is monitored and the k_perp = 0
 tendency modes are projected to zero, which keeps <rho>_perp = 1 exact.
+
+Like the eps step, a limit step runs its RK4 stages on half-layout
+coefficient arrays (see spectral) and converts only at its boundaries.
 """
 
 from __future__ import annotations
@@ -24,20 +27,24 @@ import numpy as np
 
 from .epsilon import drift_advection
 from .errors import AdmissibilityError, ConfigError
-from .poisson import perp_field, solve_phi
+from .poisson import perp_field_coeffs, phi_coeffs
 from .quadrature import Trajectory, check_finite, evolve, rk4_step
 from .spectral import (
     Grid,
     SpectralField,
+    collocation_values,
     dealias,
     derivative,
+    derivative_coeffs,
     embed_parallel,
     forward,
+    full_coeffs,
     inverse,
     l2_norm,
     mean,
     perp_average,
     product,
+    product_coeffs,
 )
 
 
@@ -52,10 +59,20 @@ class LimitState:
         return self.rho.grid
 
 
+def pressure_gradient_coeffs(grid: Grid, rho_vals: np.ndarray,
+                             v_vals: np.ndarray) -> np.ndarray:
+    """d_par p = -d_par <rho v^2>_perp from the collocation values of rho
+    and v: half-layout coefficients on the parallel grid."""
+    vv = collocation_values(grid, product_coeffs(grid, v_vals, v_vals, True), True)
+    flux = product_coeffs(grid, rho_vals, vv, True)[grid._par_line]
+    return -derivative_coeffs(grid.par_grid, flux, 0)
+
+
 def pressure_gradient(rho: SpectralField, v: SpectralField) -> SpectralField:
     """d_par p = -d_par <rho v^2>_perp, a zero-mean parallel field."""
-    flux = perp_average(product(rho, product(v, v)))
-    return -derivative(flux, 0)
+    line = rho.grid.par_grid
+    return SpectralField(line, full_coeffs(
+        line, pressure_gradient_coeffs(rho.grid, rho._values, v._values)))
 
 
 def constraint_residuals(rho: SpectralField, v: SpectralField) -> tuple[float, float]:
@@ -97,32 +114,41 @@ def project_initial(rho0: SpectralField, v0: SpectralField) -> LimitState:
     return LimitState(t=0.0, rho=rho, v=v)
 
 
-def tendencies(rho: SpectralField, v: SpectralField, with_pressure: bool = True):
-    """(d_t rho, d_t v, constraint flux residual): the drift-advection
-    tendency with E_perp from the eps = 0 symbol, plus the pressure closure.
+def tendencies(grid: Grid, rho: np.ndarray, v: np.ndarray,
+               with_pressure: bool = True, values: tuple | None = None):
+    """(d_t rho, d_t v, constraint flux residual) on half-layout
+    coefficient arrays: the drift-advection tendency with E_perp from the
+    eps = 0 symbol, plus the pressure closure. `values`, the collocation
+    values of rho and v, saves their transforms when the caller has them.
 
     The k_perp = 0 modes of d_t rho are analytically -d_par <rho v>_perp,
-    zero on the constraint manifold; their discrete magnitude is returned
-    as the residual and they are projected out so the constraint holds
-    identically.
+    zero on the constraint manifold; their discrete magnitude (the L2 norm
+    over the full line) is returned as the residual and they are projected
+    out so the constraint holds identically.
     """
-    grid = rho.grid
-    e1, e2 = perp_field(solve_phi(rho, 0.0))
-    # the fields cache their collocation values, which the closure reuses
-    drho, dv = drift_advection(grid, rho._values, v._values, v.coeffs,
-                               e1.coeffs, e2.coeffs)
-    dv = SpectralField(grid, dv)
+    rho_vals, v_vals = values or (collocation_values(grid, rho, True),
+                                  collocation_values(grid, v, True))
+    e1, e2 = perp_field_coeffs(grid, phi_coeffs(grid, rho, 0.0))
+    # the closure reuses the collocation values of rho and v
+    drho, dv = drift_advection(grid, rho_vals, v_vals, v, e1, e2)
     if with_pressure:
-        dv = dv - embed_parallel(pressure_gradient(rho, v), grid)
-    residual = float(np.sqrt(np.sum(np.abs(drho[grid._par_line]) ** 2)))
+        dv[grid._par_line] -= pressure_gradient_coeffs(grid, rho_vals, v_vals)
+    line = full_coeffs(grid.par_grid, drho[grid._par_line])
+    residual = float(np.sqrt(np.sum(np.abs(line) ** 2)))
     drho[grid._par_line] = 0.0
-    return SpectralField(grid, drho), dv, residual
+    return drho, dv, residual
 
 
 def step(state: LimitState, dt: float, with_pressure: bool = True) -> LimitState:
-    """Classical RK4 step; raises BlowUpError on non-finite output."""
-    rho, v = rk4_step(lambda y, c: tendencies(*y, with_pressure)[:2],
-                      (state.rho, state.v), dt)
+    """Classical RK4 step on the half layout; raises BlowUpError on
+    non-finite output."""
+    grid = state.grid
+    values = (state.rho._values, state.v._values)
+    rho, v = rk4_step(
+        lambda y, c: tendencies(grid, *y, with_pressure,
+                                values if c == 0.0 else None)[:2],
+        (state.rho.half_coeffs, state.v.half_coeffs), dt)
+    rho, v = (SpectralField(grid, full_coeffs(grid, c)) for c in (rho, v))
     check_finite((rho, v), state, dt, "limit")
     return LimitState(t=state.t + dt, rho=rho, v=v)
 

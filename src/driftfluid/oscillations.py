@@ -268,9 +268,9 @@ def advect_correctors(Eplus0: SpectralField, Eminus0: SpectralField,
 
     for j in range(len(times) - 1):
         def f(y, c):
-            u_vals = collocation_values(grid, ubar_at[c][j])
+            u_vals = collocation_values(grid, ubar_at[c][j], False)
             return tuple(-product_coeffs(grid, u_vals, collocation_values(
-                grid, derivative_coeffs(grid, e, 0)), False) for e in y)
+                grid, derivative_coeffs(grid, e, 0), False), False) for e in y)
 
         out_p[j + 1], out_m[j + 1] = rk4_step(f, (out_p[j], out_m[j]), dt)
     return CorrectorSeries(grid=grid, times=times, Eplus=out_p, Eminus=out_m)

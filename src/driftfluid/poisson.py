@@ -15,9 +15,12 @@ is solvable iff the perpendicular average has mean one. Both potentials
 are gauged to zero mean; only their gradients enter the dynamics.
 
 The solves act on coefficient arrays with any leading axes (`field_coeffs`
-and its parts); the field functions wrap them for a single density. The
-multi-phase toy model's full-torus problem -eps Lap V = sigma - 1 is the
-same division on its own grid (`V_coeffs`).
+and its parts `phi_coeffs`, `parallel_coeffs`, `V_coeffs` and
+`perp_field_coeffs`), on either layout of `spectral`: the eps, limit and
+CK kernels pass half-layout arrays, and the field functions wrap them for
+a single density in the full layout. The multi-phase toy model's
+full-torus problem -eps Lap V = sigma - 1 is the same division on its own
+grid (`V_coeffs`).
 """
 
 from __future__ import annotations
@@ -66,19 +69,19 @@ class Forces:
     eps: float
 
 
-def _phi_coeffs(grid: Grid, rho: np.ndarray, eps: float) -> np.ndarray:
-    """Screened perpendicular Poisson solve on coefficient arrays
-    [..., *grid.shape], zero-mean gauge."""
-    kpar = grid.mode_grid(grid.par_axis)
-    symbol = TWO_PI_SQ * (eps**2 * kpar.astype(float) ** 2 + grid.kperp_sq)
-    perp_zero = grid.kperp_sq == 0
+def phi_coeffs(grid: Grid, rho: np.ndarray, eps: float) -> np.ndarray:
+    """Screened perpendicular Poisson solve on coefficient arrays of either
+    layout with any leading axes, zero-mean gauge."""
+    sym = grid.symbols(rho)
+    symbol = TWO_PI_SQ * (eps**2 * sym.kpar_sq + sym.kperp_sq)
+    perp_zero = sym.kperp_sq == 0
     safe = np.where(perp_zero, 1.0, symbol)
     return np.where(perp_zero, 0.0, rho / safe)
 
 
 def V_coeffs(grid: Grid, source: np.ndarray, eps: float,
              tol: float = 1e-8) -> np.ndarray:
-    """Solve -eps Lap V = source - 1 on coefficient arrays [..., *grid.shape]
+    """Solve -eps Lap V = source - 1 on coefficient arrays of either layout
     by division with eps (2 pi)^2 |k|^2, summed over every axis of `grid`:
     the parallel problem on a line grid, the full-torus one otherwise.
     Every sample of the source must have mean 1."""
@@ -89,12 +92,13 @@ def V_coeffs(grid: Grid, source: np.ndarray, eps: float,
         raise SolvabilityError(
             f"Poisson source has mean {mean!r}; -eps Lap V = source - 1 is "
             "solvable only for mean 1")
-    ksq = sum(grid.mode_grid(i).astype(float) ** 2 for i in range(grid.ndim))
+    sym = grid.symbols(source)
+    ksq = sym.kperp_sq + sym.kpar_sq
     safe = np.where(ksq == 0, 1.0, eps * TWO_PI_SQ * ksq)
     return np.where(ksq == 0, 0.0, source / safe)
 
 
-def _perp_field_coeffs(grid: Grid, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def perp_field_coeffs(grid: Grid, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E_perp = (-d2 phi, d1 phi) on coefficient arrays; a missing axis
     gives an identically zero component."""
     e1 = (-derivative_coeffs(grid, phi, PERP2) if PERP2 in grid.axes
@@ -102,6 +106,14 @@ def _perp_field_coeffs(grid: Grid, phi: np.ndarray) -> tuple[np.ndarray, np.ndar
     e2 = (derivative_coeffs(grid, phi, PERP1) if PERP1 in grid.axes
           else np.zeros(phi.shape, dtype=complex))
     return e1, e2
+
+
+def parallel_coeffs(grid: Grid, rho: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """V and E_par = -d_par V of densities on either layout, as arrays on
+    the same layout of the parallel grid."""
+    line = grid.par_grid
+    V = V_coeffs(line, perp_average_coeffs(grid, rho), eps)
+    return V, -derivative_coeffs(line, V, 0)
 
 
 class FieldCoeffs(NamedTuple):
@@ -117,19 +129,19 @@ class FieldCoeffs(NamedTuple):
 
 def field_coeffs(grid: Grid, rho: np.ndarray, eps: float) -> FieldCoeffs:
     """All potentials and forces of charge densities given as coefficient
-    arrays [..., *grid.shape]; leading axes are samples solved at once."""
-    phi = _phi_coeffs(grid, rho, eps)
-    line = grid.par_grid
-    V = V_coeffs(line, perp_average_coeffs(grid, rho), eps)
-    e1, e2 = _perp_field_coeffs(grid, phi)
+    arrays of either layout, the line ones (V, E_par) on the same layout of
+    the parallel grid; leading axes are samples solved at once."""
+    phi = phi_coeffs(grid, rho, eps)
+    V, Epar = parallel_coeffs(grid, rho, eps)
+    e1, e2 = perp_field_coeffs(grid, phi)
     return FieldCoeffs(phi=phi, V=V, Eperp1=e1, Eperp2=e2,
                        eps_dpar_phi=eps * derivative_coeffs(grid, phi, grid.par_axis),
-                       Epar=-derivative_coeffs(line, V, 0))
+                       Epar=Epar)
 
 
 def solve_phi(rho: SpectralField, eps: float) -> SpectralField:
     """Screened perpendicular Poisson solve for phi, zero-mean gauge."""
-    return SpectralField(rho.grid, _phi_coeffs(rho.grid, rho.coeffs, eps), rho.real)
+    return SpectralField(rho.grid, phi_coeffs(rho.grid, rho.coeffs, eps), rho.real)
 
 
 def solve_V(rho_bar: SpectralField, eps: float, tol: float = 1e-8) -> SpectralField:
@@ -146,7 +158,7 @@ def perp_field(phi: SpectralField) -> tuple[SpectralField, SpectralField]:
     On shear grids (no perp2 axis) the first component vanishes
     identically and the second is d1 phi.
     """
-    e1, e2 = _perp_field_coeffs(phi.grid, phi.coeffs)
+    e1, e2 = perp_field_coeffs(phi.grid, phi.coeffs)
     return SpectralField(phi.grid, e1, phi.real), SpectralField(phi.grid, e2, phi.real)
 
 

@@ -21,6 +21,21 @@ functions are array-level helpers (`collocation_values`, `product_coeffs`,
 act on the trailing grid axes of a coefficient array. A leading axis, such
 as the time samples of a trajectory, is evaluated in one call with the same
 arithmetic as one field at a time.
+
+Two coefficient layouts exist. The full layout (`Grid.shape`, FFT
+ordering on every axis) is the public one: a `SpectralField`, a `.spec`
+file and every probe hold it. A real field is fixed by its k >= 0 half
+along the last axis, which is the par axis on every grid (a `Grid` with
+par elsewhere is refused): the half layout (`Grid.half.shape`, numpy's
+rfftn layout, n//2 + 1 entries on the last axis) is what the real
+transforms read and write. `collocation_values` and `product_coeffs` take
+half arrays for real fields (irfftn/rfftn) and full arrays otherwise
+(ifftn/fftn, the complex correctors). The symbol helpers (derivatives,
+averages, the Poisson solves) accept either layout and tell them apart by
+the length of the last axis. A field's real transforms go through the
+half layout (`SpectralField.half_coeffs` in, `full_coeffs` out), and the
+eps, limit and CK kernels keep their state in it: they convert at each
+step or iterate boundary, never per stage.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +64,17 @@ _AXIS_ALIASES = {
 }
 
 
+class Symbols(NamedTuple):
+    """A grid's Fourier symbols on one coefficient layout, each broadcast
+    against that layout's coefficient arrays."""
+
+    shape: tuple[int, ...]
+    dealias_mask: np.ndarray                 # 2/3 rule: |k_i| < N_i/3, every axis
+    derivative_mults: tuple[np.ndarray, ...]  # i 2 pi k_i, Nyquist zeroed
+    kperp_sq: np.ndarray                     # |k_perp|^2 (0 on line grids)
+    kpar_sq: np.ndarray                      # k_par^2, along the par axis only
+
+
 @dataclass(frozen=True)
 class Grid:
     """Per-axis mode counts plus axis labels on the unit torus."""
@@ -65,6 +92,9 @@ class Grid:
                 raise ConfigError(f"unknown axis label {ax!r}")
             if n % 2 != 0 or n < 4:
                 raise ConfigError(f"axis {ax}: mode count {n} must be even and >= 4")
+        if PAR in self.axes and self.axes[-1] != PAR:
+            raise ConfigError(f"axes {self.axes}: the par axis must be last, "
+                              "the axis the real transforms halve")
 
     @classmethod
     def torus3d(cls, n1: int, n2: int, npar: int) -> "Grid":
@@ -120,15 +150,6 @@ class Grid:
             out.append(self.modes(i).reshape(shape))
         return tuple(out)
 
-    @cached_property
-    def _derivative_mults(self) -> tuple[np.ndarray, ...]:
-        # i 2 pi k per axis with the Nyquist mode zeroed (see derivative())
-        out = []
-        for i, n in enumerate(self.shape):
-            k = self._mode_grids[i]
-            out.append(np.where(np.abs(k) == n // 2, 0.0, 2j * np.pi * k))
-        return tuple(out)
-
     def mode_grid(self, axis) -> np.ndarray:
         """Integer wavenumbers along `axis`, broadcast to the full shape."""
         return self._mode_grids[self.axis_index(axis)]
@@ -139,35 +160,94 @@ class Grid:
         return _ell1(self.shape)
 
     @cached_property
-    def kperp_sq(self) -> np.ndarray:
-        """|k_perp|^2 broadcast to the full shape (0 on line grids)."""
-        total = np.zeros(self.shape, dtype=int)
-        for i in self.perp_axes:
-            total = total + self.mode_grid(i) ** 2
-        return total
+    def full(self) -> Symbols:
+        """The symbols on the full layout."""
+        mask = np.ones(self.shape, dtype=bool)
+        kperp_sq = np.zeros(self.shape, dtype=int)
+        kpar_sq = np.zeros((1,) * self.ndim, dtype=int)
+        mults = []
+        for i, (n, ax) in enumerate(zip(self.shape, self.axes)):
+            k = self._mode_grids[i]
+            mask &= np.abs(k) < n / 3.0
+            if ax == PAR:
+                kpar_sq = k**2
+            else:
+                kperp_sq = kperp_sq + k**2
+            # the Nyquist mode is dropped (see derivative())
+            mults.append(np.where(np.abs(k) == n // 2, 0.0, 2j * np.pi * k))
+        return Symbols(self.shape, mask, tuple(mults), kperp_sq, kpar_sq)
 
     @cached_property
+    def half(self) -> Symbols:
+        """The symbols on the half layout: the first n//2 + 1 entries of
+        the full ones along the last axis. rfftn's last entry is the
+        Nyquist mode +n/2 where the full layout holds -n/2; every symbol is
+        even in k or zero there."""
+        m = self.shape[-1] // 2 + 1
+
+        def cut(a):
+            return np.ascontiguousarray(a[..., :m])
+
+        f = self.full
+        return Symbols(self.shape[:-1] + (m,), cut(f.dealias_mask),
+                       tuple(cut(d) for d in f.derivative_mults),
+                       cut(f.kperp_sq), cut(f.kpar_sq))
+
+    def symbols(self, coeffs: np.ndarray) -> Symbols:
+        """The symbols of the layout `coeffs` is in, leading axes aside:
+        its last axis has n entries on the full layout and n//2 + 1 (never
+        n, as n >= 4) on the half one."""
+        return self.full if coeffs.shape[-1] == self.shape[-1] else self.half
+
+    @property
+    def kperp_sq(self) -> np.ndarray:
+        """|k_perp|^2 broadcast to the full shape (0 on line grids)."""
+        return self.full.kperp_sq
+
+    @property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keep modes with |k_i| < N_i/3 on every axis."""
-        mask = np.ones(self.shape, dtype=bool)
-        for i, n in enumerate(self.shape):
-            mask &= np.abs(self.mode_grid(i)) < n / 3.0
-        return mask
+        return self.full.dealias_mask
+
+    @cached_property
+    def _reflection(self) -> np.ndarray:
+        """Flat index of -k (mod N on every axis) for each flat index k of
+        the full layout."""
+        index = np.arange(self.size).reshape(self.shape)
+        for ax in range(self.ndim):
+            index = np.roll(np.flip(index, axis=ax), 1, axis=ax)
+        return index.ravel()
+
+    @cached_property
+    def _completion(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gather index into a flattened half array, and the conjugation
+        mask, that complete it to the flattened full layout: entry k is
+        half[k] for k_last >= 0 and conj(half[-k]) otherwise."""
+        n, m = self.shape[-1], self.half.shape[-1]
+        full = np.arange(self.size)
+        conj = full % n >= m
+        source = np.where(conj, self._reflection, full)   # k_last >= 0 there
+        return (source // n) * m + source % n, conj
 
     @cached_property
     def par_grid(self) -> "Grid":
         return Grid.line(self.shape[self.par_axis]) if self.ndim > 1 else self
 
+    @cached_property
+    def _trailing_axes(self) -> tuple[int, ...]:
+        """The grid's axes of an array, counted from its end so that
+        leading (batch) axes are left alone."""
+        return tuple(range(-self.ndim, 0))
+
     def _fft_axes(self, array: np.ndarray) -> tuple[int, ...] | None:
-        """The grid's axes of `array`, counted from its end so that leading
-        (batch) axes are left alone. None (numpy's every-axis default,
-        which skips a per-call shape lookup) when there is no leading axis."""
-        return None if array.ndim == self.ndim else tuple(range(-self.ndim, 0))
+        """The trailing axes, or None (numpy's every-axis default, which
+        skips a per-call axes check) when `array` has no leading axis."""
+        return None if array.ndim == self.ndim else self._trailing_axes
 
     @cached_property
     def _par_line(self) -> tuple:
         """Index of the k_perp = 0 line of a coefficient array with any
-        leading axes."""
+        leading axes, on either layout."""
         index = [0] * self.ndim
         index[self.par_axis] = slice(None)
         return (Ellipsis, *index)
@@ -191,12 +271,20 @@ def _ell1(shape: tuple[int, ...]) -> np.ndarray:
     return total
 
 
-def _conjugate_reflection(coeffs: np.ndarray) -> np.ndarray:
+def _conjugate_reflection(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """conj(coeff(-k)) with indices taken mod N on every axis."""
-    out = np.conj(coeffs)
-    for ax in range(coeffs.ndim):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
+    out = np.take(coeffs.ravel(), grid._reflection).reshape(coeffs.shape)
+    return np.conjugate(out, out=out)
+
+
+def _symmetry_defects(field: "SpectralField",
+                      scale_floor: float = 1e-12) -> tuple[float, float]:
+    """The largest |coeff(k) - conj(coeff(-k))| relative to the coefficient
+    scale (floored at `scale_floor`), and the l1 norm of the anti-Hermitian
+    part, half the sum of those magnitudes."""
+    anti = np.abs(field.coeffs - _conjugate_reflection(field.grid, field.coeffs))
+    scale = max(float(np.max(np.abs(field.coeffs))), scale_floor)
+    return float(np.max(anti)) / scale, 0.5 * float(np.sum(anti))
 
 
 @dataclass(frozen=True)
@@ -214,9 +302,16 @@ class SpectralField:
                 f"coefficient shape {c.shape} does not match grid {self.grid.shape}")
         object.__setattr__(self, "coeffs", c)
 
+    @property
+    def half_coeffs(self) -> np.ndarray:
+        """The half-layout part of the coefficients (a view): all that a
+        real field's transforms read."""
+        return self.coeffs[..., :self.grid.half.shape[-1]]
+
     @cached_property
     def _values(self) -> np.ndarray:
-        vals = collocation_values(self.grid, self.coeffs)
+        vals = (collocation_values(self.grid, self.half_coeffs, True) if self.real
+                else collocation_values(self.grid, self.coeffs, False))
         vals.setflags(write=False)
         return vals
 
@@ -224,8 +319,7 @@ class SpectralField:
         """Largest |coeff(k) - conj(coeff(-k))| relative to the coefficient
         scale. Fields below `scale_floor` in magnitude are numerically
         zero and report no defect (rounding noise has no symmetry)."""
-        scale = max(float(np.max(np.abs(self.coeffs))), scale_floor)
-        return float(np.max(np.abs(self.coeffs - _conjugate_reflection(self.coeffs)))) / scale
+        return _symmetry_defects(self, scale_floor)[0]
 
     def is_dealiased(self, tol: float = 0.0) -> bool:
         outside = self.coeffs[~self.grid.dealias_mask]
@@ -259,7 +353,8 @@ class SpectralField:
         return SpectralField(self.grid, -self.coeffs, self.real)
 
     def conj(self) -> "SpectralField":
-        return SpectralField(self.grid, _conjugate_reflection(self.coeffs), self.real)
+        return SpectralField(self.grid, _conjugate_reflection(self.grid, self.coeffs),
+                             self.real)
 
     def mean(self) -> complex | float:
         m = complex(self.coeffs[(0,) * self.grid.ndim])
@@ -305,50 +400,82 @@ def forward(grid: Grid, values: np.ndarray) -> SpectralField:
         if np.max(np.abs(values.imag)) > 1e-13 * (1.0 + np.max(np.abs(values.real))):
             raise ConfigError("forward() expects real values")
         values = values.real
-    return SpectralField(grid, np.fft.fftn(values) / grid.size, real=True)
+    coeffs = np.fft.rfftn(values) / grid.size
+    return SpectralField(grid, full_coeffs(grid, coeffs), real=True)
 
 
 def inverse(field: SpectralField, tol: float = 1e-6) -> np.ndarray:
     """Evaluate the truncated Fourier series at the collocation points.
 
-    For real fields the imaginary residue is rounding-level and discarded;
-    a residue or Hermitian defect above `tol` (relative) signals genuinely
-    broken symmetry and raises. The transform is the field's cached one
-    (the values products and tendencies read), and the caller gets a copy.
+    For real fields a Hermitian defect above `tol` (relative), or an
+    imaginary residue of the full series above `tol` relative to
+    1 + max|values|, signals genuinely broken symmetry and raises. The
+    transform is the field's cached one (the values products and
+    tendencies read), and the caller gets a copy.
+
+    A real field's cached values come from its half layout alone, so the
+    guard reads the full coefficients: the residue is at most the l1 norm
+    of their anti-Hermitian part, and only when that bound exceeds `tol`
+    is the full complex series evaluated to measure it.
     """
-    if field.real and field.hermitian_defect() > tol:
-        raise InvariantError(
-            f"Hermitian symmetry broken (defect {field.hermitian_defect():.2e})")
-    vals = field._values
     if field.real:
-        scale = 1.0 + float(np.max(np.abs(vals.real)))
-        residue = float(np.max(np.abs(vals.imag)))
-        if residue > tol * scale:
-            raise InvariantError(f"imaginary residue {residue:.2e} above {tol:.0e}")
-        return np.ascontiguousarray(vals.real)
-    return vals.copy()
+        defect, anti_l1 = _symmetry_defects(field)
+        if defect > tol:
+            raise InvariantError(f"Hermitian symmetry broken (defect {defect:.2e})")
+        if anti_l1 > tol:
+            vals = collocation_values(field.grid, field.coeffs, False)
+            residue = float(np.max(np.abs(vals.imag)))
+            if residue > tol * (1.0 + float(np.max(np.abs(vals.real)))):
+                raise InvariantError(f"imaginary residue {residue:.2e} above {tol:.0e}")
+    return field._values.copy()
 
 
 # -- array-level helpers: coefficient arrays [..., *grid.shape] -----------
 
-def collocation_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Complex values of the trigonometric interpolant at the collocation
-    points, over the trailing grid axes."""
+def full_coeffs(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Complete half-layout coefficients of real fields to the full layout
+    (Hermitian symmetry), keeping leading axes: one gather and a masked
+    conjugation."""
+    gather, conj = grid._completion
+    lead = half.shape[:half.ndim - grid.ndim]
+    out = np.take(half.reshape(lead + (-1,)), gather, axis=-1)
+    np.conjugate(out, out=out, where=conj)
+    return out.reshape(lead + grid.shape)
+
+
+def collocation_values(grid: Grid, coeffs: np.ndarray, real: bool) -> np.ndarray:
+    """Values of the trigonometric interpolant at the collocation points,
+    over the trailing grid axes: the real values of half-layout
+    coefficients (irfftn) if `real`, else the complex values of full-layout
+    ones (ifftn). The real transform is told the grid's shape (with its
+    axes, which numpy 2 requires alongside `s`), which also spares it a
+    per-call axes check."""
+    if real:
+        return np.fft.irfftn(coeffs, s=grid.shape, axes=grid._trailing_axes) * grid.size
     return np.fft.ifftn(coeffs, axes=grid._fft_axes(coeffs)) * grid.size
 
 
 def product_coeffs(grid: Grid, f_vals: np.ndarray, g_vals: np.ndarray,
                    real: bool) -> np.ndarray:
     """Dealiased coefficients of the pointwise product of two sets of
-    collocation values (see product())."""
-    vals = f_vals.real * g_vals.real if real else f_vals * g_vals
-    coeffs = np.fft.fftn(vals, axes=grid._fft_axes(vals)) / grid.size
-    return coeffs * grid.dealias_mask
+    collocation values (see product()): half layout (rfftn) from real
+    values if `real`, else full layout (fftn)."""
+    vals = f_vals * g_vals
+    if real:
+        coeffs = np.fft.rfftn(vals, axes=grid._fft_axes(vals))
+        mask = grid.half.dealias_mask
+    else:
+        coeffs = np.fft.fftn(vals, axes=grid._fft_axes(vals))
+        mask = grid.full.dealias_mask
+    coeffs /= grid.size
+    coeffs *= mask
+    return coeffs
 
 
 def derivative_coeffs(grid: Grid, coeffs: np.ndarray, axis) -> np.ndarray:
-    """Coefficients of the partial derivative along `axis` (see derivative())."""
-    return coeffs * grid._derivative_mults[grid.axis_index(axis)]
+    """Coefficients of the partial derivative along `axis` (see
+    derivative()), on either layout."""
+    return coeffs * grid.symbols(coeffs).derivative_mults[grid.axis_index(axis)]
 
 
 def perp_average_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -381,15 +508,19 @@ def gradient(field: SpectralField) -> list[SpectralField]:
 def product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Dealiased (2/3 rule) spectral coefficients of the pointwise product.
 
-    For real fields the collocation values are re-projected onto their
-    real parts first, so rounding-level imaginary residues cannot feed
-    back into the spectrum step after step.
+    For real fields both transforms are real ones (irfftn, rfftn) and the
+    result is completed from its half layout, so it is Hermitian by
+    construction: no rounding-level imaginary residue can feed back into
+    the spectrum step after step.
     """
     if f.grid != g.grid:
         raise ConfigError("product() requires both fields on the same grid")
-    real = f.real and g.real
-    return SpectralField(f.grid, product_coeffs(f.grid, f._values, g._values, real),
-                         real)
+    grid = f.grid
+    if f.real and g.real:
+        return SpectralField(grid, full_coeffs(
+            grid, product_coeffs(grid, f._values, g._values, True)))
+    return SpectralField(grid, product_coeffs(grid, f._values, g._values, False),
+                         real=False)
 
 
 def dealias(field: SpectralField) -> SpectralField:

@@ -38,6 +38,20 @@ class TestSpecFormat:
         assert header["fields"][0]["dims"] == [8]
         assert header["fields"][0]["axes"] == ["par"]
 
+    def test_rejects_par_axis_not_last(self, rng, tmp_path):
+        """Real fields halve the last axis, which must be par: a file
+        whose axes put par elsewhere is refused when its grid is built."""
+        g = Grid.shear2d(4, 8)
+        path = tmp_path / "swapped.spec"
+        write_spec(path, {"f": random_band_field(g, 1, rng)})
+        head, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["fields"][0]["dims"] = [8, 4]
+        header["fields"][0]["axes"] = ["par", "perp1"]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ConfigError, match="par axis must be last"):
+            read_spec(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.spec"
         path.write_bytes(b"\x00\x01\x02 not json\n")

@@ -19,6 +19,7 @@ from driftfluid.spectral import (
     embed_parallel,
     forward,
     from_modes,
+    full_coeffs,
     gradient_norm,
     inner,
     inverse,
@@ -105,10 +106,21 @@ class TestTransforms:
         with pytest.raises(ConfigError):
             forward(Grid.line(8), np.ones(9))
 
-    def test_inverse_rejects_broken_symmetry(self):
-        g = Grid.line(8)
-        c = np.zeros(8, dtype=complex)
-        c[1] = 1.0  # no conjugate partner
+    @pytest.mark.parametrize("grid", [Grid.line(8), Grid.shear2d(4, 8),
+                                      Grid.torus3d(4, 4, 8)],
+                             ids=["line", "shear2d", "torus3d"])
+    def test_inverse_rejects_broken_symmetry(self, grid):
+        c = np.zeros(grid.shape, dtype=complex)
+        c[(0,) * (grid.ndim - 1) + (1,)] = 1.0  # no conjugate partner
+        with pytest.raises(InvariantError):
+            inverse(SpectralField(grid, c, real=True))
+
+    def test_inverse_rejects_a_defect_at_negative_kpar_only(self, rng):
+        """The real transform reads k_par >= 0 alone, so a broken partner
+        at k_par < 0 must be caught from the full coefficients."""
+        g = Grid.torus3d(4, 4, 8)
+        c = random_band_field(g, 2, rng).coeffs.copy()
+        c[1, 2, -2] += 0.5
         with pytest.raises(InvariantError):
             inverse(SpectralField(g, c, real=True))
 
@@ -120,20 +132,22 @@ class TestTransforms:
         f = random_band_field(g, 2, rng)
         if not real:
             f = SpectralField(g, f.coeffs * (1 + 2j), real=False)
-        direct = np.fft.ifftn
+        name = "irfftn" if real else "ifftn"
+        direct = getattr(np.fft, name)
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return direct(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "ifftn", counted)
+        monkeypatch.setattr(np.fft, name, counted)
         first = inverse(f)
         first[...] = 0.0
         second = inverse(f)
         assert len(calls) == 1
-        expected = direct(f.coeffs) * g.size
-        assert np.array_equal(second, expected.real if real else expected)
+        expected = (direct(f.half_coeffs, s=g.shape, axes=(0, 1, 2)) if real
+                    else direct(f.coeffs)) * g.size
+        assert np.array_equal(second, expected)
 
 
 class TestDerivative:
@@ -411,9 +425,9 @@ class TestBatchedProductProperty:
         rng = np.random.default_rng(seed)
         fs = [random_band_field(grid, kmax, rng, mean=mean) for _ in range(n_batch)]
         gs = [random_band_field(grid, kmax, rng) for _ in range(n_batch)]
-        batched = product_coeffs(
-            grid, collocation_values(grid, np.stack([f.coeffs for f in fs])),
-            collocation_values(grid, np.stack([g.coeffs for g in gs])), True)
+        batched = full_coeffs(grid, product_coeffs(
+            grid, collocation_values(grid, np.stack([f.half_coeffs for f in fs]), True),
+            collocation_values(grid, np.stack([g.half_coeffs for g in gs]), True), True))
         per_slice = np.stack([product(f, g).coeffs for f, g in zip(fs, gs)])
         assert np.array_equal(batched, per_slice)
         for coeffs in batched:
