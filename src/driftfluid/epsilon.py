@@ -47,6 +47,7 @@ from .spectral import (
     NormParams,
     SpectralField,
     analytic_norm,
+    check_real,
     collocation_values,
     constant,
     dealias,
@@ -89,7 +90,7 @@ class EpsState:
         return solve_fields(self.rho, self.eps)
 
     def min_rho(self) -> float:
-        return float(np.min(inverse(self.rho)))
+        return float(np.min(self.rho._values))
 
 
 def make_eps_state(rho: SpectralField, v: SpectralField, eps: float,
@@ -104,6 +105,7 @@ def make_eps_state(rho: SpectralField, v: SpectralField, eps: float,
         raise ConfigError(f"eps must be positive, got {eps}")
     if rho.grid != v.grid:
         raise ConfigError("rho and v must share a grid")
+    check_real(v)
     rho = dealias(rho)
     v = dealias(v)
     m = mean(rho)
@@ -144,8 +146,8 @@ def oscillation_period(eps: float) -> float:
 
 
 def drift_advection(grid: Grid, rho_vals: np.ndarray, v_vals: np.ndarray,
-                    v: np.ndarray, e1: np.ndarray,
-                    e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    v: np.ndarray, e1: np.ndarray | None = None,
+                    e2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The transport operator shared by the eps system, its limit and the
     CK iteration: E x B drift in the perpendicular plane plus parallel
     advection,
@@ -156,8 +158,8 @@ def drift_advection(grid: Grid, rho_vals: np.ndarray, v_vals: np.ndarray,
     evaluated at once. rho and v enter through their collocation values
     (v also through its coefficients, for d_par v), so a caller that needs
     those values again transforms them once. The perpendicular drift
-    needs both perpendicular axes: on a grid without one, E_perp has no
-    component whose divergence is non-zero, and nothing is computed.
+    needs both perpendicular axes: on a grid without one, E_perp (e1, e2)
+    has no component whose divergence is non-zero; none need be passed.
     """
     par = grid.par_axis
     # few live temporaries (d_par v values freed at once, in-place sums):
@@ -262,9 +264,7 @@ def energy(state: EpsState) -> float:
     (3 kmax < N/3 per axis); otherwise it holds up to that truncation.
     """
     grid, e = state.grid, state.eps
-    rho_vals = inverse(state.rho)
-    v_vals = inverse(state.v)
-    kinetic = 0.5 * float(np.mean(rho_vals * v_vals**2))
+    kinetic = 0.5 * float(np.mean(state.rho._values * state.v._values**2))
     kpar = grid.mode_grid(grid.par_axis).astype(float)
     four_pi_sq = (2.0 * np.pi) ** 2
     phi2 = np.abs(phi_coeffs(grid, state.rho.coeffs, e)) ** 2

@@ -32,6 +32,7 @@ from .quadrature import Trajectory, check_finite, evolve, rk4_step
 from .spectral import (
     Grid,
     SpectralField,
+    check_real,
     collocation_values,
     dealias,
     derivative,
@@ -96,6 +97,7 @@ def project_initial(rho0: SpectralField, v0: SpectralField) -> LimitState:
     """
     if rho0.grid != v0.grid:
         raise ConfigError("rho and v must share a grid")
+    check_real(v0)
     rho0 = dealias(rho0)
     v0 = dealias(v0)
     if float(np.min(inverse(rho0))) <= 0.0:

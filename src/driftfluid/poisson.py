@@ -18,9 +18,8 @@ The solves act on coefficient arrays with any leading axes (`field_coeffs`
 and its parts `phi_coeffs`, `parallel_coeffs`, `V_coeffs` and
 `perp_field_coeffs`), on either layout of `spectral`: the eps, limit and
 CK kernels pass half-layout arrays, and the field functions wrap them for
-a single density in the full layout. The multi-phase toy model's
-full-torus problem -eps Lap V = sigma - 1 is the same division on its own
-grid (`V_coeffs`).
+a single density in the full layout. The line-grid toy model's problem
+-eps d_par^2 V = sigma - 1 is the same division (`V_coeffs`).
 """
 
 from __future__ import annotations

@@ -45,9 +45,12 @@ _W_MID_LAST = _W_MID_FIRST[::-1].copy()
 def rk4_step(f, y: tuple, dt: float) -> tuple:
     """One classical RK4 step of dy/dt = f(y, c).
 
-    The state y is a tuple of arrays or fields, and f returns the tuple of
-    their tendencies; c is the stage's fraction of the step (0, 1/2, 1/2,
-    1), for tendencies with an explicitly time-dependent coefficient.
+    The state y is a tuple of arrays or fields (every system steps
+    coefficient arrays: half-layout ones for the real systems, full-layout
+    ones for the complex correctors), and f returns the tuple of their
+    tendencies; c is the stage's fraction of the step (0, 1/2, 1/2, 1),
+    for tendencies with an explicitly time-dependent coefficient or with
+    values cached for the first stage.
     """
     k1 = f(y, 0.0)
     k2 = f(tuple(a + 0.5 * dt * k for a, k in zip(y, k1)), 0.5)

@@ -114,9 +114,9 @@ class Grid:
     def ndim(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def axis_index(self, axis) -> int:
         if isinstance(axis, (int, np.integer)):
@@ -404,29 +404,35 @@ def forward(grid: Grid, values: np.ndarray) -> SpectralField:
     return SpectralField(grid, full_coeffs(grid, coeffs), real=True)
 
 
+def check_real(field: SpectralField, tol: float = 1e-6) -> None:
+    """Raise InvariantError unless the coefficients are those of a real
+    function: a Hermitian defect above `tol` (relative), or an imaginary
+    residue of the full series above `tol` relative to 1 + max|values|.
+
+    A real field's transforms read its half layout alone, so data is
+    checked where it enters (`inverse`, the initial-data constructors):
+    the residue is at most the l1 norm of the anti-Hermitian part, and only
+    when that bound exceeds `tol` is the full complex series evaluated.
+    """
+    defect, anti_l1 = _symmetry_defects(field)
+    if defect > tol:
+        raise InvariantError(f"Hermitian symmetry broken (defect {defect:.2e})")
+    if anti_l1 > tol:
+        vals = collocation_values(field.grid, field.coeffs, False)
+        residue = float(np.max(np.abs(vals.imag)))
+        if residue > tol * (1.0 + float(np.max(np.abs(vals.real)))):
+            raise InvariantError(f"imaginary residue {residue:.2e} above {tol:.0e}")
+
+
 def inverse(field: SpectralField, tol: float = 1e-6) -> np.ndarray:
     """Evaluate the truncated Fourier series at the collocation points.
 
-    For real fields a Hermitian defect above `tol` (relative), or an
-    imaginary residue of the full series above `tol` relative to
-    1 + max|values|, signals genuinely broken symmetry and raises. The
-    transform is the field's cached one (the values products and
-    tendencies read), and the caller gets a copy.
-
-    A real field's cached values come from its half layout alone, so the
-    guard reads the full coefficients: the residue is at most the l1 norm
-    of their anti-Hermitian part, and only when that bound exceeds `tol`
-    is the full complex series evaluated to measure it.
+    A real field is first checked (see check_real). The transform is the
+    field's cached one (the values products and tendencies read), and the
+    caller gets a copy.
     """
     if field.real:
-        defect, anti_l1 = _symmetry_defects(field)
-        if defect > tol:
-            raise InvariantError(f"Hermitian symmetry broken (defect {defect:.2e})")
-        if anti_l1 > tol:
-            vals = collocation_values(field.grid, field.coeffs, False)
-            residue = float(np.max(np.abs(vals.imag)))
-            if residue > tol * (1.0 + float(np.max(np.abs(vals.real)))):
-                raise InvariantError(f"imaginary residue {residue:.2e} above {tol:.0e}")
+        check_real(field, tol)
     return field._values.copy()
 
 
@@ -547,17 +553,6 @@ def embed_parallel(field: SpectralField, grid: Grid) -> SpectralField:
     if grid.shape[grid.par_axis] != field.grid.shape[0]:
         raise ConfigError("parallel mode counts differ")
     return SpectralField(grid, embed_parallel_coeffs(grid, field.coeffs), field.real)
-
-
-def translate(field: SpectralField, shifts) -> SpectralField:
-    """Exact translation f(x) -> f(x - shift) via phase factors."""
-    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
-    if shifts.size != field.grid.ndim:
-        raise ConfigError("one shift per axis required")
-    phase = np.ones(field.grid.shape, dtype=complex)
-    for i, s in enumerate(shifts):
-        phase = phase * np.exp(-2j * np.pi * s * field.grid.mode_grid(i))
-    return SpectralField(field.grid, field.coeffs * phase, field.real)
 
 
 # -- integrals and norms (unit-volume torus, Parseval) --------------------

@@ -3,23 +3,25 @@ relative-entropy monitors.
 
 N phases of equal weight 1/N share one scaled Poisson field,
 
-    d_t rho_th + div(rho_th u_th) = 0,
-    d_t u_th + (u_th . grad) u_th = E,      E = -grad V,
-    -eps Lap V = (1/N) sum_th rho_th - 1,
+    d_t rho_th + d_par(rho_th u_th) = 0,
+    d_t u_th + u_th d_par u_th = E,      E = -d_par V,
+    -eps d_par^2 V = (1/N) sum_th rho_th - 1,
 
-on T^1 by default (T^3 supported through the same code paths). The
-energy
+on the parallel circle T^1. The energy
 
-    (1/2N) sum_th int rho_th |u_th|^2 + (eps/2) int |grad V|^2
+    (1/2N) sum_th int rho_th |u_th|^2 + (eps/2) int |d_par V|^2
 
 is conserved by smooth flows; the relative entropy against a reference
-flow (u, V) with theta-independent, divergence-free u,
+flow (u, V) with theta-independent, divergence-free (here constant) u,
 
-    H = (1/2N) sum_th int rho_th |u_th - u|^2 + (eps/2) int |grad V_eps - grad V|^2,
+    H = (1/2N) sum_th int rho_th |u_th - u|^2 + (eps/2) int |d_par V_eps - d_par V|^2,
 
 obeys a Gronwall bound and vanishes with eps for well-prepared data.
 With theta-dependent streaming the coupling term is O(1/sqrt(eps)) and
 the bound is lost: the dichotomy experiment below measures both branches.
+
+A step is the eps system's drift-advection kernel on the phases,
+stacked on a leading axis, plus E from the Poisson symbol solve.
 """
 
 from __future__ import annotations
@@ -29,31 +31,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .epsilon import drift_advection
 from .errors import ConfigError, SolvabilityError
 from .poisson import TWO_PI_SQ, V_coeffs
 from .quadrature import Trajectory, check_finite, evolve, rk4_step
 from .spectral import (
     Grid,
     SpectralField,
+    check_real,
+    collocation_values,
     dealias,
-    derivative,
+    derivative_coeffs,
     forward,
+    full_coeffs,
     inverse,
     mean,
-    product,
-    translate,
-    zeros,
 )
 
 
 @dataclass(frozen=True)
 class MultiPhaseState:
-    """Phases of equal weight 1/N; u has one component per grid axis."""
+    """Phases of equal weight 1/N: one density and one velocity each."""
 
     t: float
     eps: float
     rho: tuple[SpectralField, ...]
-    u: tuple[tuple[SpectralField, ...], ...]
+    u: tuple[SpectralField, ...]
 
     @property
     def grid(self) -> Grid:
@@ -70,103 +73,72 @@ def make_multi_phase(rho_list, u_list, eps: float) -> MultiPhaseState:
     if len(rho_list) != len(u_list) or not rho_list:
         raise ConfigError("need matching non-empty phase lists")
     grid = rho_list[0].grid
-    for r, uu in zip(rho_list, u_list):
-        if r.grid != grid or any(c.grid != grid for c in uu):
+    if grid.ndim != 1:
+        raise ConfigError("the toy model runs on a line grid")
+    for r, u in zip(rho_list, u_list):
+        if r.grid != grid or u.grid != grid:
             raise ConfigError("all phase fields must share one grid")
-        if len(uu) != grid.ndim:
-            raise ConfigError("velocity needs one component per axis")
+        check_real(u)
         if float(np.min(inverse(r))) < -1e-12:
             raise ConfigError("phase densities must be nonnegative")
-    state = MultiPhaseState(
-        t=0.0, eps=eps,
-        rho=tuple(dealias(r) for r in rho_list),
-        u=tuple(tuple(dealias(c) for c in uu) for uu in u_list))
-    total = total_density(state)
-    if abs(mean(total) - 1.0) > 1e-8:
+    state = MultiPhaseState(t=0.0, eps=eps,
+                            rho=tuple(dealias(r) for r in rho_list),
+                            u=tuple(dealias(u) for u in u_list))
+    if abs(_total(np.stack([r.coeffs for r in state.rho]))[0].real - 1.0) > 1e-8:
         raise SolvabilityError("total phase density must have mean 1")
     return state
 
 
-def total_density(state: MultiPhaseState) -> SpectralField:
-    acc = zeros(state.grid)
-    for r in state.rho:
-        acc = acc + r
-    return (1.0 / state.n_phases) * acc
+def _total(rho: np.ndarray) -> np.ndarray:
+    """(1/N) sum_th rho_th of coefficients stacked on a leading phase axis."""
+    return (1.0 / len(rho)) * rho.sum(axis=0)
 
 
-def electric_field(state: MultiPhaseState) -> tuple[SpectralField, ...]:
-    V = SpectralField(state.grid, V_coeffs(state.grid, total_density(state).coeffs,
-                                           state.eps))
-    return tuple(-derivative(V, i) for i in range(state.grid.ndim))
-
-
-def tendencies(state: MultiPhaseState):
-    E = electric_field(state)
-    grid = state.grid
-    drho, du = [], []
-    for r, uu in zip(state.rho, state.u):
-        dr = zeros(grid)
-        for i in range(grid.ndim):
-            dr = dr - derivative(product(uu[i], r), i)
-        drho.append(dr)
-        comps = []
-        for i in range(grid.ndim):
-            adv = zeros(grid)
-            for j in range(grid.ndim):
-                adv = adv + product(uu[j], derivative(uu[i], j))
-            comps.append(E[i] - adv)
-        du.append(tuple(comps))
+def tendencies(grid: Grid, rho: np.ndarray, u: np.ndarray, eps: float,
+               values: tuple | None = None):
+    """(d_t rho, d_t u) on half-layout coefficient arrays, the phases
+    stacked on a leading axis: the drift-advection tendency of every phase
+    plus the shared field E = -d_par V. `values`, the collocation values
+    of rho and u, saves their transforms when the caller has them."""
+    rho_vals, u_vals = values or (collocation_values(grid, rho, True),
+                                  collocation_values(grid, u, True))
+    drho, du = drift_advection(grid, rho_vals, u_vals, u)
+    du -= derivative_coeffs(grid, V_coeffs(grid, _total(rho), eps), 0)
     return drho, du
 
 
 def step(state: MultiPhaseState, dt: float) -> MultiPhaseState:
-    n = state.n_phases
-    dim = state.grid.ndim
-
-    def unflatten(y):
-        return y[:n], tuple(y[n + i * dim: n + (i + 1) * dim] for i in range(n))
-
-    def f(y, c):
-        drho, du = tendencies(MultiPhaseState(state.t, state.eps, *unflatten(y)))
-        return (*drho, *(dc for duu in du for dc in duu))
-
-    y = rk4_step(f, (*state.rho, *(c for uu in state.u for c in uu)), dt)
-    check_finite(y, state, dt, "toy-model")
-    return MultiPhaseState(state.t + dt, state.eps, *unflatten(y))
+    """Classical RK4 step on the half layout; the first stage reuses the
+    collocation values a recording probe has cached (see epsilon.step)."""
+    grid, phases = state.grid, (state.rho, state.u)
+    values = tuple(np.stack([f._values for f in fs]) for fs in phases)
+    rho, u = rk4_step(
+        lambda y, c: tendencies(grid, *y, state.eps, values if c == 0.0 else None),
+        tuple(np.stack([f.half_coeffs for f in fs]) for fs in phases), dt)
+    rho, u = (tuple(SpectralField(grid, c) for c in full_coeffs(grid, a))
+              for a in (rho, u))
+    check_finite(rho + u, state, dt, "toy-model")
+    return MultiPhaseState(state.t + dt, state.eps, rho, u)
 
 
 def energy(state: MultiPhaseState) -> float:
     """The conserved energy: the relative entropy against the zero
     reference velocity with zero potential."""
-    return relative_entropy(state, ReferenceFlow(velocity=(0.0,) * state.grid.ndim))
+    return relative_entropy(state, 0.0)
 
 
-@dataclass(frozen=True)
-class ReferenceFlow:
-    """Limit reference: constant (hence divergence-free) theta-independent
-    velocity, zero potential, densities transported rigidly."""
-
-    velocity: tuple[float, ...]
-
-    def transported(self, rho0: SpectralField, t: float) -> SpectralField:
-        return translate(rho0, tuple(v * t for v in self.velocity))
-
-
-def relative_entropy(state: MultiPhaseState, ref: ReferenceFlow) -> float:
-    """H >= 0, zero iff the state matches the reference on the grid."""
-    if len(ref.velocity) != state.grid.ndim:
-        raise ConfigError("reference velocity dimension mismatch")
-    V = V_coeffs(state.grid, total_density(state).coeffs, state.eps)
+def relative_entropy(state: MultiPhaseState, velocity: float) -> float:
+    """H >= 0 against the reference flow with constant (hence
+    divergence-free) theta-independent `velocity` and zero potential;
+    zero iff the state matches the reference on the grid."""
+    total = _total(np.stack([r.coeffs for r in state.rho]))
+    V = V_coeffs(state.grid, total, state.eps)
     kin = 0.0
-    for r, uu in zip(state.rho, state.u):
-        rv = inverse(r)
-        dev2 = sum((inverse(c) - ref.velocity[i]) ** 2 for i, c in enumerate(uu))
-        kin += float(np.mean(rv * dev2))
+    for r, u in zip(state.rho, state.u):
+        kin += float(np.mean(r._values * (u._values - velocity) ** 2))
     kin *= 0.5 / state.n_phases
-    grad2 = 0.0
-    for i in range(state.grid.ndim):
-        k = state.grid.mode_grid(i).astype(float)
-        grad2 += TWO_PI_SQ * float(np.sum(k**2 * np.abs(V) ** 2))
+    k = state.grid.modes(0).astype(float)
+    grad2 = TWO_PI_SQ * float(np.sum(k**2 * np.abs(V) ** 2))
     return kin + 0.5 * state.eps * grad2
 
 
@@ -209,7 +181,7 @@ def dichotomy_data(grid: Grid, eps: float, streaming: float,
     common = mean_velocity + math.sqrt(eps) * offset
     u0 = forward(grid, common + streaming * chi)
     u1 = forward(grid, common - streaming * chi)
-    return make_multi_phase([rho0, rho1], [(u0,), (u1,)], eps)
+    return make_multi_phase([rho0, rho1], [u0, u1], eps)
 
 
 def dichotomy_experiment(eps_list, streaming: float = 0.5,
@@ -233,7 +205,6 @@ def dichotomy_experiment(eps_list, streaming: float = 0.5,
     report["trajectories"][branch][eps].
     """
     grid = Grid.line(n_points)
-    ref = ReferenceFlow(velocity=(mean_velocity,))
     report: dict = {"eps": list(map(float, eps_list)),
                     "horizon": horizon, "stable": {}, "unstable": {},
                     "trajectories": {"stable": {}, "unstable": {}}}
@@ -245,7 +216,7 @@ def dichotomy_experiment(eps_list, streaming: float = 0.5,
             n_steps = int(math.ceil(horizon / dt))
             traj = run(state, dt, n_steps, {
                 "energy": energy,
-                "entropy": lambda st: relative_entropy(st, ref),
+                "entropy": lambda st: relative_entropy(st, mean_velocity),
                 "masses": lambda st: [mean(r) for r in st.rho]})
             report["trajectories"][branch][float(eps)] = traj
             report[branch][float(eps)] = {

@@ -27,17 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .epsilon import drift_advection
 from .errors import ConfigError
+from .limit import pressure_gradient_coeffs
 from .quadrature import Trajectory, check_finite, evolve, rk4_step
 from .spectral import (
     Grid,
     SpectralField,
+    check_real,
+    collocation_values,
     constant,
     dealias,
     derivative,
+    full_coeffs,
     inverse,
     l2_norm,
-    product,
+    product_coeffs,
 )
 
 
@@ -52,10 +57,11 @@ class TwoPhaseState:
     def grid(self) -> Grid:
         return self.rho1.grid
 
-    def rho2(self) -> SpectralField:
-        c = -np.array(self.rho1.coeffs, copy=True)
-        c[0] += 1.0
-        return SpectralField(self.grid, c, self.rho1.real)
+    def half(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays a step advances: the half-layout coefficients of rho1
+        and of [v1, v2], stacked on a leading phase axis."""
+        return self.rho1.half_coeffs, np.stack([self.v1.half_coeffs,
+                                                self.v2.half_coeffs])
 
     def interior_margin(self) -> float:
         """min(rho1, 1 - rho1) on the collocation grid."""
@@ -67,36 +73,53 @@ def make_two_phase(rho1: SpectralField, v1: SpectralField,
                    v2: SpectralField) -> TwoPhaseState:
     if not (rho1.grid == v1.grid == v2.grid) or rho1.grid.ndim != 1:
         raise ConfigError("two-phase fields must share one parallel grid")
+    check_real(v1)
+    check_real(v2)
     state = TwoPhaseState(t=0.0, rho1=dealias(rho1), v1=dealias(v1), v2=dealias(v2))
     if state.interior_margin() <= 0.0:
         raise ConfigError("rho1 must take values strictly inside (0, 1)")
     return state
 
 
+def _phases(grid: Grid, rho1: np.ndarray, v: np.ndarray):
+    """Collocation values of [rho1, rho2] and [v1, v2] from the arrays of
+    TwoPhaseState.half: rho2 = 1 - rho1 is implied."""
+    rho = np.stack([rho1, -rho1])
+    rho[1, 0] += 1.0
+    return collocation_values(grid, rho, True), collocation_values(grid, v, True)
+
+
 def pressure_gradient(state: TwoPhaseState) -> SpectralField:
-    """d_par p = -d_par(rho1 v1^2 + rho2 v2^2), zero mean."""
-    flux = product(state.rho1, product(state.v1, state.v1)) \
-        + product(state.rho2(), product(state.v2, state.v2))
-    return -derivative(flux, 0)
+    """d_par p = -d_par(rho1 v1^2 + rho2 v2^2), zero mean: a field view of
+    the closure the step uses."""
+    grid = state.grid
+    dp = pressure_gradient_coeffs(grid, *_phases(grid, *state.half()))
+    return SpectralField(grid, full_coeffs(grid, dp.sum(axis=0)))
 
 
 def momentum_flux_residual(state: TwoPhaseState) -> float:
     """|d_par(rho1 v1 + rho2 v2)| in L2; zero on the constraint manifold."""
-    total = product(state.rho1, state.v1) + product(state.rho2(), state.v2)
-    return l2_norm(derivative(total, 0))
+    grid = state.grid
+    flux = product_coeffs(grid, *_phases(grid, *state.half()), True).sum(axis=0)
+    return l2_norm(derivative(SpectralField(grid, full_coeffs(grid, flux)), 0))
 
 
-def tendencies(state: TwoPhaseState):
-    dp = pressure_gradient(state)
-    drho1 = -derivative(product(state.v1, state.rho1), 0)
-    dv1 = -product(state.v1, derivative(state.v1, 0)) - dp
-    dv2 = -product(state.v2, derivative(state.v2, 0)) - dp
-    return drho1, dv1, dv2
+def tendencies(grid: Grid, rho1: np.ndarray, v: np.ndarray):
+    """(d_t rho1, d_t [v1, v2]) on the arrays of TwoPhaseState.half: the
+    drift-advection tendency of both phases, with the pressure closure
+    summed over them."""
+    rho_vals, v_vals = _phases(grid, rho1, v)
+    drho, dv = drift_advection(grid, rho_vals, v_vals, v)
+    dv -= pressure_gradient_coeffs(grid, rho_vals, v_vals).sum(axis=0)
+    return drho[0], dv
 
 
 def step(state: TwoPhaseState, dt: float) -> TwoPhaseState:
-    y = rk4_step(lambda y, c: tendencies(TwoPhaseState(state.t, *y)),
-                 (state.rho1, state.v1, state.v2), dt)
+    """Classical RK4 step on the half layout (see epsilon.step)."""
+    grid = state.grid
+    rho1, v = rk4_step(lambda y, c: tendencies(grid, *y), state.half(), dt)
+    y = (SpectralField(grid, full_coeffs(grid, rho1)),
+         *(SpectralField(grid, c) for c in full_coeffs(grid, v)))
     check_finite(y, state, dt, "two-phase")
     return TwoPhaseState(state.t + dt, *y)
 

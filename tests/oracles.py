@@ -3,9 +3,16 @@
 Everything here is deliberately written against raw numpy (or scipy for
 stiff ODE integration), without using the package's spectral machinery,
 so each oracle exercises a different code path from the operation it
-checks."""
+checks. The exceptions are the field-level reduction steps at the end:
+the two-phase and toy-model tendencies written with full-layout
+`SpectralField` arithmetic, one dealiased product at a time, against which
+the stacked half-layout kernels of `twostream` and `toymodel` are pinned."""
 
 import numpy as np
+
+from driftfluid.poisson import V_coeffs
+from driftfluid.quadrature import rk4_step
+from driftfluid.spectral import SpectralField, derivative, product
 
 
 def direct_dft(values):
@@ -142,3 +149,44 @@ def characteristic_foot(ubar_func, x, t, n_sub=2000):
         k4 = ubar_func(pos + dt * k3)
         pos += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return pos
+
+
+def two_phase_field_tendencies(rho1, v1, v2):
+    """(d_t rho1, d_t v1, d_t v2) of the two-phase system on fields: the
+    pressure closure d_par p = -d_par(rho1 v1^2 + rho2 v2^2), rho2 = 1 - rho1."""
+    c = -np.array(rho1.coeffs, copy=True)
+    c[0] += 1.0
+    rho2 = SpectralField(rho1.grid, c)
+    flux = product(rho1, product(v1, v1)) + product(rho2, product(v2, v2))
+    dp = -derivative(flux, 0)
+    drho1 = -derivative(product(v1, rho1), 0)
+    dv1 = -product(v1, derivative(v1, 0)) - dp
+    dv2 = -product(v2, derivative(v2, 0)) - dp
+    return drho1, dv1, dv2
+
+
+def toy_field_tendencies(rho, u, eps):
+    """(d_t rho, d_t u) of the line-grid toy model on tuples of phase
+    fields: E = -d_par V with -eps d_par^2 V = (1/N) sum rho - 1."""
+    grid = rho[0].grid
+    total = rho[0]
+    for r in rho[1:]:
+        total = total + r
+    total = (1.0 / len(rho)) * total
+    E = -derivative(SpectralField(grid, V_coeffs(grid, total.coeffs, eps)), 0)
+    drho = tuple(-derivative(product(uu, r), 0) for r, uu in zip(rho, u))
+    du = tuple(E - product(uu, derivative(uu, 0)) for uu in u)
+    return drho, du
+
+
+def two_phase_field_step(rho1, v1, v2, dt):
+    """One RK4 step of the field-level two-phase tendencies."""
+    return rk4_step(lambda y, c: two_phase_field_tendencies(*y), (rho1, v1, v2), dt)
+
+
+def toy_field_step(rho, u, eps, dt):
+    """One RK4 step of the field-level toy-model tendencies."""
+    n = len(rho)
+    y = rk4_step(lambda y, c: sum(toy_field_tendencies(y[:n], y[n:], eps), ()),
+                 (*rho, *u), dt)
+    return y[:n], y[n:]

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftfluid
 from driftfluid import epsilon, limit, presets
 from driftfluid.cli import RunConfig, main, run, validate
 from driftfluid.errors import ConfigError
@@ -182,6 +187,23 @@ class TestValidate:
             "initial_data": {"preset": "equilibrium", "params": {}}})
         report = validate(cfg)
         assert any("resolution bound" in f for f in report["findings"])
+
+    def test_runtime_core_is_numpy_only(self):
+        """Importing the CLI and validating a config loads no test-only
+        dependency: scipy and hypothesis stay out of the runtime core."""
+        script = (
+            "import json, sys\n"
+            "from driftfluid import cli\n"
+            "cli.validate(cli.RunConfig.from_dict({'experiment': 'eps_run', "
+            "'eps': [1e-2], 'initial_data': {'preset': 'single_mode', "
+            "'params': {'amplitude': 0.05}}}))\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'hypothesis'))))\n")
+        src = str(Path(driftfluid.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert json.loads(out.stdout) == []
 
 
 class TestRunner:

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from driftfluid import epsilon, limit, toymodel, twostream
-from driftfluid.errors import BlowUpError
+from driftfluid.errors import BlowUpError, InvariantError
 from driftfluid.quadrature import (
     cumulative_integral,
     evolve,
@@ -17,7 +17,7 @@ from driftfluid.quadrature import (
     rk4_step,
     states_at,
 )
-from driftfluid.spectral import Grid, constant, forward
+from driftfluid.spectral import Grid, SpectralField, constant, forward
 
 
 class TestCumulativeIntegral:
@@ -160,6 +160,45 @@ class TestBlowUp:
         with np.errstate(all="ignore"):
             with pytest.raises(BlowUpError):
                 epsilon.step(bad, 1e-3)
+
+
+def _skewed(field):
+    """`field` plus one unpaired k_par = 1 coefficient: data no real
+    function has."""
+    c = np.array(field.coeffs, copy=True)
+    c[(0,) * (field.grid.ndim - 1) + (1,)] += 0.1
+    return SpectralField(field.grid, c)
+
+
+def _entry_cases():
+    """Each system's initial-data constructor as a function of a velocity
+    filter applied to one of its velocities."""
+    rho, v = _torus_data()
+    line = Grid.line(16)
+    x = line.coordinates(0)
+    bump = 0.1 * np.cos(2 * np.pi * x)
+    u = forward(line, np.sin(2 * np.pi * x))
+    return {
+        "epsilon": lambda f: epsilon.make_eps_state(rho, f(v), 0.01),
+        "limit": lambda f: limit.project_initial(rho, f(v)),
+        "twostream": lambda f: twostream.make_two_phase(
+            forward(line, 0.5 + bump), u, f(-u)),
+        "toymodel": lambda f: toymodel.make_multi_phase(
+            [forward(line, 1.0 + bump), forward(line, 1.0 - bump)],
+            [u, f(-u)], 0.1),
+    }
+
+
+class TestEntryGuards:
+    @pytest.mark.parametrize("system", ["epsilon", "limit", "twostream", "toymodel"])
+    def test_non_hermitian_velocity_is_refused(self, system):
+        """A step reads only the k_par >= 0 half of a real field, so an
+        anti-Hermitian part would be dropped silently: the constructors
+        refuse it."""
+        make = _entry_cases()[system]
+        make(lambda f: f)
+        with pytest.raises(InvariantError):
+            make(_skewed)
 
 
 class _Doubling:

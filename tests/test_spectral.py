@@ -28,7 +28,6 @@ from driftfluid.spectral import (
     product,
     product_coeffs,
     shrinking_norm,
-    translate,
     zeros,
 )
 
@@ -435,16 +434,6 @@ class TestBatchedProductProperty:
 
 
 class TestFieldUtilities:
-    def test_translate(self, rng):
-        g = Grid.line(32)
-        f = random_band_field(g, 4, rng)
-        shifted = translate(f, [0.25])
-        x = g.coordinates(0)
-        expected = direct_series_sum(f.coeffs).real
-        rolled = inverse(shifted)
-        # f(x - 0.25) sampled on the grid equals values rolled by 8 points
-        assert np.max(np.abs(rolled - np.roll(expected, 8))) < 1e-12
-
     def test_inner_is_parseval(self, rng):
         g = Grid.torus3d(4, 4, 8)
         f = random_band_field(g, 1, rng)
