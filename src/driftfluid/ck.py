@@ -15,17 +15,21 @@ G^{n+1}(t) = int_0^t E_par^{n+1} ds. The zeroth iterate freezes the data:
 rho^0(t) = rho(0), G^0(t) = t E_par(0), w^0(t) = v(0) - G^0(t).
 
 An iterate is evaluated over its whole time axis at once: the samples are
-stacked along a leading axis, and the field solves, dealiased products and
-derivatives of all of them are single array-level calls (the helpers behind
-spectral.product and poisson.solve_fields, so every sample gets the same
-arithmetic as a one-field call). An iterate holds its coefficient arrays
-with that leading time axis, in the full layout; the recursion step cuts
-them to their half layout (see spectral) once, computes on it, and
-completes the new iterate once. The transport term is the drift-advection
-tendency of the eps integrator (epsilon.drift_advection). The shrinking
-norm of a difference is two matrix products over all (delta, t) pairs;
-run_scheme returns each consecutive distance once, next to the iterates,
-and the contraction report and the rate certificate read those distances.
+stacked along a leading axis, and the field solves and derivatives of all
+of them are single array-level calls (the helpers behind poisson.solve_fields,
+so every sample gets the same arithmetic as a one-field call). An iterate
+holds its coefficient arrays with that leading time axis, in the full
+layout; the recursion step cuts them to their half layout (see spectral)
+once, computes on it, and completes the new iterate once. The transport
+term is the drift-advection tendency of the eps integrator
+(epsilon.drift_advection): its transforms stack the fields and samples
+together in blocks of at most spectral.FFT_BLOCK_POINTS points, so that
+an iteration makes a few calls in all instead of one per field and
+product (6 at 4x4x8 with 43 samples), and a large grid chunks the time
+axis. The shrinking norm of a difference is two matrix products over all
+(delta, t) pairs; run_scheme returns each consecutive distance once, next
+to the iterates, and the contraction report and the rate certificate read
+those distances.
 
 On a short enough slab (eta small) consecutive differences contract
 geometrically in the shrinking analytic norms; the fixed point solves the
@@ -50,7 +54,6 @@ from .spectral import (
     Grid,
     NormParams,
     SpectralField,
-    collocation_values,
     embed_parallel_coeffs,
     full_coeffs,
     shrinking_norm,
@@ -109,9 +112,7 @@ def iterate(prev: Iterate, rho0: SpectralField, v0: SpectralField) -> Iterate:
     m = grid.half.shape[-1]
     rho, v = prev.rho[..., :m], prev.v[..., :m]
     forces = field_coeffs(grid, rho, eps)
-    drho, dw = drift_advection(grid, collocation_values(grid, rho, True),
-                               collocation_values(grid, v, True), v,
-                               forces.Eperp1, forces.Eperp2)
+    drho, dw = drift_advection(grid, rho, v, forces.Eperp1, forces.Eperp2)
     dw -= forces.eps_dpar_phi
     rho = rho0.half_coeffs[None] + cumulative_integral(drho, dt)
     w = v0.half_coeffs[None] + cumulative_integral(dw, dt)

@@ -5,12 +5,13 @@ integral G of the parallel electric field E_par = -d_par V, advanced with
 the same RK4 stages as the dynamical variables (Simpson on the stages).
 The filtered current is w = v - G. Potentials and forces are derived from
 rho on demand and never integrated. The transport part of the tendency,
-drift_advection, is the one shared with the limit system and the CK
-iteration. A step is the shared RK4 step on half-layout coefficient
-arrays (see spectral): the state's fields are cut to their k_par >= 0 half
-once on entry and completed to the full layout once on exit, and the
-first stage reuses any collocation values a recording probe has cached on
-them.
+drift_advection, is the one shared with the limit system, the CK
+iteration and the line-grid reductions; each stage of it is one stacked
+inverse and one stacked forward transform on small grids. A step is the
+shared RK4 step on half-layout coefficient arrays (see spectral): the
+state's fields are cut to their k_par >= 0 half once on entry and
+completed to the full layout once on exit, and the first stage reuses any
+collocation values a recording probe has cached on them.
 
 The density mean is a conserved, pinned quantity: the k = 0 tendency of
 rho vanishes identically (it is a divergence) and the coefficient is reset
@@ -48,9 +49,9 @@ from .spectral import (
     SpectralField,
     analytic_norm,
     check_real,
-    collocation_values,
     constant,
     dealias,
+    dealiased_products,
     derivative,
     derivative_coeffs,
     embed_parallel,
@@ -59,7 +60,6 @@ from .spectral import (
     mean,
     perp_average,
     product,
-    product_coeffs,
     zeros,
 )
 
@@ -145,37 +145,78 @@ def oscillation_period(eps: float) -> float:
     return 2.0 * math.pi * math.sqrt(eps)
 
 
-def drift_advection(grid: Grid, rho_vals: np.ndarray, v_vals: np.ndarray,
-                    v: np.ndarray, e1: np.ndarray | None = None,
-                    e2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The transport operator shared by the eps system, its limit and the
-    CK iteration: E x B drift in the perpendicular plane plus parallel
-    advection,
+def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
+                    e1: np.ndarray | None = None, e2: np.ndarray | None = None,
+                    values: tuple | None = None, pressure: bool = False,
+                    evolved: int | None = None) -> tuple:
+    """The transport operator shared by the eps system, its limit, the CK
+    iteration and the line-grid reductions: E x B drift in the
+    perpendicular plane plus parallel advection,
 
         (-d_par(v rho) - div_perp(E_perp rho), -v d_par v - div_perp(E_perp v)),
 
-    on half-layout coefficient arrays of real fields, leading axes
-    evaluated at once. rho and v enter through their collocation values
-    (v also through its coefficients, for d_par v), so a caller that needs
-    those values again transforms them once. The perpendicular drift
-    needs both perpendicular axes: on a grid without one, E_perp (e1, e2)
-    has no component whose divergence is non-zero; none need be passed.
+    on half-layout coefficient arrays of real fields with common leading
+    axes, evaluated at once. One stacked inverse transform makes the
+    collocation values of rho, v, d_par v and E_perp (rho's and v's are
+    skipped when `values` holds them), and one stacked forward transform
+    the dealiased products v rho, v d_par v and E_perp (rho, v); see
+    spectral.dealiased_products for the blocks they are split into. The
+    perpendicular drift is left out when E_perp (e1, e2) is not given, and
+    on a grid without both perpendicular axes, where E_perp has no
+    component whose divergence is non-zero.
+
+    With `pressure`, the flux <rho (v v)>_perp of the pressure closure
+    (both products dealiased) rides in the same batches and is returned
+    third, as coefficients on the parallel line for each leading row.
+    Only the first `evolved` densities along the first leading axis (all
+    by default) get a transport term: the two-phase system's implied
+    rho2 = 1 - rho1 enters its closure alone.
     """
     par = grid.par_axis
-    # few live temporaries (d_par v values freed at once, in-place sums):
-    # on large grids each freed one can be re-faulted from the OS
-    drho = -derivative_coeffs(grid, product_coeffs(grid, v_vals, rho_vals, True), par)
-    dv = -product_coeffs(grid, v_vals, collocation_values(
-        grid, derivative_coeffs(grid, v, par), True), True)
-    if PERP1 not in grid.axes or PERP2 not in grid.axes:
-        return drho, dv
-    for comp, label in ((e1, PERP1), (e2, PERP2)):
-        comp_vals = collocation_values(grid, comp, True)
-        drho -= derivative_coeffs(
-            grid, product_coeffs(grid, comp_vals, rho_vals, True), label)
-        dv -= derivative_coeffs(
-            grid, product_coeffs(grid, comp_vals, v_vals, True), label)
-    return drho, dv
+    lead = v.shape[:v.ndim - grid.ndim]
+    n = math.prod(lead)
+    n_rho = n if evolved is None else evolved * n // lead[0]
+    # d_par v is transformed first, so its coefficients go at once
+    coeffs = {"dpar_v": derivative_coeffs(grid, v, par)}
+    if values is None:
+        coeffs |= {"rho": rho, "v": v}
+    # (factor, factor, rows, tendency: 0 rho or 1 v, derivative axis); the
+    # first product of each tendency sets it, and d_par v's values go
+    # after the first product
+    terms = [("v", "dpar_v", n, 1, None), ("v", "rho", n_rho, 0, par)]
+    if e1 is not None and PERP1 in grid.axes and PERP2 in grid.axes:
+        coeffs |= {"e1": e1, "e2": e2}
+        for comp, label in (("e1", PERP1), ("e2", PERP2)):
+            terms += [(comp, "rho", n_rho, 0, label), (comp, "v", n, 1, label)]
+    rounds = (tuple(term[:3] for term in terms),)
+    if pressure:
+        # v v among the products, then rho times its values (pair len(terms))
+        rounds = (rounds[0] + (("v", "v", n),), (("rho", len(terms), n),))
+        flux = np.empty((n, grid.half.shape[-1]), dtype=complex)
+    known = {} if values is None else dict(zip(("rho", "v"), values))
+    # each product is summed into its tendency as its block arrives, and a
+    # tendency is allocated with its first product, so a grid too large to
+    # batch keeps few live temporaries: on large grids each freed one can
+    # be re-faulted from the OS
+    out = [None, None]                            # d_t rho, d_t v
+    for j, rows, c in dealiased_products(grid, known, coeffs, rounds):
+        if j < len(terms):
+            *_, t, axis = terms[j]
+            if out[t] is None:
+                out[t] = np.empty(((n_rho, n)[t],) + c.shape[1:], dtype=complex)
+            term = c if axis is None else derivative_coeffs(grid, c, axis)
+            if j < 2:
+                np.negative(term, out=out[t][rows])
+            else:
+                out[t][rows] -= term
+            del term
+        elif j == len(terms) + 1:
+            flux[rows] = c[grid._par_line]
+        del c                                     # before the next block
+    drho, dv = out
+    rho_lead = lead if evolved is None else (evolved,) + lead[1:]
+    result = (drho.reshape(rho_lead + drho.shape[1:]), dv.reshape(v.shape))
+    return result + (flux.reshape(lead + flux.shape[1:]),) if pressure else result
 
 
 def tendencies(grid: Grid, rho: np.ndarray, v: np.ndarray, eps: float,
@@ -189,11 +230,8 @@ def tendencies(grid: Grid, rho: np.ndarray, v: np.ndarray, eps: float,
     d_t rho is a pure divergence so its k = 0 and exact k_perp = 0
     bookkeeping follow from the spectral derivative (zero at k = 0).
     """
-    rho_vals, v_vals = values or (collocation_values(grid, rho, True),
-                                  collocation_values(grid, v, True))
     forces = field_coeffs(grid, rho, eps)
-    drho, dv = drift_advection(grid, rho_vals, v_vals, v,
-                               forces.Eperp1, forces.Eperp2)
+    drho, dv = drift_advection(grid, rho, v, forces.Eperp1, forces.Eperp2, values)
     dv -= forces.eps_dpar_phi
     dv[grid._par_line] += forces.Epar
     return drho, dv, forces.Epar

@@ -33,7 +33,6 @@ from .spectral import (
     Grid,
     SpectralField,
     check_real,
-    collocation_values,
     dealias,
     derivative,
     derivative_coeffs,
@@ -45,7 +44,6 @@ from .spectral import (
     mean,
     perp_average,
     product,
-    product_coeffs,
 )
 
 
@@ -60,20 +58,19 @@ class LimitState:
         return self.rho.grid
 
 
-def pressure_gradient_coeffs(grid: Grid, rho_vals: np.ndarray,
-                             v_vals: np.ndarray) -> np.ndarray:
-    """d_par p = -d_par <rho v^2>_perp from the collocation values of rho
-    and v: half-layout coefficients on the parallel grid."""
-    vv = collocation_values(grid, product_coeffs(grid, v_vals, v_vals, True), True)
-    flux = product_coeffs(grid, rho_vals, vv, True)[grid._par_line]
-    return -derivative_coeffs(grid.par_grid, flux, 0)
+def pressure_gradient_coeffs(line: Grid, flux: np.ndarray) -> np.ndarray:
+    """d_par p = -d_par <rho v^2>_perp from the closure flux on the
+    parallel grid `line`."""
+    return -derivative_coeffs(line, flux, 0)
 
 
 def pressure_gradient(rho: SpectralField, v: SpectralField) -> SpectralField:
-    """d_par p = -d_par <rho v^2>_perp, a zero-mean parallel field."""
+    """d_par p = -d_par <rho v^2>_perp, a zero-mean parallel field: a
+    field view of the closure the step forms in drift_advection."""
     line = rho.grid.par_grid
-    return SpectralField(line, full_coeffs(
-        line, pressure_gradient_coeffs(rho.grid, rho._values, v._values)))
+    flux = drift_advection(rho.grid, rho.half_coeffs, v.half_coeffs,
+                           values=(rho._values, v._values), pressure=True)[2]
+    return SpectralField(line, full_coeffs(line, pressure_gradient_coeffs(line, flux)))
 
 
 def constraint_residuals(rho: SpectralField, v: SpectralField) -> tuple[float, float]:
@@ -120,21 +117,19 @@ def tendencies(grid: Grid, rho: np.ndarray, v: np.ndarray,
                with_pressure: bool = True, values: tuple | None = None):
     """(d_t rho, d_t v, constraint flux residual) on half-layout
     coefficient arrays: the drift-advection tendency with E_perp from the
-    eps = 0 symbol, plus the pressure closure. `values`, the collocation
-    values of rho and v, saves their transforms when the caller has them.
+    eps = 0 symbol, plus the pressure closure, whose flux the kernel forms
+    in the same stacked transforms. `values`, the collocation values of
+    rho and v, saves their transforms when the caller has them.
 
     The k_perp = 0 modes of d_t rho are analytically -d_par <rho v>_perp,
     zero on the constraint manifold; their discrete magnitude (the L2 norm
     over the full line) is returned as the residual and they are projected
     out so the constraint holds identically.
     """
-    rho_vals, v_vals = values or (collocation_values(grid, rho, True),
-                                  collocation_values(grid, v, True))
     e1, e2 = perp_field_coeffs(grid, phi_coeffs(grid, rho, 0.0))
-    # the closure reuses the collocation values of rho and v
-    drho, dv = drift_advection(grid, rho_vals, v_vals, v, e1, e2)
+    drho, dv, *flux = drift_advection(grid, rho, v, e1, e2, values, with_pressure)
     if with_pressure:
-        dv[grid._par_line] -= pressure_gradient_coeffs(grid, rho_vals, v_vals)
+        dv[grid._par_line] -= pressure_gradient_coeffs(grid.par_grid, *flux)
     line = full_coeffs(grid.par_grid, drho[grid._par_line])
     residual = float(np.sqrt(np.sum(np.abs(line) ** 2)))
     drho[grid._par_line] = 0.0

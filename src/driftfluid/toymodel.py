@@ -39,7 +39,6 @@ from .spectral import (
     Grid,
     SpectralField,
     check_real,
-    collocation_values,
     dealias,
     derivative_coeffs,
     forward,
@@ -100,9 +99,7 @@ def tendencies(grid: Grid, rho: np.ndarray, u: np.ndarray, eps: float,
     stacked on a leading axis: the drift-advection tendency of every phase
     plus the shared field E = -d_par V. `values`, the collocation values
     of rho and u, saves their transforms when the caller has them."""
-    rho_vals, u_vals = values or (collocation_values(grid, rho, True),
-                                  collocation_values(grid, u, True))
-    drho, du = drift_advection(grid, rho_vals, u_vals, u)
+    drho, du = drift_advection(grid, rho, u, values=values)
     du -= derivative_coeffs(grid, V_coeffs(grid, _total(rho), eps), 0)
     return drho, du
 

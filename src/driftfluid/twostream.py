@@ -81,37 +81,39 @@ def make_two_phase(rho1: SpectralField, v1: SpectralField,
     return state
 
 
-def _phases(grid: Grid, rho1: np.ndarray, v: np.ndarray):
-    """Collocation values of [rho1, rho2] and [v1, v2] from the arrays of
-    TwoPhaseState.half: rho2 = 1 - rho1 is implied."""
+def _densities(rho1: np.ndarray) -> np.ndarray:
+    """[rho1, rho2] stacked on a leading phase axis, from the rho1 array
+    of TwoPhaseState.half: rho2 = 1 - rho1 is implied."""
     rho = np.stack([rho1, -rho1])
     rho[1, 0] += 1.0
-    return collocation_values(grid, rho, True), collocation_values(grid, v, True)
+    return rho
 
 
 def pressure_gradient(state: TwoPhaseState) -> SpectralField:
     """d_par p = -d_par(rho1 v1^2 + rho2 v2^2), zero mean: a field view of
     the closure the step uses."""
-    grid = state.grid
-    dp = pressure_gradient_coeffs(grid, *_phases(grid, *state.half()))
-    return SpectralField(grid, full_coeffs(grid, dp.sum(axis=0)))
+    grid, (rho1, v) = state.grid, state.half()
+    flux = drift_advection(grid, _densities(rho1), v, pressure=True, evolved=1)[2]
+    dp = pressure_gradient_coeffs(grid, flux).sum(axis=0)
+    return SpectralField(grid, full_coeffs(grid, dp))
 
 
 def momentum_flux_residual(state: TwoPhaseState) -> float:
     """|d_par(rho1 v1 + rho2 v2)| in L2; zero on the constraint manifold."""
-    grid = state.grid
-    flux = product_coeffs(grid, *_phases(grid, *state.half()), True).sum(axis=0)
+    grid, (rho1, v) = state.grid, state.half()
+    flux = product_coeffs(grid, collocation_values(grid, _densities(rho1), True),
+                          collocation_values(grid, v, True), True).sum(axis=0)
     return l2_norm(derivative(SpectralField(grid, full_coeffs(grid, flux)), 0))
 
 
 def tendencies(grid: Grid, rho1: np.ndarray, v: np.ndarray):
     """(d_t rho1, d_t [v1, v2]) on the arrays of TwoPhaseState.half: the
     drift-advection tendency of both phases, with the pressure closure
-    summed over them."""
-    rho_vals, v_vals = _phases(grid, rho1, v)
-    drho, dv = drift_advection(grid, rho_vals, v_vals, v)
-    dv -= pressure_gradient_coeffs(grid, rho_vals, v_vals).sum(axis=0)
-    return drho[0], dv
+    summed over them. Only rho1 is transported; rho2 enters the closure."""
+    drho1, dv, flux = drift_advection(grid, _densities(rho1), v, pressure=True,
+                                      evolved=1)
+    dv -= pressure_gradient_coeffs(grid, flux).sum(axis=0)
+    return drho1[0], dv
 
 
 def step(state: TwoPhaseState, dt: float) -> TwoPhaseState:

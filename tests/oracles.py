@@ -3,8 +3,10 @@
 Everything here is deliberately written against raw numpy (or scipy for
 stiff ODE integration), without using the package's spectral machinery,
 so each oracle exercises a different code path from the operation it
-checks. The exceptions are the field-level reduction steps at the end:
-the two-phase and toy-model tendencies written with full-layout
+checks. The exceptions are the kernels at the end: the shared transport
+kernel with one numpy.fft call per field and per dealiased product, against
+which the stacked, blocked transforms of `epsilon.drift_advection` are
+pinned, and the two-phase and toy-model tendencies written with full-layout
 `SpectralField` arithmetic, one dealiased product at a time, against which
 the stacked half-layout kernels of `twostream` and `toymodel` are pinned."""
 
@@ -12,7 +14,14 @@ import numpy as np
 
 from driftfluid.poisson import V_coeffs
 from driftfluid.quadrature import rk4_step
-from driftfluid.spectral import SpectralField, derivative, product
+from driftfluid.spectral import (
+    PERP1,
+    PERP2,
+    SpectralField,
+    derivative,
+    derivative_coeffs,
+    product,
+)
 
 
 def direct_dft(values):
@@ -149,6 +158,41 @@ def characteristic_foot(ubar_func, x, t, n_sub=2000):
         k4 = ubar_func(pos + dt * k3)
         pos += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return pos
+
+
+def _per_field_values(grid, coeffs):
+    """Collocation values of half-layout coefficients, one irfftn."""
+    axes = tuple(range(-grid.ndim, 0))
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=axes) * grid.size
+
+
+def _per_product_coeffs(grid, f_vals, g_vals):
+    """Dealiased half-layout coefficients of one product, one rfftn."""
+    coeffs = np.fft.rfftn(f_vals * g_vals, axes=tuple(range(-grid.ndim, 0)))
+    coeffs /= grid.size
+    coeffs *= grid.half.dealias_mask
+    return coeffs
+
+
+def per_product_drift_advection(grid, rho, v, e1=None, e2=None):
+    """epsilon.drift_advection with one numpy.fft call per field and per
+    dealiased product, on half-layout arrays with any leading axes, and
+    the flux <rho (v v)>_perp of the pressure closure the same way."""
+    par = grid.par_axis
+    rho_vals, v_vals = _per_field_values(grid, rho), _per_field_values(grid, v)
+    drho = -derivative_coeffs(grid, _per_product_coeffs(grid, v_vals, rho_vals), par)
+    dv = -_per_product_coeffs(grid, v_vals, _per_field_values(
+        grid, derivative_coeffs(grid, v, par)))
+    if PERP1 in grid.axes and PERP2 in grid.axes:
+        for comp, label in ((e1, PERP1), (e2, PERP2)):
+            comp_vals = _per_field_values(grid, comp)
+            drho -= derivative_coeffs(
+                grid, _per_product_coeffs(grid, comp_vals, rho_vals), label)
+            dv -= derivative_coeffs(
+                grid, _per_product_coeffs(grid, comp_vals, v_vals), label)
+    vv = _per_field_values(grid, _per_product_coeffs(grid, v_vals, v_vals))
+    flux = _per_product_coeffs(grid, rho_vals, vv)[grid._par_line]
+    return drho, dv, flux
 
 
 def two_phase_field_tendencies(rho1, v1, v2):

@@ -5,20 +5,26 @@ of the shrinking norm in the strip-consumption rate eta, the mass
 conservation of the drift-advection tendency, Parseval, and the Poisson
 solves (phi free of k_perp = 0 content, the mean-1 solvability). The
 half-layout kernel (drift advection, field solves, the completion to the
-full layout) is checked against full-layout references written here."""
+full layout) is checked against full-layout references written here, and
+its stacked, blocked transforms bit for bit against one numpy.fft call
+per field and per product (tests/oracles.py), with the number of
+transforms of an eps and a limit step counted."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from driftfluid import epsilon, limit, spectral
 from driftfluid.epsilon import drift_advection
 from driftfluid.errors import SolvabilityError
 from driftfluid.poisson import TWO_PI_SQ, field_coeffs, phi_coeffs, solve_phi
 from driftfluid.spectral import (
     PERP1,
     PERP2,
+    Grid,
     NormParams,
     analytic_norm,
     collocation_values,
@@ -32,6 +38,7 @@ from driftfluid.spectral import (
 )
 
 from conftest import PROPERTY_GRIDS, random_band_field
+from oracles import per_product_drift_advection
 
 grids = st.sampled_from(PROPERTY_GRIDS)
 seeds = st.integers(0, 2**32 - 1)
@@ -65,8 +72,7 @@ def test_shrinking_norm_non_decreasing_in_eta(grid, n_t, kmax, etas, beta, seed)
 
 def _tendency(grid, rho, v, e1, e2):
     """drift_advection of half-layout arrays."""
-    return drift_advection(grid, collocation_values(grid, rho, True),
-                           collocation_values(grid, v, True), v, e1, e2)
+    return drift_advection(grid, rho, v, e1, e2)
 
 
 def _draw(grid, kmax, rng, n_batch, mean=0.0):
@@ -229,3 +235,99 @@ def test_density_mean_other_than_one_is_unsolvable(grid, n_batch, kmax, mean, se
         field_coeffs(grid, _half(grid, rho), 0.1)
     with pytest.raises(SolvabilityError):
         field_coeffs(grid, rho, 0.1)
+
+
+# -- the stacked, blocked transforms of the kernel ---------------------------
+
+def _stacked_kernel(grid, n_batch, kmax, cached, seed):
+    """Random inputs, and drift_advection of them with the pressure
+    closure's flux plus the density tendency of the first row alone
+    (`evolved`, None without a leading axis)."""
+    rng = np.random.default_rng(seed)
+    inputs = tuple(_half(grid, _draw(grid, kmax, rng, n_batch, mean))
+                   for mean in (1.0, 0.3, 0.0, 0.0))
+    rho, v = inputs[:2]
+    values = ((collocation_values(grid, rho, True),
+               collocation_values(grid, v, True)) if cached else None)
+    got = drift_advection(grid, *inputs, values, pressure=True)
+    first = drift_advection(grid, *inputs, values, evolved=1)[0] if n_batch else None
+    return inputs, got, first
+
+
+def _assert_per_transform(grid, inputs, got, first):
+    """The kernel's outputs equal the one-call-per-transform oracle's bit
+    for bit."""
+    want = per_product_drift_advection(grid, *inputs)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    if first is not None:
+        assert np.array_equal(first, want[0][:1])
+
+
+@given(grid=grids, n_batch=st.integers(0, 3), kmax=st.integers(0, 3),
+       cached=st.booleans(), seed=seeds)
+def test_stacked_kernel_is_bitwise_per_transform(grid, n_batch, kmax, cached, seed):
+    """One stacked inverse and one stacked forward transform per stage,
+    with or without a leading axis and with rho's and v's values cached
+    or not, move no bit of the tendencies."""
+    _assert_per_transform(grid, *_stacked_kernel(grid, n_batch, kmax, cached, seed))
+
+
+@example(grid=Grid.torus3d(4, 4, 8), n_batch=3, kmax=2, cached=False, rows=2, seed=1)
+@given(grid=grids, n_batch=st.integers(0, 3), kmax=st.integers(0, 3),
+       cached=st.booleans(), rows=st.integers(1, 4), seed=seeds)
+def test_kernel_blocks_are_bitwise_per_transform(grid, n_batch, kmax, cached,
+                                                 rows, seed):
+    """With a budget of `rows` fields per numpy.fft call, the fields and
+    products of a stage span several calls, and a field's leading rows
+    are cut into chunks, the last one partial (the example: 3 rows in
+    chunks of 2 and 1). No call takes more rows, and the tendencies still
+    match bit for bit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "FFT_BLOCK_POINTS", rows * grid.size)
+        calls = _count_transforms(patch)
+        outputs = _stacked_kernel(grid, n_batch, kmax, cached, seed)
+    assert max(math.prod(shape[:-grid.ndim]) for _, shape in calls) <= rows
+    _assert_per_transform(grid, *outputs)
+
+
+def _count_transforms(monkeypatch) -> list:
+    """Record (name, input shape) of every numpy.fft entry point called
+    from here on."""
+    calls = []
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                 "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _state_fields(grid):
+    rng = np.random.default_rng(3)
+    rho = random_band_field(grid, 2, rng, amplitude=0.02, mean=1.0)
+    return rho, random_band_field(grid, 2, rng, amplitude=0.1)
+
+
+def test_eps_step_transforms_once_each_way_per_stage(monkeypatch):
+    """One eps step at 4x4x16 whose fields hold cached values (as after a
+    recorded sample) makes 8 real transforms: one stacked inverse and one
+    stacked forward per RK4 stage (42 with one call per field)."""
+    state = epsilon.make_eps_state(*_state_fields(Grid.torus3d(4, 4, 16)), 0.05)
+    state.rho._values, state.v._values
+    calls = _count_transforms(monkeypatch)
+    epsilon.step(state, 1e-3)
+    assert len(calls) <= 8 and {name for name, _ in calls} == {"irfftn", "rfftn"}
+
+
+def test_limit_step_transforms_per_stage(monkeypatch):
+    """One limit step at 4x4x16 makes 16 real transforms: per RK4 stage
+    one stacked inverse and one stacked forward (the closure's v v among
+    the products), then the inverse of v v and the forward of rho (v v)
+    (54 with one call per field)."""
+    state = limit.project_initial(*_state_fields(Grid.torus3d(4, 4, 16)))
+    state.rho._values, state.v._values
+    calls = _count_transforms(monkeypatch)
+    limit.step(state, 1e-3)
+    assert len(calls) <= 16 and {name for name, _ in calls} == {"irfftn", "rfftn"}
