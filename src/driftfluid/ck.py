@@ -16,20 +16,18 @@ rho^0(t) = rho(0), G^0(t) = t E_par(0), w^0(t) = v(0) - G^0(t).
 
 An iterate is evaluated over its whole time axis at once: the samples are
 stacked along a leading axis, and the field solves and derivatives of all
-of them are single array-level calls (the helpers behind poisson.solve_fields,
-so every sample gets the same arithmetic as a one-field call). An iterate
-holds its coefficient arrays with that leading time axis, in the full
-layout; the recursion step cuts them to their half layout (see spectral)
-once, computes on it, and completes the new iterate once. The transport
-term is the drift-advection tendency of the eps integrator
-(epsilon.drift_advection): its transforms stack the fields and samples
-together in blocks of at most spectral.FFT_BLOCK_POINTS points, so that
-an iteration makes a few calls in all instead of one per field and
-product (6 at 4x4x8 with 43 samples), and a large grid chunks the time
-axis. The shrinking norm of a difference is two matrix products over all
-(delta, t) pairs; run_scheme returns each consecutive distance once, next
-to the iterates, and the contraction report and the rate certificate read
-those distances.
+of them are single array-level calls (the helpers behind
+poisson.solve_fields, so every sample gets the same arithmetic as a
+one-field call). An iterate holds its coefficient arrays with that leading
+time axis, in the full layout; the recursion step cuts them to their half
+layout (see spectral) once, computes on it, and completes the new iterate
+once. The transport term is epsilon.drift_advection, whose transforms take
+the fields and samples together in calls of at most
+spectral.FFT_BLOCK_POINTS points (6 calls per iteration at 4x4x8 with 43
+samples). The shrinking norm of a difference is two matrix products over
+all (delta, t) pairs; run_scheme returns each consecutive distance once,
+next to the iterates, and the contraction report and the rate certificate
+read those distances.
 
 On a short enough slab (eta small) consecutive differences contract
 geometrically in the shrinking analytic norms; the fixed point solves the

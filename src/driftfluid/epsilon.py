@@ -26,6 +26,7 @@ far above the 1e-6 conservation target, so the default is stricter.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,10 +49,12 @@ from .spectral import (
     NormParams,
     SpectralField,
     analytic_norm,
+    block_rows,
     check_real,
+    collocation_values,
     constant,
     dealias,
-    dealiased_products,
+    dealiased_coeffs,
     derivative,
     derivative_coeffs,
     embed_parallel,
@@ -60,6 +63,8 @@ from .spectral import (
     mean,
     perp_average,
     product,
+    product_coeffs,
+    row_stack,
     zeros,
 )
 
@@ -156,67 +161,79 @@ def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
         (-d_par(v rho) - div_perp(E_perp rho), -v d_par v - div_perp(E_perp v)),
 
     on half-layout coefficient arrays of real fields with common leading
-    axes, evaluated at once. One stacked inverse transform makes the
-    collocation values of rho, v, d_par v and E_perp (rho's and v's are
-    skipped when `values` holds them), and one stacked forward transform
-    the dealiased products v rho, v d_par v and E_perp (rho, v); see
-    spectral.dealiased_products for the blocks they are split into. The
-    perpendicular drift is left out when E_perp (e1, e2) is not given, and
-    on a grid without both perpendicular axes, where E_perp has no
-    component whose divergence is non-zero.
+    axes (flattened into rows). E_perp = (e1, e2) is left out when not
+    given, and on a grid without both perpendicular axes, where its
+    divergence vanishes. `values` may hold rho's and v's values.
 
-    With `pressure`, the flux <rho (v v)>_perp of the pressure closure
-    (both products dealiased) rides in the same batches and is returned
-    third, as coefficients on the parallel line for each leading row.
-    Only the first `evolved` densities along the first leading axis (all
-    by default) get a transport term: the two-phase system's implied
-    rho2 = 1 - rho1 enters its closure alone.
+    Products are taken in groups of k = max(1, block_rows(grid) // rows).
+    While a group lacks values, an inverse transform makes those of the next
+    k fields in the order d_par v, rho, v, E_perp1, E_perp2; one blocked
+    forward transform makes its products, each is summed into its tendency,
+    and values no later product reads are dropped: one transform each way on
+    4x4x16 and line grids, one field per call at 32x32x64.
+
+    With `pressure`, the closure flux <rho (v v)>_perp (both products
+    dealiased; one more transform each way) is returned third, on the
+    parallel line per leading row. Only the first `evolved` densities
+    along the first leading axis (all by default) are transported: the
+    two-phase system's rho2 = 1 - rho1 enters its closure alone.
     """
     par = grid.par_axis
     lead = v.shape[:v.ndim - grid.ndim]
-    n = math.prod(lead)
-    n_rho = n if evolved is None else evolved * n // lead[0]
-    # d_par v is transformed first, so its coefficients go at once
-    coeffs = {"dpar_v": derivative_coeffs(grid, v, par)}
-    if values is None:
-        coeffs |= {"rho": rho, "v": v}
-    # (factor, factor, rows, tendency: 0 rho or 1 v, derivative axis); the
-    # first product of each tendency sets it, and d_par v's values go
-    # after the first product
-    terms = [("v", "dpar_v", n, 1, None), ("v", "rho", n_rho, 0, par)]
-    if e1 is not None and PERP1 in grid.axes and PERP2 in grid.axes:
-        coeffs |= {"e1": e1, "e2": e2}
-        for comp, label in (("e1", PERP1), ("e2", PERP2)):
-            terms += [(comp, "rho", n_rho, 0, label), (comp, "v", n, 1, label)]
-    rounds = (tuple(term[:3] for term in terms),)
-    if pressure:
-        # v v among the products, then rho times its values (pair len(terms))
-        rounds = (rounds[0] + (("v", "v", n),), (("rho", len(terms), n),))
-        flux = np.empty((n, grid.half.shape[-1]), dtype=complex)
-    known = {} if values is None else dict(zip(("rho", "v"), values))
-    # each product is summed into its tendency as its block arrives, and a
-    # tendency is allocated with its first product, so a grid too large to
-    # batch keeps few live temporaries: on large grids each freed one can
-    # be re-faulted from the OS
-    out = [None, None]                            # d_t rho, d_t v
-    for j, rows, c in dealiased_products(grid, known, coeffs, rounds):
-        if j < len(terms):
-            *_, t, axis = terms[j]
-            if out[t] is None:
-                out[t] = np.empty(((n_rho, n)[t],) + c.shape[1:], dtype=complex)
-            term = c if axis is None else derivative_coeffs(grid, c, axis)
-            if j < 2:
-                np.negative(term, out=out[t][rows])
-            else:
-                out[t][rows] -= term
-            del term
-        elif j == len(terms) + 1:
-            flux[rows] = c[grid._par_line]
-        del c                                     # before the next block
-    drho, dv = out
     rho_lead = lead if evolved is None else (evolved,) + lead[1:]
-    result = (drho.reshape(rho_lead + drho.shape[1:]), dv.reshape(v.shape))
-    return result + (flux.reshape(lead + flux.shape[1:]),) if pressure else result
+    n, n_rho = math.prod(lead), math.prod(rho_lead)
+    rho, v, e1, e2 = (a if a is None else row_stack(grid, a) for a in (rho, v, e1, e2))
+    # fields 0 d_par v, 1 rho, 2 v, 3 E_perp1, 4 E_perp2 (row stacks): the
+    # coefficients left to transform, in this order, and the values made
+    coeffs = [derivative_coeffs(grid, v, par), rho, v, None, None]
+    vals = [None] * 5
+    if values is not None:
+        vals[1:3], coeffs[1:3] = (row_stack(grid, a) for a in values), (None, None)
+    # products (factor, factor, rows, tendency: 0 rho, 1 v or None, axis of
+    # its derivative or None); the first of each tendency sets it
+    table = [(2, 0, n, 1, None), (2, 1, n_rho, 0, par)]
+    if e1 is not None and PERP1 in grid.axes and PERP2 in grid.axes:
+        coeffs[3:] = e1, e2
+        for f, axis in ((3, grid.axis_index(PERP1)), (4, grid.axis_index(PERP2))):
+            table += [(f, 1, n_rho, 0, axis), (f, 2, n, 1, axis)]
+    table += [(2, 2, n, None, None)] * pressure
+    k = max(1, block_rows(grid) // n)
+    tend = [None, None]                           # d_t rho, d_t v
+    for g in range(0, len(table), k):
+        group = table[g:g + k]
+        while any(vals[f] is None for p in group for f in p[:2]):
+            take = [f for f, c in enumerate(coeffs) if c is not None][:k]
+            made = collocation_values(grid, np.concatenate(
+                [coeffs[f] for f in take]) if len(take) > 1 else coeffs[take[0]], True)
+            for i, f in enumerate(take):
+                vals[f], coeffs[f] = made[i * n:(i + 1) * n], None
+            del made
+        ends = list(itertools.accumulate(p[2] for p in group))
+        prods = np.empty((ends[-1],) + grid.shape)
+        for (a, b, r, *_), end in zip(group, ends):
+            np.multiply(vals[a][:r], vals[b][:r], out=prods[end - r:end])
+        out = dealiased_coeffs(grid, prods, True)
+        del prods
+        for (*_, r, t, axis), end in zip(group, ends):
+            part = out[end - r:end]
+            if axis is not None:
+                part *= grid.half.derivative_mults[axis]
+            if t is None:
+                vv = part
+            elif tend[t] is None:
+                tend[t] = np.negative(part)
+            else:
+                tend[t] -= part
+        del out, part                             # before the next group
+        # rho's values outlive the table when rho (v v) follows it
+        keep = {f for p in table[g + k:] for f in p[:2]} | ({1} if pressure else set())
+        vals = [a if f in keep else None for f, a in enumerate(vals)]
+    result = (tend[0].reshape(rho_lead + grid.half.shape),
+              tend[1].reshape(lead + grid.half.shape))
+    if pressure:
+        flux = product_coeffs(grid, vals[1], collocation_values(grid, vv, True), True)
+        result += (flux[grid._par_line].reshape(lead + (-1,)),)
+    return result
 
 
 def tendencies(grid: Grid, rho: np.ndarray, v: np.ndarray, eps: float,

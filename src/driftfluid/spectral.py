@@ -16,27 +16,22 @@ Conventions (fixed once, used everywhere):
   inequality exact by the triangle inequality on exponents.
 
 The transforms, products, derivatives and averages behind the field
-functions are array-level helpers (`collocation_values`, `product_coeffs`,
-`derivative_coeffs`, `perp_average_coeffs`, `embed_parallel_coeffs`) that
-act on the trailing grid axes of a coefficient array. Leading axes, such
-as the time samples of a trajectory or a stack of fields, are evaluated
-with the same arithmetic as one field at a time: a stacked numpy.fft call
-gives bit-for-bit the values of one call per field.
+functions are array-level helpers (`collocation_values`,
+`dealiased_coeffs`, `product_coeffs`, `derivative_coeffs`,
+`perp_average_coeffs`, `embed_parallel_coeffs`) that act on the trailing
+grid axes of a coefficient array. Leading axes, such as the time samples
+of a trajectory or a stack of fields, are evaluated with the same
+arithmetic as one field at a time: a stacked numpy.fft call gives
+bit-for-bit the values of one call per field.
 
-Stacked transforms are split into blocks. The leading axes are flattened
-into rows, each one grid-sized field, and every numpy.fft call takes at
-most `block_rows(grid)` rows: as many as FFT_BLOCK_POINTS points hold,
-never less than one row, and a grid axis is never split.
-`dealiased_products` streams a whole tendency stage through these blocks:
-a call holds the rows of as many fields (or products) as fit, or, where
-one field's rows exceed a block, a chunk of them. At 4x4x16 one call
-makes the values of all the fields of a stage and one all its products;
-at 32x32x64 a call is one field, which keeps the per-field call sequence,
-and a field's values are made when a product first needs them; on the CK
-iteration's stacks over time a grid too large for a whole stack chunks
-the time axis. The budget is the measured minimum of the per-point cost
-of one stacked rfftn + irfftn pair (ns per point, best of 9 rounds, one
-thread, numpy 2.4 pocketfft, Xeon with 2 MiB L2):
+Stacked transforms are split into blocks: the leading axes are flattened
+into grid-sized rows, and every numpy.fft call takes at most
+`block_rows(grid)` of them, as many as FFT_BLOCK_POINTS points hold but
+at least one (a grid axis is never split). The transport kernel
+(epsilon.drift_advection) groups its fields and products to this budget,
+the measured minimum of the per-point cost of one stacked rfftn + irfftn
+pair (ns per point, best of 9 rounds, one thread, numpy 2.4 pocketfft,
+Xeon with 2 MiB L2):
 
     points per call    256   1024   4096  16384  65536  262144
     4x4x16             316    114     64     37     51      57
@@ -45,10 +40,9 @@ thread, numpy 2.4 pocketfft, Xeon with 2 MiB L2):
     32x32x64             -      -      -      -     19      29
 
 Below 2**14 points the Python call around a transform dominates; above
-it the stack leaves the L2 cache, and 32x32x64 is fastest one field at
-a time. 16x16x32 alone would prefer 2**16 (19 against 26 ns), but timed
-on the whole transport kernel, where a block of several fields is first
-copied together, 2**16 lost there; 2**14 was fastest on the CK
+it the stack leaves the L2 cache. 16x16x32 alone would prefer 2**16, but
+2**16 lost on the whole transport kernel there, whose blocks of several
+fields are first copied together; 2**14 was fastest on the CK
 iteration's 4x4x8 stacks of 43 samples.
 
 Two coefficient layouts exist. The full layout (`Grid.shape`, FFT
@@ -71,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -82,10 +76,7 @@ PERP1 = "perp1"
 PERP2 = "perp2"
 PAR = "par"
 
-# Points per numpy.fft call over a stack of fields (see block_rows): the
-# per-point cost of a stacked real transform falls until about 2**14
-# points and rises beyond (the measurement is in the module docstring).
-FFT_BLOCK_POINTS = 2**14
+FFT_BLOCK_POINTS = 2**14          # points per numpy.fft call, see block_rows
 
 _AXIS_ALIASES = {
     PERP1: PERP1,
@@ -487,7 +478,8 @@ def row_stack(grid: Grid, array: np.ndarray) -> np.ndarray:
 
 
 def _inverse_block(grid: Grid, coeffs: np.ndarray, real: bool) -> np.ndarray:
-    """Values of one block of coefficient rows."""
+    """Values of one block of coefficient rows (numpy 2 wants `axes`
+    alongside `s`)."""
     if real:
         vals = np.fft.irfftn(coeffs, s=grid.shape, axes=grid._trailing_axes)
     else:
@@ -497,9 +489,8 @@ def _inverse_block(grid: Grid, coeffs: np.ndarray, real: bool) -> np.ndarray:
 
 
 def _forward_block(grid: Grid, vals: np.ndarray, real: bool) -> np.ndarray:
-    """Dealiased coefficients of one block of value rows (the grid's
-    shape, given as with the inverse, spares numpy a lookup of the
-    transformed lengths)."""
+    """Dealiased coefficients of one block of value rows (`s` spares
+    numpy a lookup of the transformed lengths)."""
     if real:
         coeffs = np.fft.rfftn(vals, s=grid.shape, axes=grid._trailing_axes)
         mask = grid.half.dealias_mask
@@ -528,128 +519,23 @@ def _by_blocks(grid: Grid, array: np.ndarray, transform) -> np.ndarray:
 
 def collocation_values(grid: Grid, coeffs: np.ndarray, real: bool) -> np.ndarray:
     """Values of the trigonometric interpolant at the collocation points,
-    over the trailing grid axes: the real values of half-layout
-    coefficients (irfftn) if `real`, else the complex values of full-layout
-    ones (ifftn). The leading axes are transformed block_rows(grid) rows
-    per call. The real transform is told the grid's shape (with its axes,
-    which numpy 2 requires alongside `s`)."""
+    over the trailing grid axes: real values of half-layout coefficients
+    (irfftn) if `real`, else complex values of full-layout ones (ifftn).
+    The leading axes are transformed block_rows(grid) rows per call."""
     return _by_blocks(grid, coeffs, lambda rows: _inverse_block(grid, rows, real))
+
+
+def dealiased_coeffs(grid: Grid, vals: np.ndarray, real: bool) -> np.ndarray:
+    """The inverse of collocation_values, dealiased: half layout (rfftn)
+    from real values if `real`, else full layout (fftn)."""
+    return _by_blocks(grid, vals, lambda rows: _forward_block(grid, rows, real))
 
 
 def product_coeffs(grid: Grid, f_vals: np.ndarray, g_vals: np.ndarray,
                    real: bool) -> np.ndarray:
-    """Dealiased coefficients of the pointwise product of two sets of
-    collocation values (see product()): half layout (rfftn) from real
-    values if `real`, else full layout (fftn). The leading axes are
-    transformed block_rows(grid) rows per call."""
-    return _by_blocks(grid, f_vals * g_vals, lambda rows: _forward_block(grid, rows, real))
-
-
-def dealiased_products(grid: Grid, values: dict, coeffs: dict, rounds: tuple):
-    """Dealiased half-layout coefficients of products of real fields,
-    yielded as (j, rows, c): the product of pair j on the rows `rows` (a
-    slice) of the fields' row stacks (their common leading axes
-    flattened, see row_stack).
-
-    `values` maps names to collocation values, `coeffs` to half-layout
-    coefficients whose values are made, in order, when a product first
-    needs them; the stream empties `coeffs`, so that each stack is freed
-    once transformed. `rounds` holds rounds of pairs (a, b, n): the
-    product of fields a and b over their first n rows, numbered j in
-    order over all rounds. A factor j (an int) names the product of pair
-    j of an earlier round, whose values are made in turn.
-
-    The rows are taken in chunks of as many as one numpy.fft call holds
-    (all of them unless one field is larger than block_rows(grid) rows),
-    and each call transforms the chunks of as many fields, or products,
-    as fit. On a grid that small one call holds the fields, and one the
-    products, of a round; on a grid larger than the budget a call is one
-    field, whose values are made when a product first needs them and
-    dropped after its last product, so no more are alive than a product
-    needs. The calls are planned once per call structure (`_plan`).
-    """
-    stacks = {name: row_stack(grid, a) for name, a in coeffs.items()}
-    coeffs.clear()
-    values = {name: row_stack(grid, a) for name, a in values.items()}
-    n = len(next(iter((stacks | values).values())))
-    for start, stop, groups in _plan(n, block_rows(grid), tuple(stacks),
-                                     tuple(values), rounds):
-        made = {name: a[start:stop] for name, a in values.items()}
-        queue = [(name, a[start:stop]) for name, a in stacks.items()]
-        if stop == n:
-            stacks.clear()           # the queue holds the last references
-        for takes, products, dropped in groups:
-            for count in takes:
-                made.update(_block_values(grid, queue[:count]))
-                del queue[:count]
-            if products:
-                vals = np.empty((sum(p[3] for p in products),) + grid.shape)
-                offset = 0
-                for _, a, b, r, _ in products:
-                    np.multiply(made[a][:r], made[b][:r], out=vals[offset:offset + r])
-                    offset += r
-                out = _forward_block(grid, vals, True)
-                del vals
-                offset = 0
-                for j, _, _, r, keep in products:
-                    part = out[offset:offset + r]
-                    offset += r
-                    if keep:
-                        queue.append((j, part))
-                    yield j, slice(start, start + r), part
-                del out, part            # before the next block is made
-            for name in dropped:
-                del made[name]
-
-
-@lru_cache(maxsize=64)
-def _plan(n: int, step: int, fields: tuple, known: tuple, rounds: tuple) -> tuple:
-    """The calls of dealiased_products on row stacks of n rows, for
-    blocks of `step` rows, the coefficient stacks `fields` (in order) and
-    the value stacks `known`: per chunk of rows, (start, stop, groups),
-    and per group of products, (takes, products, dropped): the queued
-    stacks to transform first, in calls of takes[i] stacks; (j, a, b,
-    rows, keep) per product, keep if a later pair reads its values; the
-    values no later pair reads. Planned once, as on a line grid the
-    Python around the transforms is most of a stage's cost."""
-    chunk = min(n, step)
-    per_call = step // chunk
-    pairs = [pair for round_ in rounds for pair in round_]
-    last = {f: j for j, pair in enumerate(pairs) for f in pair[:2]}
-    plan = []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        queue, made, groups, first = list(fields), set(known), [], 0
-        for round_ in rounds:
-            for j0 in range(first, first + len(round_), per_call):
-                end = min(j0 + per_call, first + len(round_))
-                products = tuple((j, a, b, min(stop, m) - start, j in last)
-                                 for j, (a, b, m) in enumerate(pairs[j0:end], j0)
-                                 if m > start)
-                takes = []
-                while queue and {f for p in products for f in p[1:3]} - made:
-                    takes.append(len(queue[:per_call]))
-                    made.update(queue[:per_call])
-                    del queue[:per_call]
-                queue += [p[0] for p in products if p[4]]
-                dropped = tuple(f for f in made if last.get(f, -1) < end)
-                made.difference_update(dropped)
-                groups.append((tuple(takes), products, dropped))
-            first += len(round_)
-        plan.append((start, stop, tuple(groups)))
-    return tuple(plan)
-
-
-def _block_values(grid: Grid, entries: list) -> dict:
-    """Values of (name, half-layout coefficient rows) entries, made by
-    one irfftn: name -> value rows."""
-    src = [a for _, a in entries]
-    vals = _inverse_block(grid, src[0] if len(src) == 1 else np.concatenate(src), True)
-    out, offset = {}, 0
-    for name, a in entries:
-        out[name] = vals[offset:offset + len(a)]
-        offset += len(a)
-    return out
+    """dealiased_coeffs of the pointwise product of two sets of collocation
+    values (see product())."""
+    return dealiased_coeffs(grid, f_vals * g_vals, real)
 
 
 def derivative_coeffs(grid: Grid, coeffs: np.ndarray, axis) -> np.ndarray:

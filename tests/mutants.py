@@ -1,0 +1,131 @@
+"""Mutation gate: faults planted by hand in the transport kernel and in the
+invariants the tests guard, each of which its named tests must catch.
+
+    python tests/mutants.py             # every mutant
+    python tests/mutants.py NAME ...    # the named ones
+
+The script copies `src`, `tests` and `pyproject.toml` to a temporary
+directory. For each mutant it replaces the exact old text of one file by
+the new text, runs only the mutant's tests in one pytest subprocess, and
+restores the file. It exits nonzero when a mutant survives (its tests
+pass), when its old text is not found exactly once (so a refactor of the
+code under a mutant has to re-state the mutant instead of losing it), or
+when pytest does not run its tests. pytest collects only test_*.py
+files, so the test suite never runs this script.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PROPS = "tests/test_properties.py::"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # the transport kernel
+    Mutant("product-scaled", "src/driftfluid/epsilon.py",
+           "out = dealiased_coeffs(grid, prods, True)",
+           "out = dealiased_coeffs(grid, prods * 1.01, True)",
+           (PROPS + "test_stacked_kernel_is_bitwise_per_transform",)),
+    Mutant("no-conjugation-in-full-coeffs", "src/driftfluid/spectral.py",
+           "    np.conjugate(out, out=out, where=conj)\n", "",
+           (PROPS + "test_half_completion_is_bitwise_on_hermitian_arrays",)),
+    Mutant("half-products-not-dealiased", "src/driftfluid/spectral.py",
+           "        mask = grid.half.dealias_mask\n", "        mask = 1.0\n",
+           (PROPS + "test_stacked_kernel_is_bitwise_per_transform",
+            PROPS + "test_half_drift_advection_matches_full_reference")),
+    Mutant("wrong-half-kpar-symbol", "src/driftfluid/spectral.py",
+           "cut(f.kperp_sq), cut(f.kpar_sq))", "cut(f.kperp_sq), 4 * cut(f.kpar_sq))",
+           (PROPS + "test_half_field_coeffs_match_full_reference",)),
+    Mutant("one-point-blocks", "src/driftfluid/spectral.py",
+           "FFT_BLOCK_POINTS = 2**14", "FFT_BLOCK_POINTS = 1",
+           (PROPS + "test_eps_step_transforms_once_each_way_per_stage",
+            PROPS + "test_limit_step_transforms_per_stage")),
+    Mutant("value-dropped-one-product-early", "src/driftfluid/epsilon.py",
+           "keep = {f for p in table[g + k:]", "keep = {f for p in table[g + k + 1:]",
+           (PROPS + "test_kernel_blocks_are_bitwise_per_transform",)),
+    # the invariants
+    Mutant("mass-not-pinned", "src/driftfluid/epsilon.py",
+           "    rho[(0,) * grid.ndim] = 1.0\n", "",
+           ("tests/test_eps_solver.py::TestStep::test_step_resets_a_drifted_mean",)),
+    Mutant("limit-kperp-zero-not-projected", "src/driftfluid/limit.py",
+           "    drho[grid._par_line] = 0.0\n", "",
+           ("tests/test_limit.py::TestTendencies::"
+            "test_perp_average_tendency_vanishes_identically",)),
+    Mutant("check-finite-disabled", "src/driftfluid/quadrature.py",
+           "    if not all(np.all(np.isfinite(f.coeffs)) for f in y):",
+           "    if False:",
+           ("tests/test_quadrature.py::TestBlowUp::test_step_raises_with_last_state",)),
+    Mutant("eps-state-not-checked-real", "src/driftfluid/epsilon.py",
+           "    check_real(v)\n", "",
+           ("tests/test_quadrature.py::TestEntryGuards::"
+            "test_non_hermitian_velocity_is_refused[epsilon]",)),
+    Mutant("max-ratio-ignores-non-finite", "src/driftfluid/ck.py",
+           "    if any(not math.isfinite(r.total) for r in rows):\n"
+           "        return math.inf\n", "",
+           ("tests/test_ck.py::TestMaxRatio::test_non_finite_total_is_infeasible",)),
+)
+
+
+def outcome(mutant: Mutant, tree: Path) -> str:
+    """'killed', 'SURVIVED', or why the mutant could not be tried."""
+    path = tree / mutant.path
+    text = path.read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        return f"OLD TEXT FOUND {found} TIMES"
+    path.write_text(text.replace(mutant.old, mutant.new))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(tree / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x",
+                               "-p", "no:cacheprovider", *mutant.tests],
+                              cwd=tree, env=env, capture_output=True, text=True)
+    finally:
+        path.write_text(text)
+    # pytest exits 1 when a test failed; 2-5 mean it did not run the tests
+    return {0: "SURVIVED", 1: "killed"}.get(proc.returncode,
+                                           f"PYTEST EXIT {proc.returncode}")
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        for mutant in MUTANTS:
+            if names and mutant.name not in names:
+                continue
+            start = time.perf_counter()
+            result = outcome(mutant, tree)
+            failures += result != "killed"
+            print(f"{result:>10}  {mutant.name}  ({time.perf_counter() - start:.1f} s)",
+                  flush=True)
+    print(f"{failures} mutant(s) not killed" if failures else "every mutant killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

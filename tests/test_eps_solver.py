@@ -2,6 +2,7 @@
 oscillation physics, and state validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,6 +155,17 @@ class TestStep:
         st = make_eps_state(rho, v, 0.04)
         traj = run(st, dt_policy(0.04), 50, {"mass": mass})
         assert np.max(np.abs(traj["mass"] - 1.0)) == 0.0
+
+    def test_step_resets_a_drifted_mean(self, rng):
+        """The k = 0 tendency of rho vanishes identically, so a density
+        mean already off by rounding stays off unless the step pins it."""
+        g = Grid.torus3d(4, 4, 16)
+        st = make_eps_state(random_band_field(g, 1, rng, amplitude=0.05, mean=1.0),
+                            random_band_field(g, 1, rng, amplitude=0.05), 0.04)
+        coeffs = st.rho.coeffs.copy()
+        coeffs[0, 0, 0] += 1e-12
+        drifted = replace(st, rho=SpectralField(g, coeffs))
+        assert mass(step(drifted, dt_policy(0.04))) == 1.0
 
     def test_blow_up_reports_last_state(self):
         g = Grid.torus3d(4, 4, 8)

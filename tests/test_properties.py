@@ -8,16 +8,18 @@ half-layout kernel (drift advection, field solves, the completion to the
 full layout) is checked against full-layout references written here, and
 its stacked, blocked transforms bit for bit against one numpy.fft call
 per field and per product (tests/oracles.py), with the number of
-transforms of an eps and a limit step counted."""
+transforms of the stepped systems and of a CK iteration counted and the
+peak memory of a kernel call bounded."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from driftfluid import epsilon, limit, spectral
+from driftfluid import ck, epsilon, limit, spectral, toymodel, twostream
 from driftfluid.epsilon import drift_advection
 from driftfluid.errors import SolvabilityError
 from driftfluid.poisson import TWO_PI_SQ, field_coeffs, phi_coeffs, solve_phi
@@ -331,3 +333,53 @@ def test_limit_step_transforms_per_stage(monkeypatch):
     calls = _count_transforms(monkeypatch)
     limit.step(state, 1e-3)
     assert len(calls) <= 16 and {name for name, _ in calls} == {"irfftn", "rfftn"}
+
+
+def test_reduction_and_ck_transform_counts(monkeypatch):
+    """The kernel's grouping keeps the transforms of the stepped reductions
+    and of a CK iteration: at most 6 real transforms per iteration at
+    4x4x8 with 43 samples (two fields per call: d_par v with rho, v with
+    E_perp1, then E_perp2; one forward per pair of products), 16 per
+    two-phase step and 12 per toy-model step on a line of 16 points (4 of
+    them the values of the fresh state's phases)."""
+    grid, line = Grid.torus3d(4, 4, 8), Grid.line(16)
+    rho, v = _state_fields(grid)
+    first = ck.initialize(rho, v, 0.05, np.linspace(0.0, 0.1, 43))
+    r, u = _state_fields(line)
+    two = twostream.make_two_phase(0.5 * r, u, -1.0 * u)
+    toy = toymodel.make_multi_phase([r, r], [u, -1.0 * u], 0.1)
+    calls = _count_transforms(monkeypatch)
+    for bound, run in [(6, lambda: ck.iterate(first, rho, v)),
+                       (16, lambda: twostream.step(two, 1e-3)),
+                       (12, lambda: toymodel.step(toy, 1e-3))]:
+        calls.clear()
+        run()
+        assert len(calls) <= bound and {name for name, _ in calls} == {"irfftn", "rfftn"}
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="the peaks are those of numpy 2's pocketfft")
+@pytest.mark.parametrize("cached, bound", [(False, 8.5), (True, 6.5)])
+def test_kernel_peak_memory_one_field_per_call(monkeypatch, cached, bound):
+    """With one field per numpy.fft call, as at 32x32x64, an eps-kernel
+    call at 16x16x32 allocates at most `bound` real-field arrays at its
+    peak, the returned tendencies included (8.34 and 6.33 with numpy 2.4; a
+    kernel that kept every value and product of a stage alive at once
+    would take 21.7 and 19.7): the stand-in for the peak RSS of the
+    32x32x64 run among the tests."""
+    grid = Grid.torus3d(16, 16, 32)
+    monkeypatch.setattr(spectral, "FFT_BLOCK_POINTS", grid.size)
+    rho, v = _state_fields(grid)
+    forces = field_coeffs(grid, rho.half_coeffs, 0.05)
+    args = (grid, rho.half_coeffs, v.half_coeffs, forces.Eperp1, forces.Eperp2,
+            (rho._values, v._values) if cached else None)
+    drift_advection(*args)                  # the grid's symbols, once
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = drift_advection(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 2
+    assert peak <= bound * grid.size * 8

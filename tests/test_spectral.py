@@ -1,12 +1,15 @@
 """Spectral core: transforms, derivatives, dealiased products, averages,
 analytic norms, and their inequalities."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import driftfluid
 from driftfluid.errors import ConfigError, InvariantError
 from driftfluid.spectral import (
     Grid,
@@ -446,3 +449,19 @@ class TestFieldUtilities:
         f = random_band_field(g, 2, rng, mean=1.5)
         assert mean(f) == pytest.approx(1.5)
         assert mean(zeros(g)) == 0.0
+
+
+def test_no_numpy_fft_call_passes_out():
+    """numpy.fft takes `out=` only from numpy 2.0 on, and the package
+    declares numpy>=1.24: no np.fft call in its source may pass it."""
+    found = []
+    for path in sorted(Path(driftfluid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Attribute) and func.value.attr == "fft"
+                    and isinstance(func.value.value, ast.Name)
+                    and func.value.value.id in ("np", "numpy")
+                    and any(kw.arg == "out" for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
