@@ -23,7 +23,10 @@ that its runner does not supply (eps_run takes none). Outputs per
 run: RFC-4180 CSV tables, `.spec` snapshots, gnuplot-compatible plot
 scripts, and a manifest.json (written atomically) listing every file,
 the config echo, versions, wall time, and inline invariant check results.
-Exit status is nonzero iff an inline check fails.
+A blow-up (BlowUpError) of an eps or limit run ends the experiment: the
+manifest is still written, with passed false and a "blow_up" entry giving
+the system and the time of its last finite state. Exit status is nonzero
+iff an inline check fails or a run blows up.
 
 In "eps_sweep", "grid" and "eps" govern every table. The per-eps
 eps_<eps>/timeseries.csv follow "horizon", "dt", "initial_data",
@@ -47,9 +50,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, epsilon, experiments, presets, toymodel, twostream
-from .errors import AdmissibilityError, ConfigError
+from .errors import AdmissibilityError, BlowUpError, ConfigError
 from .oscillations import corrector_rows
-from .quadrature import states_at
+from .quadrature import Run, Trajectory, evolve, states_at
 from .specio import write_csv, write_json_atomic, write_spec
 from .spectral import Grid, NormParams
 
@@ -72,7 +75,7 @@ _DEFAULTS = {
 # the function each experiment forwards "experiment_params" to, and the
 # arguments its runner supplies itself; eps_run takes none
 _EXPERIMENT_FUNCTIONS = {
-    "eps_sweep": (experiments.quasineutral_sweep, ("eps_list", "grid")),
+    "eps_sweep": (experiments.quasineutral_sweep, ("eps_list", "grid", "extra_runs")),
     "contraction": (experiments.contraction_study, ("params",)),
     "growth": (twostream.growth_experiment, ("horizon", "seed")),
     "dichotomy": (toymodel.dichotomy_experiment, ("eps_list",)),
@@ -151,13 +154,14 @@ class Manifest:
     wall_time: float = 0.0
     files: list = field(default_factory=list)
     checks: dict = field(default_factory=dict)
+    blow_up: dict | None = None   # the system and last finite time of a blow-up
 
     def add(self, path: Path, root: Path):
         self.files.append({"path": str(path.relative_to(root)),
                            "bytes": path.stat().st_size})
 
     def ok(self) -> bool:
-        return all(self.checks.values())
+        return self.blow_up is None and all(self.checks.values())
 
 
 def _plot_script(path: Path, csv_name: str, columns: list[tuple[int, str]],
@@ -189,19 +193,23 @@ def _build_eps_state(cfg: RunConfig, grid: Grid, eps: float):
     return epsilon.make_eps_state(rho0, v0, eps, adm_const=cfg.adm_const)
 
 
-def _run_eps_single(cfg: RunConfig, eps: float,
-                    out: Path) -> tuple[list[Path], dict]:
-    """One eps run; returns the emitted files and its inline checks."""
-    grid = cfg.make_grid()
-    state = _build_eps_state(cfg, grid, eps)
+def _eps_run(cfg: RunConfig, eps: float) -> Run:
+    """The Run behind one eps's time series: the preset's data, the
+    configured dt over the horizon, the diagnostic probes and, every
+    `snapshot_every` samples, the state."""
+    state = _build_eps_state(cfg, cfg.make_grid(), eps)
     dt = cfg.policy_dt(eps)
     n_steps = int(math.ceil(cfg.horizon / dt))
-    snap_every = cfg.snapshot_every
     probes = epsilon.diagnostic_probes(cfg.norm_params())
-    names = ["t", *probes]       # the CSV columns; snapshot states are not one
-    if snap_every > 0:
-        probes["state"] = states_at(range(0, n_steps + 1, snap_every))
-    traj = epsilon.run(state, dt, n_steps, probes)
+    if cfg.snapshot_every > 0:
+        probes["state"] = states_at(range(0, n_steps + 1, cfg.snapshot_every))
+    return Run(state, dt, n_steps, probes)
+
+
+def _write_eps_run(eps: float, traj: Trajectory,
+                   out: Path) -> tuple[list[Path], dict]:
+    """The files of one eps run and its inline checks."""
+    names = ["t", *(k for k in traj.series if k != "state")]   # CSV columns
     out.mkdir(parents=True, exist_ok=True)
     files = []
     csv_path = out / "timeseries.csv"
@@ -214,18 +222,24 @@ def _run_eps_single(cfg: RunConfig, eps: float,
                  [(3, "energy"), (5, "|rho-1|_delta"), (7, "|sqrt(eps)Epar|_delta")],
                  f"eps = {eps}")
     files.append(gp)
-    if snap_every > 0:
-        for i, st in enumerate(traj["state"]):
-            if st is None:
-                continue
-            sp = out / f"state_{i:06d}.spec"
-            write_spec(sp, {"rho": st.rho, "v": st.v}, time=st.t, eps=eps)
-            files.append(sp)
+    for i, st in enumerate(traj.series.get("state", ())):
+        if st is None:
+            continue
+        sp = out / f"state_{i:06d}.spec"
+        write_spec(sp, {"rho": st.rho, "v": st.v}, time=st.t, eps=eps)
+        files.append(sp)
     checks = {
         f"mass_drift_eps_{eps:g}": bool(np.max(np.abs(traj["mass"] - 1.0)) < 1e-12),
         f"positivity_eps_{eps:g}": bool(np.all(traj["min_rho"] > 0.0)),
     }
     return files, checks
+
+
+def _run_eps_single(cfg: RunConfig, eps: float,
+                    out: Path) -> tuple[list[Path], dict]:
+    """One eps run on its own; returns the emitted files and its inline
+    checks."""
+    return _write_eps_run(eps, evolve(epsilon.steps, [_eps_run(cfg, eps)])[0], out)
 
 
 def _sweep_member(raw_cfg: dict, eps: float, out_dir: str):
@@ -237,7 +251,12 @@ def _sweep_member(raw_cfg: dict, eps: float, out_dir: str):
 
 def _run_eps_sweep(cfg: RunConfig, out: Path, manifest: Manifest,
                    workers: int) -> None:
+    """The per-eps time series, split across a process pool with
+    `workers` > 1 and otherwise stepped in the sweep's eps ensemble, then
+    the sweep's own tables."""
     jobs = [(eps, out / f"eps_{eps:g}") for eps in cfg.eps]
+    kwargs = dict(cfg.experiment_params)
+    kwargs.setdefault("horizon", min(cfg.horizon, 2.5))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         raw = _config_echo(cfg)
@@ -245,16 +264,18 @@ def _run_eps_sweep(cfg: RunConfig, out: Path, manifest: Manifest,
             futures = [pool.submit(_sweep_member, raw, eps, str(d))
                        for eps, d in jobs]
             members = [fut.result() for fut in futures]  # submission order
+        res = experiments.quasineutral_sweep(cfg.eps, grid=cfg.make_grid(), **kwargs)
     else:
-        members = [_run_eps_single(cfg, eps, d) for eps, d in jobs]
+        runs = [_eps_run(cfg, eps) for eps, _ in jobs]
+        res = experiments.quasineutral_sweep(cfg.eps, grid=cfg.make_grid(),
+                                             extra_runs=runs, **kwargs)
+        members = [_write_eps_run(eps, traj, d)
+                   for (eps, d), traj in zip(jobs, res.extra_trajectories)]
     for files, checks in members:
         for f in files:
             manifest.add(Path(f), out)
         manifest.checks.update(checks)
 
-    kwargs = dict(cfg.experiment_params)
-    kwargs.setdefault("horizon", min(cfg.horizon, 2.5))
-    res = experiments.quasineutral_sweep(cfg.eps, grid=cfg.make_grid(), **kwargs)
     csv_path = out / "convergence.csv"
     write_csv(csv_path,
               ["eps", "rho_error", "v_error_filtered", "v_error_raw",
@@ -366,28 +387,34 @@ def run(cfg: RunConfig, out_dir, reference_mode: bool = False,
         workers = 1
     manifest = Manifest(config=_config_echo(cfg))
     start = time.perf_counter()
-    if cfg.experiment == "eps_run":
-        files, checks = _run_eps_single(cfg, cfg.eps[0], root / "run")
-        for f in files:
-            manifest.add(f, root)
-        manifest.checks.update(checks)
-    elif cfg.experiment == "eps_sweep":
-        _run_eps_sweep(cfg, root, manifest, workers)
-    elif cfg.experiment == "contraction":
-        _run_contraction(cfg, root, manifest)
-    elif cfg.experiment == "growth":
-        _run_growth(cfg, root, manifest)
-    elif cfg.experiment == "dichotomy":
-        _run_dichotomy(cfg, root, manifest)
+    try:
+        if cfg.experiment == "eps_run":
+            files, checks = _run_eps_single(cfg, cfg.eps[0], root / "run")
+            for f in files:
+                manifest.add(f, root)
+            manifest.checks.update(checks)
+        elif cfg.experiment == "eps_sweep":
+            _run_eps_sweep(cfg, root, manifest, workers)
+        elif cfg.experiment == "contraction":
+            _run_contraction(cfg, root, manifest)
+        elif cfg.experiment == "growth":
+            _run_growth(cfg, root, manifest)
+        elif cfg.experiment == "dichotomy":
+            _run_dichotomy(cfg, root, manifest)
+    except BlowUpError as exc:
+        manifest.blow_up = {"system": exc.system, "time": exc.last_time}
     manifest.wall_time = time.perf_counter() - start
-    write_json_atomic(root / "manifest.json", {
+    record = {
         "config": manifest.config,
         "version": manifest.version,
         "wall_time_s": manifest.wall_time,
         "files": sorted(manifest.files, key=lambda f: f["path"]),
         "checks": manifest.checks,
         "passed": manifest.ok(),
-    })
+    }
+    if manifest.blow_up is not None:
+        record["blow_up"] = manifest.blow_up
+    write_json_atomic(root / "manifest.json", record)
     return manifest
 
 
@@ -466,6 +493,9 @@ def main(argv=None) -> int:
                    workers=args.workers)
     for name, passed in manifest.checks.items():
         print(f"check {name}: {'pass' if passed else 'FAIL'}")
+    if manifest.blow_up is not None:
+        print(f"blow-up: {manifest.blow_up['system']} state non-finite after "
+              f"t = {manifest.blow_up['time']}")
     return 0 if manifest.ok() else 1
 
 

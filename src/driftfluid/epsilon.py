@@ -8,10 +8,13 @@ rho on demand and never integrated. The transport part of the tendency,
 drift_advection, is the one shared with the limit system, the CK
 iteration and the line-grid reductions; each stage of it is one stacked
 inverse and one stacked forward transform on small grids. A step is the
-shared RK4 step on half-layout coefficient arrays (see spectral): the
-state's fields are cut to their k_par >= 0 half once on entry and
-completed to the full layout once on exit, and the first stage reuses any
-collocation values a recording probe has cached on them.
+shared RK4 step on half-layout coefficient arrays (see spectral), taken
+for an ensemble of states at once (`steps`, the body quadrature.evolve
+calls), their arrays stacked on a leading member axis with one eps and
+one dt per member: the fields are cut to their k_par >= 0 half once on
+entry and completed to the full layout once on exit, and the first stage
+reuses any collocation values a recording probe has cached on them.
+`step` and `run` are one-member calls of it.
 
 The density mean is a conserved, pinned quantity: the k = 0 tendency of
 rho vanishes identically (it is a divergence) and the coefficient is reset
@@ -41,7 +44,15 @@ from .poisson import (
     phi_coeffs,
     solve_fields,
 )
-from .quadrature import Trajectory, check_finite, evolve, rk4_step
+from .quadrature import (
+    Run,
+    Trajectory,
+    check_finite,
+    evolve,
+    rk4_step,
+    solo,
+    stack_members,
+)
 from .spectral import (
     PERP1,
     PERP2,
@@ -288,21 +299,36 @@ def eps_dtE0(rho: SpectralField, v: SpectralField) -> SpectralField:
     return SpectralField(m.grid, -c, m.real)
 
 
-def step(state: EpsState, dt: float) -> EpsState:
-    """Classical RK4 step on the half layout; G advances through the same
-    stage quadrature. The conserved density mean is pinned to one
-    afterwards."""
-    grid, line = state.grid, state.G.grid
-    values = (state.rho._values, state.v._values)
+def steps(states: list, dts: list) -> list:
+    """The eps system's RK4 step of an ensemble of states on one grid (see
+    quadrature.evolve), the members stacked on a leading axis of the
+    half-layout arrays with their own eps and dt; G advances through the
+    same stage quadrature. The first stage reuses each member's cached
+    collocation values, the conserved density mean is pinned to one
+    afterwards, and each member is checked for blow-up: its entry is the
+    new state or its BlowUpError."""
+    grid, line = states[0].grid, states[0].G.grid
+    eps = [st.eps for st in states]
+    values = tuple(stack_members([getattr(st, f)._values for st in states])
+                   for f in ("rho", "v"))
     rho, v, G = rk4_step(
-        lambda y, c: tendencies(grid, y[0], y[1], state.eps,
+        lambda y, c: tendencies(grid, y[0], y[1], eps,
                                 values if c == 0.0 else None),
-        (state.rho.half_coeffs, state.v.half_coeffs, state.G.half_coeffs), dt)
-    rho[(0,) * grid.ndim] = 1.0
-    rho, v = (SpectralField(grid, full_coeffs(grid, c)) for c in (rho, v))
-    G = SpectralField(line, full_coeffs(line, G))
-    check_finite((rho, v, G), state, dt, "eps")
-    return EpsState(t=state.t + dt, eps=state.eps, rho=rho, v=v, G=G)
+        tuple(stack_members([getattr(st, f).half_coeffs for st in states])
+              for f in ("rho", "v", "G")), dts)
+    rho[(...,) + (0,) * grid.ndim] = 1.0
+    rho, v = (full_coeffs(grid, c) for c in (rho, v))
+    G = full_coeffs(line, G)
+    errors = check_finite((rho, v, G), states, dts, "eps")
+    return [err or EpsState(t=st.t + dt, eps=st.eps, rho=SpectralField(grid, rho[i]),
+                            v=SpectralField(grid, v[i]), G=SpectralField(line, G[i]))
+            for i, (st, dt, err) in enumerate(zip(states, dts, errors))]
+
+
+def step(state: EpsState, dt: float) -> EpsState:
+    """One RK4 step of one state (see steps); blow-up raises BlowUpError
+    carrying `state`."""
+    return solo(steps, state, dt)
 
 
 def energy(state: EpsState) -> float:
@@ -371,6 +397,6 @@ def diagnostics(state: EpsState, params: NormParams | None = None) -> dict:
 
 def run(state: EpsState, dt: float, n_steps: int, probes: dict) -> Trajectory:
     """Advance n_steps, recording each probe at t = 0 and after every step
-    (see quadrature.evolve). A positivity breach is not fatal; NaN blow-up
-    raises BlowUpError carrying the last valid state."""
-    return evolve(step, state, dt, n_steps, probes)
+    (quadrature.evolve of one run). A positivity breach is not fatal; NaN
+    blow-up raises BlowUpError carrying the last valid state."""
+    return evolve(steps, [Run(state, dt, n_steps, probes)])[0]

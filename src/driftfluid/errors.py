@@ -18,9 +18,11 @@ class AdmissibilityError(ValueError):
 
 
 class BlowUpError(RuntimeError):
-    """Time integration produced NaN/Inf; carries the last valid state."""
+    """Time integration produced NaN/Inf; carries the last valid state, its
+    time and the name of the system that was stepped."""
 
-    def __init__(self, message, last_state=None, last_time=None):
+    def __init__(self, message, last_state=None, last_time=None, system=None):
         super().__init__(message)
         self.last_state = last_state
         self.last_time = last_time
+        self.system = system

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ck, epsilon, limit, oscillations
-from .quadrature import Trajectory, states_at
+from .quadrature import Run, Trajectory, evolve, states_at
 from .spectral import (
     Grid,
     NormParams,
@@ -80,13 +80,16 @@ class SweepResult(_EpsEntries):
     # corrector record (two-period window)
     limit_trajectory: Trajectory
     correctors: oscillations.OscillationRecord
+    # the trajectories of the caller's extra eps runs, in order
+    extra_trajectories: list[Trajectory]
 
 
 def quasineutral_sweep(eps_list, grid: Grid | None = None,
                        amplitude: float = 0.05, horizon: float = 2.5,
                        compare_time: float = 2.25,
                        average_range: tuple[float, float] = (0.5, 2.5),
-                       samples_per_period: int = 120) -> SweepResult:
+                       samples_per_period: int = 120,
+                       extra_runs: list[Run] = ()) -> SweepResult:
     """Convergence of the eps system to the limit system from matched
     well-prepared data.
 
@@ -97,12 +100,14 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
     and the corrector-subtraction residual averaged over average_range
     (common to all sweep members). Each eps and limit trajectory is run
     once; at the smallest eps both go on as long as the limit table and
-    the demodulated correctors of the result need."""
+    the demodulated correctors of the result need. Every eps run, with the
+    caller's `extra_runs` (eps runs on `grid`), is stepped as one ensemble,
+    and every limit run as another."""
     grid = grid or Grid.torus3d(4, 4, 16)
     rho0, v0 = matched_well_prepared_data(grid, amplitude)
     lim0 = limit.project_initial(rho0, v0)
     eps_min = min(eps_list)
-    entries = []
+    members, eps_runs, lim_runs = [], [], []
     for eps in sorted(eps_list, reverse=True):
         dt = epsilon.dt_policy(eps, samples_per_period=samples_per_period)
         n1 = int(round(compare_time / dt))
@@ -110,7 +115,7 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
         eps_probes = {**FILTER_PROBES, "mass": epsilon.mass,
                       "energy": epsilon.energy, "mid": states_at([n1])}
         lim_probes = {"ubar": epsilon.mean_current, "mid": states_at([n1])}
-        n_eps = n_lim = n
+        n_eps = n_lim = n_corr = n
         if eps == eps_min:
             # the demodulation spends one oscillation period on the
             # decomposition and two on its centred window
@@ -119,12 +124,18 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
             n_lim = max(n, math.ceil(horizon / dt))
             lim_probes["mass"] = epsilon.mass
             lim_probes["residual"] = lambda st: limit.constraint_residuals(st.rho, st.v)[1]
-        traj = epsilon.run(epsilon.make_eps_state(rho0, v0, eps), dt, n_eps,
-                           eps_probes)
-        lim_traj = limit.run(lim0, dt, n_lim, lim_probes)
+        members.append((eps, n1, n, n_corr))
+        eps_runs.append(Run(epsilon.make_eps_state(rho0, v0, eps), dt, n_eps,
+                            eps_probes))
+        lim_runs.append(Run(lim0, dt, n_lim, lim_probes))
+    eps_trajs = evolve(epsilon.steps, eps_runs + list(extra_runs))
+    lim_trajs = evolve(limit.steps, lim_runs)
+    entries = []
+    for (eps, n1, n, n_corr), traj, lim_traj in zip(members, eps_trajs, lim_trajs):
         if eps == eps_min:
             record = _analyze(traj.times[: n_corr + 1], traj["Epar"][: n_corr + 1],
                               traj["mom_bar"], eps, grid.par_grid, 2)
+            lim_min = lim_traj
         times = traj.times[: n + 1]
         Epar = traj["Epar"][: n + 1]
         mass = traj["mass"][: n + 1]
@@ -161,8 +172,9 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
             energy_drift=float(np.max(np.abs(energy - energy[0]))),
         ))
     return SweepResult(grid=grid, horizon=horizon, compare_time=compare_time,
-                       entries=entries, limit_trajectory=lim_traj,
-                       correctors=record)
+                       entries=entries, limit_trajectory=lim_min,
+                       correctors=record,
+                       extra_trajectories=eps_trajs[len(members):])
 
 
 @dataclass
@@ -186,17 +198,20 @@ def filtering_sweep(eps_list, n_par: int = 16, alpha: float = 0.05,
     O(1) envelope of sqrt(eps) E_par. Both the residual after subtracting
     the demodulated correctors and the filtered primitive W shrink along
     the sweep. Perp-independent data keeps the long horizon needed by the
-    largest-eps demodulation window free of drift instabilities."""
+    largest-eps demodulation window free of drift instabilities. The eps
+    runs are stepped as one ensemble."""
     grid = Grid.shear2d(4, n_par)
     xp = grid.meshgrid()[grid.par_axis]
-    entries = []
-    for eps in sorted(eps_list, reverse=True):
+    eps_sorted = sorted(eps_list, reverse=True)
+    runs = []
+    for eps in eps_sorted:
         rho0 = forward(grid, 1.0 + alpha * math.sqrt(eps) * np.cos(2 * np.pi * xp))
         state = epsilon.make_eps_state(rho0, forward(grid, np.zeros(grid.shape)),
                                        eps, adm_const=2.0 * alpha)
         dt = epsilon.dt_policy(eps)
-        n_steps = int(math.ceil(horizon / dt))
-        traj = epsilon.run(state, dt, n_steps, FILTER_PROBES)
+        runs.append(Run(state, dt, int(math.ceil(horizon / dt)), FILTER_PROBES))
+    entries = []
+    for eps, traj in zip(eps_sorted, evolve(epsilon.steps, runs)):
         record = _analyze(traj.times, traj["Epar"], traj["mom_bar"], eps,
                           grid.par_grid, window_periods)
         corr, dec = record.correctors, record.decomposition

@@ -16,7 +16,8 @@ dealiasing truncation of triple products) is monitored and the k_perp = 0
 tendency modes are projected to zero, which keeps <rho>_perp = 1 exact.
 
 Like the eps step, a limit step runs its RK4 stages on half-layout
-coefficient arrays (see spectral) and converts only at its boundaries.
+coefficient arrays (see spectral), for an ensemble of states stacked on a
+leading member axis, and converts only at its boundaries.
 """
 
 from __future__ import annotations
@@ -28,7 +29,15 @@ import numpy as np
 from .epsilon import drift_advection
 from .errors import AdmissibilityError, ConfigError
 from .poisson import perp_field_coeffs, phi_coeffs
-from .quadrature import Trajectory, check_finite, evolve, rk4_step
+from .quadrature import (
+    Run,
+    Trajectory,
+    check_finite,
+    evolve,
+    rk4_step,
+    solo,
+    stack_members,
+)
 from .spectral import (
     Grid,
     SpectralField,
@@ -136,27 +145,40 @@ def tendencies(grid: Grid, rho: np.ndarray, v: np.ndarray,
     return drho, dv, residual
 
 
-def step(state: LimitState, dt: float, with_pressure: bool = True) -> LimitState:
-    """Classical RK4 step on the half layout; raises BlowUpError on
-    non-finite output."""
-    grid = state.grid
-    values = (state.rho._values, state.v._values)
+def steps(states: list, dts: list, with_pressure: bool = True) -> list:
+    """The limit system's RK4 step of an ensemble of states on one grid
+    (see quadrature.evolve), the members stacked on a leading axis of the
+    half-layout arrays with their own dt. The first stage reuses each
+    member's cached collocation values, and each member is checked for
+    blow-up: its entry is the new state or its BlowUpError."""
+    grid = states[0].grid
+    values = tuple(stack_members([getattr(st, f)._values for st in states])
+                   for f in ("rho", "v"))
     rho, v = rk4_step(
         lambda y, c: tendencies(grid, *y, with_pressure,
                                 values if c == 0.0 else None)[:2],
-        (state.rho.half_coeffs, state.v.half_coeffs), dt)
-    rho, v = (SpectralField(grid, full_coeffs(grid, c)) for c in (rho, v))
-    check_finite((rho, v), state, dt, "limit")
-    return LimitState(t=state.t + dt, rho=rho, v=v)
+        tuple(stack_members([getattr(st, f).half_coeffs for st in states])
+              for f in ("rho", "v")), dts)
+    rho, v = (full_coeffs(grid, c) for c in (rho, v))
+    errors = check_finite((rho, v), states, dts, "limit")
+    return [err or LimitState(t=st.t + dt, rho=SpectralField(grid, rho[i]),
+                              v=SpectralField(grid, v[i]))
+            for i, (st, dt, err) in enumerate(zip(states, dts, errors))]
+
+
+def step(state: LimitState, dt: float, with_pressure: bool = True) -> LimitState:
+    """One RK4 step of one state (see steps); raises BlowUpError on
+    non-finite output."""
+    return solo(lambda sts, hs: steps(sts, hs, with_pressure), state, dt)
 
 
 def run(state: LimitState, dt: float, n_steps: int, probes: dict,
         with_pressure: bool = True) -> Trajectory:
     """Advance n_steps, recording each probe at t = 0 and after every step
-    (see quadrature.evolve); blow-up raises BlowUpError with the last
-    valid state."""
-    return evolve(lambda st, h: step(st, h, with_pressure), state, dt,
-                  n_steps, probes)
+    (quadrature.evolve of one run); blow-up raises BlowUpError with the
+    last valid state."""
+    return evolve(lambda sts, hs: steps(sts, hs, with_pressure),
+                  [Run(state, dt, n_steps, probes)])[0]
 
 
 def shear_flow(grid: Grid, phi_profile, v_profile) -> LimitState:

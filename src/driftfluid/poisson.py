@@ -68,17 +68,25 @@ class Forces:
     eps: float
 
 
-def phi_coeffs(grid: Grid, rho: np.ndarray, eps: float) -> np.ndarray:
+def _per_sample(grid: Grid, eps):
+    """eps as a number, or one eps per sample of a single leading axis
+    (an ensemble's members) broadcast over the grid axes."""
+    return eps if np.ndim(eps) == 0 else np.reshape(eps, (-1,) + (1,) * grid.ndim)
+
+
+def phi_coeffs(grid: Grid, rho: np.ndarray, eps) -> np.ndarray:
     """Screened perpendicular Poisson solve on coefficient arrays of either
     layout with any leading axes, zero-mean gauge."""
     sym = grid.symbols(rho)
-    symbol = TWO_PI_SQ * (eps**2 * sym.kpar_sq + sym.kperp_sq)
+    # Python's pow per sample: numpy's square can differ in the last bit
+    eps_sq = eps**2 if np.ndim(eps) == 0 else [e**2 for e in eps]
+    symbol = TWO_PI_SQ * (_per_sample(grid, eps_sq) * sym.kpar_sq + sym.kperp_sq)
     perp_zero = sym.kperp_sq == 0
     safe = np.where(perp_zero, 1.0, symbol)
     return np.where(perp_zero, 0.0, rho / safe)
 
 
-def V_coeffs(grid: Grid, source: np.ndarray, eps: float,
+def V_coeffs(grid: Grid, source: np.ndarray, eps,
              tol: float = 1e-8) -> np.ndarray:
     """Solve -eps Lap V = source - 1 on coefficient arrays of either layout
     by division with eps (2 pi)^2 |k|^2, summed over every axis of `grid`:
@@ -93,7 +101,7 @@ def V_coeffs(grid: Grid, source: np.ndarray, eps: float,
             "solvable only for mean 1")
     sym = grid.symbols(source)
     ksq = sym.kperp_sq + sym.kpar_sq
-    safe = np.where(ksq == 0, 1.0, eps * TWO_PI_SQ * ksq)
+    safe = np.where(ksq == 0, 1.0, _per_sample(grid, eps) * TWO_PI_SQ * ksq)
     return np.where(ksq == 0, 0.0, source / safe)
 
 
@@ -107,7 +115,7 @@ def perp_field_coeffs(grid: Grid, phi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return e1, e2
 
 
-def parallel_coeffs(grid: Grid, rho: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def parallel_coeffs(grid: Grid, rho: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
     """V and E_par = -d_par V of densities on either layout, as arrays on
     the same layout of the parallel grid."""
     line = grid.par_grid
@@ -126,15 +134,17 @@ class FieldCoeffs(NamedTuple):
     Epar: np.ndarray
 
 
-def field_coeffs(grid: Grid, rho: np.ndarray, eps: float) -> FieldCoeffs:
+def field_coeffs(grid: Grid, rho: np.ndarray, eps) -> FieldCoeffs:
     """All potentials and forces of charge densities given as coefficient
     arrays of either layout, the line ones (V, E_par) on the same layout of
-    the parallel grid; leading axes are samples solved at once."""
+    the parallel grid; leading axes are samples solved at once. Every solve
+    takes eps as a number, or as one per sample of a single leading axis."""
     phi = phi_coeffs(grid, rho, eps)
     V, Epar = parallel_coeffs(grid, rho, eps)
     e1, e2 = perp_field_coeffs(grid, phi)
     return FieldCoeffs(phi=phi, V=V, Eperp1=e1, Eperp2=e2,
-                       eps_dpar_phi=eps * derivative_coeffs(grid, phi, grid.par_axis),
+                       eps_dpar_phi=_per_sample(grid, eps)
+                       * derivative_coeffs(grid, phi, grid.par_axis),
                        Epar=Epar)
 
 

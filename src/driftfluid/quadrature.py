@@ -16,8 +16,11 @@ Two tools used throughout the trajectory analysis:
 Every time-stepped system (the eps system, its limit, the two-phase and
 multi-phase reductions, corrector transport) advances with the one RK4
 step here; all but corrector transport then apply the one blow-up check
-and run through the one loop, `evolve`, which records only the probes its
-caller names into a `Trajectory`.
+and run through the one loop, `evolve`. It steps an ensemble: a list of
+`Run`s of one system on one grid, each with its own data, dt, step count
+and probes, advanced together by one call of the system's stacked step
+per iteration, and it records only the probes each caller names into
+that run's `Trajectory`.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ _W_MID_FIRST = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 _W_MID_LAST = _W_MID_FIRST[::-1].copy()
 
 
-def rk4_step(f, y: tuple, dt: float) -> tuple:
+def rk4_step(f, y: tuple, dt) -> tuple:
     """One classical RK4 step of dy/dt = f(y, c).
 
     The state y is a tuple of arrays or fields (every system steps
@@ -50,22 +53,43 @@ def rk4_step(f, y: tuple, dt: float) -> tuple:
     ones for the complex correctors), and f returns the tuple of their
     tendencies; c is the stage's fraction of the step (0, 1/2, 1/2, 1),
     for tendencies with an explicitly time-dependent coefficient or with
-    values cached for the first stage.
+    values cached for the first stage. `dt` is a number, or one per member
+    of an ensemble stacked on the leading axis of every array of y.
     """
+    dt = [dt if np.ndim(dt) == 0 else np.reshape(dt, (-1,) + (1,) * (a.ndim - 1))
+          for a in y]
     k1 = f(y, 0.0)
-    k2 = f(tuple(a + 0.5 * dt * k for a, k in zip(y, k1)), 0.5)
-    k3 = f(tuple(a + 0.5 * dt * k for a, k in zip(y, k2)), 0.5)
-    k4 = f(tuple(a + dt * k for a, k in zip(y, k3)), 1.0)
-    return tuple(a + (dt / 6.0) * (p + 2.0 * q + 2.0 * r + s)
-                 for a, p, q, r, s in zip(y, k1, k2, k3, k4))
+    k2 = f(tuple(a + 0.5 * h * k for a, h, k in zip(y, dt, k1)), 0.5)
+    k3 = f(tuple(a + 0.5 * h * k for a, h, k in zip(y, dt, k2)), 0.5)
+    k4 = f(tuple(a + h * k for a, h, k in zip(y, dt, k3)), 1.0)
+    return tuple(a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + s)
+                 for a, h, p, q, r, s in zip(y, dt, k1, k2, k3, k4))
 
 
-def check_finite(y: tuple, last_state, dt: float, system: str) -> None:
-    """Raise BlowUpError carrying `last_state` (the state a step of length
-    dt started from) unless every field of y is finite."""
-    if not all(np.all(np.isfinite(f.coeffs)) for f in y):
-        raise BlowUpError(f"non-finite {system} state at t = {last_state.t + dt}",
-                          last_state=last_state, last_time=last_state.t)
+def stack_members(arrays: list) -> np.ndarray:
+    """The members' arrays stacked on a new leading axis; one member's
+    array is a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def check_finite(arrays: tuple, states: list, dts: list, system: str) -> list:
+    """Per member of an ensemble step (the leading axis of every array):
+    None where every array is finite, else a BlowUpError carrying the state
+    that member's step of length dt started from."""
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).reshape(len(states), -1).all(axis=1) for a in arrays])
+    return [None if ok else BlowUpError(
+        f"non-finite {system} state at t = {st.t + dt}", last_state=st,
+        last_time=st.t, system=system) for ok, st, dt in zip(finite, states, dts)]
+
+
+def solo(steps, state, dt: float):
+    """One step of one state through the ensemble step `steps`; a blow-up
+    raises its BlowUpError."""
+    (result,) = steps([state], [dt])
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
 
 
 @dataclass
@@ -85,6 +109,19 @@ class Trajectory:
         return self.series[name]
 
 
+@dataclass
+class Run:
+    """One member of an ensemble: initial state, time step, step count, the
+    probes (functions of the state) to sample, and an optional
+    `stop_when(state)`, checked after each sample, that ends it early."""
+
+    state: object
+    dt: float
+    n_steps: int
+    probes: dict
+    stop_when: object = None
+
+
 def _stacked(values: list):
     """Numbers and arrays stack along a leading time axis; other values
     (states, say) stay a list."""
@@ -93,39 +130,63 @@ def _stacked(values: list):
     return values
 
 
-def evolve(step, state, dt: float, n_steps: int, probes: dict,
-           stop_when=None, partial: bool = False) -> Trajectory:
-    """Advance `state` by n_steps calls of step(state, dt), sampling every
-    probe (a function of the state) at t = 0 and after each step.
+class _Member:
+    """A run in progress: its state, steps taken and samples."""
 
-    `stop_when(state)`, checked after each sample, may end the run early.
-    A BlowUpError from the step propagates, unless `partial`: then the run
-    ends at the last finite state with complete False.
-    """
-    samples = {name: [] for name in probes}
-    times = []
+    def __init__(self, run: Run):
+        self.run, self.state, self.taken, self.complete = run, run.state, 0, True
+        self.times, self.samples = [], {name: [] for name in run.probes}
+        self.sample()
 
-    def record(st):
-        times.append(st.t)
-        for name, probe in probes.items():
-            samples[name].append(probe(st))
+    def sample(self) -> None:
+        self.times.append(self.state.t)
+        for name, probe in self.run.probes.items():
+            self.samples[name].append(probe(self.state))
 
-    record(state)
-    complete = True
-    for _ in range(n_steps):
-        try:
-            state = step(state, dt)
-        except BlowUpError:
+    def running(self) -> bool:
+        stop = self.run.stop_when
+        return self.complete and self.taken < self.run.n_steps \
+            and not (self.taken and stop is not None and stop(self.state))
+
+    def advance(self, result, partial: bool) -> None:
+        """Take one step's result: the new state, or the BlowUpError that
+        ends the run (raised unless `partial`)."""
+        if isinstance(result, BlowUpError):
             if not partial:
-                raise
-            complete = False
-            break
-        record(state)
-        if stop_when is not None and stop_when(state):
-            break
-    return Trajectory(times=np.array(times),
-                      series={k: _stacked(v) for k, v in samples.items()},
-                      final_state=state, complete=complete, dt=dt)
+                raise result
+            self.complete = False
+            return
+        self.state, self.taken = result, self.taken + 1
+        self.sample()
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(times=np.array(self.times),
+                          series={k: _stacked(v) for k, v in self.samples.items()},
+                          final_state=self.state, complete=self.complete,
+                          dt=self.run.dt)
+
+
+def evolve(steps, runs: list, partial: bool = False) -> list:
+    """The one time loop: advance an ensemble of `Run`s of one system on
+    one grid, sampling each run's probes on its own state at t = 0 and
+    after each of its steps, and return their Trajectories in order.
+
+    Each iteration advances every unfinished run by its own dt through one
+    call of steps(states, dts), the system's stacked step, which returns
+    per member the new state or the BlowUpError of a non-finite one. A run
+    leaves the stack after n_steps steps, when its stop_when fires, or on
+    blow-up: that BlowUpError propagates, unless `partial`, where the run
+    ends at its last finite state with complete False. Each member's record
+    is the one it would get alone.
+    """
+    members = [_Member(run) for run in runs]
+    live = [m for m in members if m.running()]
+    while live:
+        results = steps([m.state for m in live], [m.run.dt for m in live])
+        for m, result in zip(live, results):
+            m.advance(result, partial)
+        live = [m for m in live if m.running()]
+    return [m.trajectory() for m in members]
 
 
 def states_at(samples):

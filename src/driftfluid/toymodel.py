@@ -21,7 +21,9 @@ With theta-dependent streaming the coupling term is O(1/sqrt(eps)) and
 the bound is lost: the dichotomy experiment below measures both branches.
 
 A step is the eps system's drift-advection kernel on the phases,
-stacked on a leading axis, plus E from the Poisson symbol solve.
+stacked on a leading axis, plus E from the Poisson symbol solve; an
+ensemble of states (one eps and dt each) is stepped at once, its members
+on a further leading axis.
 """
 
 from __future__ import annotations
@@ -34,7 +36,15 @@ import numpy as np
 from .epsilon import drift_advection
 from .errors import ConfigError, SolvabilityError
 from .poisson import TWO_PI_SQ, V_coeffs
-from .quadrature import Trajectory, check_finite, evolve, rk4_step
+from .quadrature import (
+    Run,
+    Trajectory,
+    check_finite,
+    evolve,
+    rk4_step,
+    solo,
+    stack_members,
+)
 from .spectral import (
     Grid,
     SpectralField,
@@ -89,33 +99,50 @@ def make_multi_phase(rho_list, u_list, eps: float) -> MultiPhaseState:
 
 
 def _total(rho: np.ndarray) -> np.ndarray:
-    """(1/N) sum_th rho_th of coefficients stacked on a leading phase axis."""
-    return (1.0 / len(rho)) * rho.sum(axis=0)
+    """(1/N) sum_th rho_th of line-grid coefficients stacked on a phase
+    axis, the last leading one."""
+    return (1.0 / rho.shape[-2]) * rho.sum(axis=-2)
 
 
-def tendencies(grid: Grid, rho: np.ndarray, u: np.ndarray, eps: float,
+def tendencies(grid: Grid, rho: np.ndarray, u: np.ndarray, eps,
                values: tuple | None = None):
     """(d_t rho, d_t u) on half-layout coefficient arrays, the phases
-    stacked on a leading axis: the drift-advection tendency of every phase
+    stacked on the last leading axis (after an ensemble's member axis,
+    with eps one per member): the drift-advection tendency of every phase
     plus the shared field E = -d_par V. `values`, the collocation values
     of rho and u, saves their transforms when the caller has them."""
     drho, du = drift_advection(grid, rho, u, values=values)
-    du -= derivative_coeffs(grid, V_coeffs(grid, _total(rho), eps), 0)
+    du -= derivative_coeffs(grid, V_coeffs(grid, _total(rho), eps), 0)[..., None, :]
     return drho, du
 
 
-def step(state: MultiPhaseState, dt: float) -> MultiPhaseState:
-    """Classical RK4 step on the half layout; the first stage reuses the
-    collocation values a recording probe has cached (see epsilon.step)."""
-    grid, phases = state.grid, (state.rho, state.u)
-    values = tuple(np.stack([f._values for f in fs]) for fs in phases)
+def steps(states: list, dts: list) -> list:
+    """The toy model's RK4 step of an ensemble of states on one grid (see
+    quadrature.evolve): the members stacked on a leading axis of the
+    half-layout arrays, before the phase axis, with their own eps and dt.
+    The first stage reuses the collocation values a recording probe has
+    cached, and each member is checked for blow-up: its entry is the new
+    state or its BlowUpError."""
+    grid = states[0].grid
+    eps = [st.eps for st in states]
+    values = tuple(stack_members([np.stack([f._values for f in getattr(st, name)])
+                                  for st in states]) for name in ("rho", "u"))
     rho, u = rk4_step(
-        lambda y, c: tendencies(grid, *y, state.eps, values if c == 0.0 else None),
-        tuple(np.stack([f.half_coeffs for f in fs]) for fs in phases), dt)
-    rho, u = (tuple(SpectralField(grid, c) for c in full_coeffs(grid, a))
-              for a in (rho, u))
-    check_finite(rho + u, state, dt, "toy-model")
-    return MultiPhaseState(state.t + dt, state.eps, rho, u)
+        lambda y, c: tendencies(grid, *y, eps, values if c == 0.0 else None),
+        tuple(stack_members([np.stack([f.half_coeffs for f in getattr(st, name)])
+                             for st in states]) for name in ("rho", "u")), dts)
+    rho, u = (full_coeffs(grid, a) for a in (rho, u))
+    errors = check_finite((rho, u), states, dts, "toy-model")
+    return [err or MultiPhaseState(st.t + dt, st.eps,
+                                   tuple(SpectralField(grid, c) for c in rho[i]),
+                                   tuple(SpectralField(grid, c) for c in u[i]))
+            for i, (st, dt, err) in enumerate(zip(states, dts, errors))]
+
+
+def step(state: MultiPhaseState, dt: float) -> MultiPhaseState:
+    """One RK4 step of one state (see steps); blow-up raises BlowUpError
+    carrying `state`."""
+    return solo(steps, state, dt)
 
 
 def energy(state: MultiPhaseState) -> float:
@@ -141,9 +168,9 @@ def relative_entropy(state: MultiPhaseState, velocity: float) -> float:
 
 def run(state: MultiPhaseState, dt: float, n_steps: int, probes: dict) -> Trajectory:
     """Advance n_steps, recording each probe at t = 0 and after every step
-    (see quadrature.evolve); a blow-up ends the record at the last finite
-    state with complete False."""
-    return evolve(step, state, dt, n_steps, probes, partial=True)
+    (quadrature.evolve of one run); a blow-up ends the record at the last
+    finite state with complete False."""
+    return evolve(steps, [Run(state, dt, n_steps, probes)], partial=True)[0]
 
 
 # -- the stability/instability dichotomy ------------------------------------
@@ -198,30 +225,33 @@ def dichotomy_experiment(eps_list, streaming: float = 0.5,
     carries the relative tolerance `rtol` for the shared O(eps) data terms
     and the integration drift, both orders of magnitude below the branch
     separation. Blow-up in a branch yields a partial entry evaluated at
-    the last valid sample. The run behind each entry is kept under
+    the last valid sample. The branch x eps runs are stepped as one
+    ensemble; the run behind each entry is kept under
     report["trajectories"][branch][eps].
     """
     grid = Grid.line(n_points)
     report: dict = {"eps": list(map(float, eps_list)),
                     "horizon": horizon, "stable": {}, "unstable": {},
                     "trajectories": {"stable": {}, "unstable": {}}}
+    probes = {"energy": energy,
+              "entropy": lambda st: relative_entropy(st, mean_velocity),
+              "masses": lambda st: [mean(r) for r in st.rho]}
+    members, runs = [], []
     for branch, stream in (("stable", 0.0), ("unstable", streaming)):
         for eps in eps_list:
             state = dichotomy_data(grid, eps, stream, mean_velocity,
                                    structure, offset, ripple)
             dt = min(2.0 * math.pi * math.sqrt(eps) / 120.0, horizon / 64.0)
-            n_steps = int(math.ceil(horizon / dt))
-            traj = run(state, dt, n_steps, {
-                "energy": energy,
-                "entropy": lambda st: relative_entropy(st, mean_velocity),
-                "masses": lambda st: [mean(r) for r in st.rho]})
-            report["trajectories"][branch][float(eps)] = traj
-            report[branch][float(eps)] = {
-                "H_initial": float(traj["entropy"][0]),
-                "H_final": float(traj["entropy"][-1]),
-                "t_final": float(traj.times[-1]),
-                "complete": traj.complete,
-            }
+            members.append((branch, float(eps)))
+            runs.append(Run(state, dt, int(math.ceil(horizon / dt)), probes))
+    for (branch, eps), traj in zip(members, evolve(steps, runs, partial=True)):
+        report["trajectories"][branch][eps] = traj
+        report[branch][eps] = {
+            "H_initial": float(traj["entropy"][0]),
+            "H_final": float(traj["entropy"][-1]),
+            "t_final": float(traj.times[-1]),
+            "complete": traj.complete,
+        }
     eps_sorted = sorted(report["eps"], reverse=True)   # decreasing eps
     stable = [report["stable"][e]["H_final"] for e in eps_sorted]
     unstable = [report["unstable"][e]["H_final"] for e in eps_sorted]

@@ -30,7 +30,7 @@ import numpy as np
 from .epsilon import drift_advection
 from .errors import ConfigError
 from .limit import pressure_gradient_coeffs
-from .quadrature import Trajectory, check_finite, evolve, rk4_step
+from .quadrature import Run, Trajectory, check_finite, evolve, rk4_step, solo
 from .spectral import (
     Grid,
     SpectralField,
@@ -116,24 +116,34 @@ def tendencies(grid: Grid, rho1: np.ndarray, v: np.ndarray):
     return drho1[0], dv
 
 
-def step(state: TwoPhaseState, dt: float) -> TwoPhaseState:
-    """Classical RK4 step on the half layout (see epsilon.step)."""
+def steps(states: list, dts: list) -> list:
+    """The RK4 step on the half layout (see epsilon.steps) as the ensemble
+    step of quadrature.evolve, for one member: growth runs never share a
+    grid. Its entry is the new state or its BlowUpError."""
+    (state,), (dt,) = states, dts
     grid = state.grid
     rho1, v = rk4_step(lambda y, c: tendencies(grid, *y), state.half(), dt)
-    y = (SpectralField(grid, full_coeffs(grid, rho1)),
-         *(SpectralField(grid, c) for c in full_coeffs(grid, v)))
-    check_finite(y, state, dt, "two-phase")
-    return TwoPhaseState(state.t + dt, *y)
+    rho1, v = full_coeffs(grid, rho1), full_coeffs(grid, v)
+    (error,) = check_finite((rho1[None], v[None]), states, dts, "two-phase")
+    return [error or TwoPhaseState(state.t + dt, SpectralField(grid, rho1),
+                                   *(SpectralField(grid, c) for c in v))]
+
+
+def step(state: TwoPhaseState, dt: float) -> TwoPhaseState:
+    """One RK4 step (see steps); blow-up raises BlowUpError carrying
+    `state`."""
+    return solo(steps, state, dt)
 
 
 def run(state: TwoPhaseState, dt: float, n_steps: int, probes: dict,
         stop_when=None) -> Trajectory:
     """Advance n_steps, recording each probe at t = 0 and after every step
-    (see quadrature.evolve). `stop_when(state)` may truncate the run early
-    (used by growth fits); a blow-up ends the record at the last finite
-    state with complete False, never with an exception."""
+    (quadrature.evolve of one run). `stop_when(state)` may truncate the run
+    early (used by growth fits); a blow-up ends the record at the last
+    finite state with complete False, never with an exception."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return evolve(step, state, dt, n_steps, probes, stop_when, partial=True)
+        return evolve(steps, [Run(state, dt, n_steps, probes, stop_when)],
+                      partial=True)[0]
 
 
 # -- linear theory ---------------------------------------------------------

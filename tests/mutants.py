@@ -1,5 +1,6 @@
-"""Mutation gate: faults planted by hand in the transport kernel and in the
-invariants the tests guard, each of which its named tests must catch.
+"""Mutation gate: faults planted by hand in the transport kernel, in the
+invariants the tests guard and in the ensemble run loop, each of which its
+named tests must catch.
 
     python tests/mutants.py             # every mutant
     python tests/mutants.py NAME ...    # the named ones
@@ -60,15 +61,15 @@ MUTANTS = (
            (PROPS + "test_kernel_blocks_are_bitwise_per_transform",)),
     # the invariants
     Mutant("mass-not-pinned", "src/driftfluid/epsilon.py",
-           "    rho[(0,) * grid.ndim] = 1.0\n", "",
+           "    rho[(...,) + (0,) * grid.ndim] = 1.0\n", "",
            ("tests/test_eps_solver.py::TestStep::test_step_resets_a_drifted_mean",)),
     Mutant("limit-kperp-zero-not-projected", "src/driftfluid/limit.py",
            "    drho[grid._par_line] = 0.0\n", "",
            ("tests/test_limit.py::TestTendencies::"
             "test_perp_average_tendency_vanishes_identically",)),
     Mutant("check-finite-disabled", "src/driftfluid/quadrature.py",
-           "    if not all(np.all(np.isfinite(f.coeffs)) for f in y):",
-           "    if False:",
+           "[np.isfinite(a).reshape(len(states), -1).all(axis=1) for a in arrays]",
+           "[np.ones(len(states), dtype=bool)]",
            ("tests/test_quadrature.py::TestBlowUp::test_step_raises_with_last_state",)),
     Mutant("eps-state-not-checked-real", "src/driftfluid/epsilon.py",
            "    check_real(v)\n", "",
@@ -78,6 +79,33 @@ MUTANTS = (
            "    if any(not math.isfinite(r.total) for r in rows):\n"
            "        return math.inf\n", "",
            ("tests/test_ck.py::TestMaxRatio::test_non_finite_total_is_infeasible",)),
+    Mutant("ck-gap-t-times-eta", "src/driftfluid/spectral.py",
+           "- times[:, None] / params.eta", "- times[:, None] * params.eta",
+           (PROPS + "test_shrinking_norm_non_decreasing_in_eta",)),
+    Mutant("constant-offset-on-drho", "src/driftfluid/epsilon.py",
+           "    result = (tend[0].reshape(",
+           "    tend[0][(...,) + (0,) * grid.ndim] += 1e-12\n"
+           "    result = (tend[0].reshape(",
+           (PROPS + "test_drift_advection_conserves_mass",)),
+    Mutant("inverse-trusts-irfftn-values", "src/driftfluid/spectral.py",
+           "    if field.real:\n        check_real(field, tol)\n", "",
+           ("tests/test_spectral.py::TestTransforms::"
+            "test_inverse_rejects_a_defect_at_negative_kpar_only",
+            "tests/test_spectral.py::TestTransforms::"
+            "test_inverse_rejects_broken_symmetry")),
+    # the ensemble loop
+    Mutant("ensemble-shares-first-dt", "src/driftfluid/quadrature.py",
+           "[m.run.dt for m in live]", "[live[0].run.dt for m in live]",
+           ("tests/test_quadrature.py::TestEnsemble::"
+            "test_eps_members_match_their_solo_runs",
+            "tests/test_quadrature.py::TestEnsemble::"
+            "test_toy_members_match_their_solo_runs")),
+    Mutant("member-retired-one-step-late", "src/driftfluid/quadrature.py",
+           "self.taken < self.run.n_steps", "self.taken <= self.run.n_steps",
+           ("tests/test_quadrature.py::TestEnsemble::"
+            "test_one_stacked_step_per_iteration_until_each_run_is_done",
+            "tests/test_quadrature.py::TestEvolve::"
+            "test_samples_at_zero_and_after_every_step")),
 )
 
 

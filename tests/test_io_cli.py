@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import driftfluid
-from driftfluid import epsilon, limit, presets
+from driftfluid import cli, epsilon, experiments, limit, presets, quadrature
 from driftfluid.cli import RunConfig, main, run, validate
 from driftfluid.errors import ConfigError
 from driftfluid.specio import read_spec, write_csv, write_spec
@@ -137,8 +137,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("experiment, key", [
         ("eps_sweep", "horizn"), ("eps_sweep", "eps_list"),
-        ("contraction", "params"), ("growth", "seed"),
-        ("dichotomy", "eps_list"), ("eps_run", "horizon")])
+        ("eps_sweep", "extra_runs"), ("contraction", "params"),
+        ("growth", "seed"), ("dichotomy", "eps_list"), ("eps_run", "horizon")])
     def test_unknown_experiment_param_rejected_with_path(self, experiment, key):
         """experiment_params may set only the keyword arguments of the
         experiment that its runner does not supply itself."""
@@ -290,20 +290,23 @@ class TestRunner:
 
     def test_eps_sweep_companion_tables(self, tmp_path, monkeypatch):
         """The companion tables come from the sweep's own runs: one eps
-        run per member and per sweep eps, one limit run per sweep eps."""
-        calls = {"epsilon": 0, "limit": 0}
-        for name, module in (("epsilon", epsilon), ("limit", limit)):
-            def counting(*args, _run=module.run, _name=name, **kwargs):
-                calls[_name] += 1
-                return _run(*args, **kwargs)
-            monkeypatch.setattr(module, "run", counting)
+        run per member and per sweep eps, stepped as one ensemble, and one
+        limit run per sweep eps, stepped as another."""
+        systems = {epsilon.steps: "epsilon", limit.steps: "limit"}
+        stepped = {"epsilon": [], "limit": []}   # runs per evolve call
+
+        def counting(steps, runs, *args, **kwargs):
+            stepped[systems[steps]].append(len(runs))
+            return quadrature.evolve(steps, runs, *args, **kwargs)
+        for module in (cli, experiments, epsilon, limit):
+            monkeypatch.setattr(module, "evolve", counting)
         cfg = RunConfig.from_dict({
             "experiment": "eps_sweep", "eps": [1e-1, 2.5e-2], "horizon": 2.5,
             "initial_data": {"preset": "single_mode",
                              "params": {"amplitude": 0.05}}})
         manifest = run(cfg, tmp_path, reference_mode=True)
         assert manifest.ok()
-        assert calls == {"epsilon": 4, "limit": 2}
+        assert stepped == {"epsilon": [4], "limit": [2]}
         listed = {f["path"] for f in manifest.files}
         assert {"convergence.csv", "limit_timeseries.csv",
                 "correctors.csv"} <= listed
@@ -377,6 +380,25 @@ class TestCliEntryPoint:
                                         "experiment_params": {"horizn": 1.0}}))
         assert main(["validate", "--config", str(cfg_path)]) == 2
         assert "experiment_params.horizn" in capsys.readouterr().err
+
+    def test_blow_up_writes_a_failing_manifest(self, tmp_path, capsys):
+        """An eps run that blows up ends the experiment with a manifest
+        that records the blow-up and fails, and a nonzero exit status
+        instead of a traceback."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "eps_run", "eps": [1e-2], "horizon": 0.1,
+            "dt": {"dt": 1e200},
+            "initial_data": {"preset": "single_mode",
+                             "params": {"amplitude": 0.02}}}))
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        data = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert data["passed"] is False
+        assert data["blow_up"] == {"system": "eps", "time": 0.0}
+        assert "blow-up: eps" in capsys.readouterr().out
 
     def test_run_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -2,6 +2,8 @@
 oscillatory kernel convolutions, and the shared RK4 step with its
 non-finite check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +11,7 @@ from scipy.integrate import quad
 from driftfluid import epsilon, limit, toymodel, twostream
 from driftfluid.errors import BlowUpError, InvariantError
 from driftfluid.quadrature import (
+    Run,
     cumulative_integral,
     evolve,
     interval_integrals,
@@ -209,14 +212,15 @@ class _Doubling:
         self.t, self.y = t, y
 
 
-def _double(state, dt):
-    return _Doubling(state.t + dt, 2.0 * state.y)
+def _double(states, dts):
+    return [_Doubling(st.t + dt, 2.0 * st.y) for st, dt in zip(states, dts)]
 
 
 class TestEvolve:
     def test_samples_at_zero_and_after_every_step(self):
-        traj = evolve(_double, _Doubling(0.0, 1.0), 0.5, 4,
-                      {"y": lambda s: s.y, "pair": lambda s: np.array([s.y, -s.y])})
+        traj = evolve(_double, [Run(_Doubling(0.0, 1.0), 0.5, 4,
+                                    {"y": lambda s: s.y,
+                                     "pair": lambda s: np.array([s.y, -s.y])})])[0]
         assert np.array_equal(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert np.array_equal(traj["y"], [1.0, 2.0, 4.0, 8.0, 16.0])
         assert traj["pair"].shape == (5, 2)
@@ -224,19 +228,20 @@ class TestEvolve:
         assert traj.complete and traj.dt == 0.5
 
     def test_non_numeric_values_stay_a_list(self):
-        traj = evolve(_double, _Doubling(0.0, 1.0), 0.5, 2, {"state": lambda s: s})
+        traj = evolve(_double, [Run(_Doubling(0.0, 1.0), 0.5, 2,
+                                    {"state": lambda s: s})])[0]
         assert isinstance(traj["state"], list)
         assert traj["state"][-1] is traj.final_state
 
     def test_states_at_keeps_only_the_chosen_samples(self):
-        traj = evolve(_double, _Doubling(0.0, 1.0), 0.5, 4,
-                      {"state": states_at([0, 3])})
+        traj = evolve(_double, [Run(_Doubling(0.0, 1.0), 0.5, 4,
+                                    {"state": states_at([0, 3])})])[0]
         assert [s is None for s in traj["state"]] == [False, True, True, False, True]
         assert traj["state"][0].y == 1.0 and traj["state"][3].y == 8.0
 
     def test_stop_when_truncates_after_the_sample(self):
-        traj = evolve(_double, _Doubling(0.0, 1.0), 0.5, 10, {"y": lambda s: s.y},
-                      stop_when=lambda s: s.y > 5.0)
+        traj = evolve(_double, [Run(_Doubling(0.0, 1.0), 0.5, 10, {"y": lambda s: s.y},
+                                    stop_when=lambda s: s.y > 5.0)])[0]
         assert np.array_equal(traj["y"], [1.0, 2.0, 4.0, 8.0])
         assert traj.final_state.y == 8.0 and traj.complete
 
@@ -273,3 +278,123 @@ class TestEvolve:
         assert not cut.complete
         assert cut.final_state is ok.final_state
         assert np.array_equal(cut.times, [ok.final_state.t])
+
+
+def _coeff_bytes(state) -> list:
+    """The time and the coefficient bytes of every field of a state."""
+    out = [state.t]
+    for f in dataclasses.fields(state):
+        value = getattr(state, f.name)
+        for field in value if isinstance(value, tuple) else (value,):
+            if isinstance(field, SpectralField):
+                out.append(field.coeffs.tobytes())
+    return out
+
+
+def _assert_alone(got, alone):
+    """A member's record equals its one-member run's, byte for byte."""
+    assert got.times.tobytes() == alone.times.tobytes()
+    assert got.series.keys() == alone.series.keys()
+    for name in alone.series:
+        assert np.asarray(got[name]).tobytes() == np.asarray(alone[name]).tobytes()
+    assert got.complete == alone.complete and got.dt == alone.dt
+    assert _coeff_bytes(got.final_state) == _coeff_bytes(alone.final_state)
+
+
+def _eps_runs():
+    """Eps members with their own data, eps, dt and step count."""
+    rho, v = _torus_data()
+    probes = {"mass": epsilon.mass, "energy": epsilon.energy,
+              "Epar": epsilon.parallel_field, "min_rho": epsilon.EpsState.min_rho}
+    return [Run(epsilon.make_eps_state(rho, v, 0.01), 1e-3, 3, probes),
+            Run(epsilon.make_eps_state(rho, 0.5 * v, 0.04), 2e-3, 5, probes),
+            Run(epsilon.make_eps_state(rho, -v, 0.1), 5e-4, 2, probes)]
+
+
+def _toy_runs():
+    """Toy-model members on both branches with their own eps and dt."""
+    line = Grid.line(16)
+    probes = {"energy": toymodel.energy,
+              "entropy": lambda st: toymodel.relative_entropy(st, 0.1)}
+    return [Run(toymodel.dichotomy_data(line, 0.1, 0.0), 1e-3, 4, probes),
+            Run(toymodel.dichotomy_data(line, 0.01, 0.5), 2e-3, 3, probes),
+            Run(toymodel.dichotomy_data(line, 0.001, 0.5), 5e-4, 5, probes)]
+
+
+class TestEnsemble:
+    """evolve steps a list of runs together; each member's record is the
+    one its run gets alone."""
+
+    def test_eps_members_match_their_solo_runs(self):
+        runs = _eps_runs()
+        for run, got in zip(runs, evolve(epsilon.steps, runs)):
+            _assert_alone(got, epsilon.run(run.state, run.dt, run.n_steps,
+                                           run.probes))
+
+    def test_limit_members_match_their_solo_runs(self):
+        rho, v = _torus_data()
+        probes = {"mass": epsilon.mass, "ubar": epsilon.mean_current}
+        runs = [Run(limit.project_initial(rho, v), 1e-3, 3, probes),
+                Run(limit.project_initial(rho, 0.5 * v), 2.5e-3, 4, probes)]
+        for run, got in zip(runs, evolve(limit.steps, runs)):
+            _assert_alone(got, limit.run(run.state, run.dt, run.n_steps,
+                                         run.probes))
+
+    def test_toy_members_match_their_solo_runs(self):
+        runs = _toy_runs()
+        for run, got in zip(runs, evolve(toymodel.steps, runs, partial=True)):
+            _assert_alone(got, toymodel.run(run.state, run.dt, run.n_steps,
+                                            run.probes))
+
+    def test_a_blown_toy_member_retires_alone(self):
+        runs = _toy_runs()
+        blown = Run(runs[1].state, 1e200, 3, runs[1].probes)
+        with np.errstate(all="ignore"):
+            got = evolve(toymodel.steps, [runs[0], blown, runs[2]], partial=True)
+        assert not got[1].complete
+        assert got[1].final_state is blown.state
+        assert np.array_equal(got[1].times, [0.0])
+        for run, traj in zip((runs[0], runs[2]), (got[0], got[2])):
+            assert traj.complete
+            _assert_alone(traj, toymodel.run(run.state, run.dt, run.n_steps,
+                                             run.probes))
+
+    def test_a_blown_eps_member_raises_its_own_error(self):
+        runs = _eps_runs()
+        blown = Run(runs[1].state, 1e200, 3, runs[1].probes)
+        with np.errstate(all="ignore"):
+            with pytest.raises(BlowUpError) as alone:
+                epsilon.run(blown.state, blown.dt, blown.n_steps, blown.probes)
+            with pytest.raises(BlowUpError) as info:
+                evolve(epsilon.steps, [runs[0], blown, runs[2]])
+        assert info.value.system == alone.value.system == "eps"
+        assert info.value.last_time == alone.value.last_time
+        assert _coeff_bytes(info.value.last_state) == \
+            _coeff_bytes(alone.value.last_state)
+
+    def test_stop_when_retires_only_its_own_member(self):
+        runs = [Run(_Doubling(0.0, 1.0), 0.5, 10, {"y": lambda s: s.y},
+                    stop_when=lambda s: s.y > 5.0),
+                Run(_Doubling(0.0, 3.0), 0.25, 6, {"y": lambda s: s.y}),
+                Run(_Doubling(1.0, 1.0), 1.0, 4, {"y": lambda s: s.y},
+                    stop_when=lambda s: s.y > 100.0)]
+        got = evolve(_double, runs)
+        assert np.array_equal(got[0]["y"], [1.0, 2.0, 4.0, 8.0])
+        assert np.array_equal(got[1].times, 0.25 * np.arange(7))
+        assert np.array_equal(got[2]["y"], [1.0, 2.0, 4.0, 8.0, 16.0])
+        for run, traj in zip(runs, got):
+            alone = evolve(_double, [run])[0]
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj["y"], alone["y"])
+
+    def test_one_stacked_step_per_iteration_until_each_run_is_done(self):
+        sizes = []
+
+        def counted(states, dts):
+            sizes.append(len(states))
+            return _double(states, dts)
+        runs = [Run(_Doubling(0.0, 1.0), 0.5, 2, {}),
+                Run(_Doubling(0.0, 1.0), 0.25, 4, {})]
+        got = evolve(counted, runs)
+        assert sizes == [2, 2, 1, 1]
+        assert [traj.final_state.t for traj in got] == [1.0, 1.0]
