@@ -9,15 +9,18 @@ Config schema (JSON object; unknown keys are rejected with their path):
       "grid": [n1, n2, npar],          # or [n1, npar] (shear), [npar]
       "eps": [0.1, 0.025],             # one entry for eps_run
       "horizon": 2.5,
-      "dt": {"samples_per_period": 120, "cfl": 0.4, "dt": null},
+      "dt": {"samples_per_period": 120, "dt": null},   # dt overrides
       "norms": {"delta0": 1.5, "delta": 1.1, "eta": 1.0, "beta": 0.5},
       "initial_data": {"preset": "single_mode", "params": {...}},
       "experiment_params": {...},      # keyword arguments of the experiment
       "adm_const": 10.0,
-      "seed": 0
+      "seed": 0,
+      "snapshot_every": 0              # a .spec every n samples, 0: none
     }
 
-Only "experiment" is required; everything else has defaults. The keys of
+Only "experiment" is required; everything else has defaults. "dt.dt",
+when set, and "dt.samples_per_period" must be positive, "snapshot_every"
+(of each eps time series) non-negative. The keys of
 "experiment_params" are the keyword arguments of the experiment's function
 that its runner does not supply (eps_run takes none). Outputs per
 run: RFC-4180 CSV tables, `.spec` snapshots, gnuplot-compatible plot
@@ -63,7 +66,7 @@ _DEFAULTS = {
     "grid": [4, 4, 16],
     "eps": [1e-2],
     "horizon": 2.5,
-    "dt": {"samples_per_period": 120, "cfl": 0.4, "dt": None},
+    "dt": {"samples_per_period": 120, "dt": None},
     "norms": {"delta0": 1.5, "delta": 1.1, "eta": 1.0, "beta": 0.5},
     "initial_data": {"preset": "single_mode", "params": {}},
     "experiment_params": {},
@@ -124,6 +127,15 @@ class RunConfig:
             raise ConfigError("eps must be a non-empty list of positive values")
         if merged["horizon"] <= 0:
             raise ConfigError("horizon must be positive")
+        dt = merged["dt"]
+        if dt["dt"] is not None and dt["dt"] <= 0:
+            raise ConfigError(f"dt.dt must be positive, got {dt['dt']}")
+        if dt["samples_per_period"] <= 0:
+            raise ConfigError("dt.samples_per_period must be positive, got "
+                              f"{dt['samples_per_period']}")
+        if merged["snapshot_every"] < 0:
+            raise ConfigError("snapshot_every must be non-negative, got "
+                              f"{merged['snapshot_every']}")
         return cls(**merged)
 
     def make_grid(self) -> Grid:
@@ -140,11 +152,9 @@ class RunConfig:
         return NormParams(**self.norms)
 
     def policy_dt(self, eps: float) -> float:
-        if self.dt.get("dt"):
+        if self.dt["dt"] is not None:
             return float(self.dt["dt"])
-        return epsilon.dt_policy(eps,
-                                 samples_per_period=self.dt["samples_per_period"],
-                                 cfl=self.dt["cfl"])
+        return epsilon.dt_policy(eps, samples_per_period=self.dt["samples_per_period"])
 
 
 @dataclass
@@ -440,7 +450,7 @@ def validate(cfg: RunConfig) -> dict:
                 findings.append(f"eps={eps:g}: {exc}")
                 continue
             dt = cfg.policy_dt(eps)
-            resolve = 2.0 * math.pi * math.sqrt(eps) / epsilon.MIN_SAMPLES_PER_PERIOD
+            resolve = epsilon.dt_policy(eps, epsilon.MIN_SAMPLES_PER_PERIOD)
             if dt > resolve:
                 findings.append(
                     f"eps={eps:g}: dt = {dt:.3e} exceeds the oscillation "

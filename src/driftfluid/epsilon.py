@@ -36,14 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ConfigError
-from .poisson import (
-    Forces,
-    Potentials,
-    field_coeffs,
-    parallel_coeffs,
-    phi_coeffs,
-    solve_fields,
-)
+from .poisson import Forces, field_coeffs, parallel_coeffs, phi_coeffs
 from .quadrature import (
     Run,
     Trajectory,
@@ -102,9 +95,6 @@ class EpsState:
         """Filtered current v - G."""
         return self.v - embed_parallel(self.G, self.grid)
 
-    def fields(self) -> tuple[Potentials, Forces]:
-        return solve_fields(self.rho, self.eps)
-
     def min_rho(self) -> float:
         return float(np.min(self.rho._values))
 
@@ -142,19 +132,10 @@ def make_eps_state(rho: SpectralField, v: SpectralField, eps: float,
     return EpsState(t=0.0, eps=eps, rho=rho, v=v, G=zeros(rho.grid.par_grid))
 
 
-def dt_policy(eps: float, max_speed_par: float = 0.0, max_speed_perp: float = 0.0,
-              grid: Grid | None = None,
-              samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
-              cfl: float = 0.4) -> float:
-    """dt = min(advective CFL, oscillation period / samples_per_period)."""
-    dt = 2.0 * math.pi * math.sqrt(eps) / samples_per_period
-    if grid is not None:
-        if max_speed_par > 0.0:
-            dt = min(dt, cfl / (grid.shape[grid.par_axis] * max_speed_par))
-        if max_speed_perp > 0.0:
-            n_perp = max(grid.shape[i] for i in grid.perp_axes)
-            dt = min(dt, cfl / (n_perp * max_speed_perp))
-    return dt
+def dt_policy(eps: float,
+              samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD) -> float:
+    """dt = oscillation period / samples_per_period."""
+    return oscillation_period(eps) / samples_per_period
 
 
 def oscillation_period(eps: float) -> float:

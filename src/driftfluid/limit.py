@@ -73,15 +73,6 @@ def pressure_gradient_coeffs(line: Grid, flux: np.ndarray) -> np.ndarray:
     return -derivative_coeffs(line, flux, 0)
 
 
-def pressure_gradient(rho: SpectralField, v: SpectralField) -> SpectralField:
-    """d_par p = -d_par <rho v^2>_perp, a zero-mean parallel field: a
-    field view of the closure the step forms in drift_advection."""
-    line = rho.grid.par_grid
-    flux = drift_advection(rho.grid, rho.half_coeffs, v.half_coeffs,
-                           values=(rho._values, v._values), pressure=True)[2]
-    return SpectralField(line, full_coeffs(line, pressure_gradient_coeffs(line, flux)))
-
-
 def constraint_residuals(rho: SpectralField, v: SpectralField) -> tuple[float, float]:
     """(|<rho>_perp - 1|, |d_par <rho v>_perp|) in L2, the two data
     constraints of the limit system."""

@@ -92,7 +92,7 @@ def _mode_divisor(grid: Grid) -> np.ndarray:
 
 
 def duhamel_sqrt_eps_E(source: WaveSource, eps: float, E0: SpectralField,
-                       eps_dtE0: SpectralField, rule: str = "filon") -> np.ndarray:
+                       eps_dtE0: SpectralField) -> np.ndarray:
     """sqrt(eps) E_par(t) from the sine-kernel variation-of-constants
     formula, per parallel mode:
 
@@ -101,7 +101,7 @@ def duhamel_sqrt_eps_E(source: WaveSource, eps: float, E0: SpectralField,
                               + F(eps d_t E(0))(k) sin(t/sqrt(eps)).
     """
     omega = 1.0 / math.sqrt(eps)
-    S, _ = oscillatory_convolutions(source.coeffs, source.dt, omega, rule=rule)
+    S, _ = oscillatory_convolutions(source.coeffs, source.dt, omega)
     div = _mode_divisor(source.grid)
     phase = source.times[:, None] * omega
     homog = (math.sqrt(eps) * E0.coeffs[None, :] * np.cos(phase)
@@ -110,7 +110,7 @@ def duhamel_sqrt_eps_E(source: WaveSource, eps: float, E0: SpectralField,
 
 
 def duhamel_G(source: WaveSource, eps: float, E0: SpectralField,
-              eps_dtE0: SpectralField, rule: str = "filon") -> np.ndarray:
+              eps_dtE0: SpectralField) -> np.ndarray:
     """G(t) = int_0^t E_par ds from the (1 - cos) kernel:
 
         F G(t,k) = int_0^t [1 - cos((t-s)/sqrt(eps))] F g(s,k)/(i 2 pi k) ds
@@ -118,7 +118,7 @@ def duhamel_G(source: WaveSource, eps: float, E0: SpectralField,
                    - F(eps d_t E(0))(k) (cos(t/sqrt(eps)) - 1).
     """
     omega = 1.0 / math.sqrt(eps)
-    _, C = oscillatory_convolutions(source.coeffs, source.dt, omega, rule=rule)
+    _, C = oscillatory_convolutions(source.coeffs, source.dt, omega)
     plain = cumulative_integral(source.coeffs, source.dt)
     div = _mode_divisor(source.grid)
     phase = source.times[:, None] * omega

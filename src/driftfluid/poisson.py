@@ -17,9 +17,10 @@ are gauged to zero mean; only their gradients enter the dynamics.
 The solves act on coefficient arrays with any leading axes (`field_coeffs`
 and its parts `phi_coeffs`, `parallel_coeffs`, `V_coeffs` and
 `perp_field_coeffs`), on either layout of `spectral`: the eps, limit and
-CK kernels pass half-layout arrays, and the field functions wrap them for
-a single density in the full layout. The line-grid toy model's problem
--eps d_par^2 V = sigma - 1 is the same division (`V_coeffs`).
+CK kernels pass half-layout arrays. `solve_fields` is the one field
+wrapper, every potential and force of a single full-layout density as
+`SpectralField`s (the wave source reads them). The line-grid toy model's
+problem -eps d_par^2 V = sigma - 1 is the same division (`V_coeffs`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .spectral import (
     PERP2,
     Grid,
     SpectralField,
-    derivative,
     derivative_coeffs,
     perp_average_coeffs,
 )
@@ -146,34 +146,6 @@ def field_coeffs(grid: Grid, rho: np.ndarray, eps) -> FieldCoeffs:
                        eps_dpar_phi=_per_sample(grid, eps)
                        * derivative_coeffs(grid, phi, grid.par_axis),
                        Epar=Epar)
-
-
-def solve_phi(rho: SpectralField, eps: float) -> SpectralField:
-    """Screened perpendicular Poisson solve for phi, zero-mean gauge."""
-    return SpectralField(rho.grid, phi_coeffs(rho.grid, rho.coeffs, eps), rho.real)
-
-
-def solve_V(rho_bar: SpectralField, eps: float, tol: float = 1e-8) -> SpectralField:
-    """1D parallel Poisson solve -eps d_par^2 V = rho_bar - 1, zero-mean gauge."""
-    grid = rho_bar.grid
-    if grid.ndim != 1:
-        raise SolvabilityError("solve_V expects a parallel-only field")
-    return SpectralField(grid, V_coeffs(grid, rho_bar.coeffs, eps, tol), rho_bar.real)
-
-
-def perp_field(phi: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """E_perp = -grad^perp phi = (-d2 phi, d1 phi).
-
-    On shear grids (no perp2 axis) the first component vanishes
-    identically and the second is d1 phi.
-    """
-    e1, e2 = perp_field_coeffs(phi.grid, phi.coeffs)
-    return SpectralField(phi.grid, e1, phi.real), SpectralField(phi.grid, e2, phi.real)
-
-
-def parallel_force(V: SpectralField) -> SpectralField:
-    """E_par = -d_par V (parallel-only)."""
-    return -derivative(V, 0)
 
 
 def solve_fields(rho: SpectralField, eps: float) -> tuple[Potentials, Forces]:

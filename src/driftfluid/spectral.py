@@ -78,17 +78,6 @@ PAR = "par"
 
 FFT_BLOCK_POINTS = 2**14          # points per numpy.fft call, see block_rows
 
-_AXIS_ALIASES = {
-    PERP1: PERP1,
-    PERP2: PERP2,
-    PAR: PAR,
-    "1": PERP1,
-    "2": PERP2,
-    "parallel": PAR,
-    "par": PAR,
-}
-
-
 class Symbols(NamedTuple):
     """A grid's Fourier symbols on one coefficient layout, each broadcast
     against that layout's coefficient arrays."""
@@ -148,10 +137,9 @@ class Grid:
             if not 0 <= axis < self.ndim:
                 raise ConfigError(f"axis index {axis} out of range")
             return int(axis)
-        label = _AXIS_ALIASES.get(str(axis))
-        if label is None or label not in self.axes:
+        if axis not in self.axes:
             raise ConfigError(f"grid {self.axes} has no axis {axis!r}")
-        return self.axes.index(label)
+        return self.axes.index(axis)
 
     @property
     def par_axis(self) -> int:
@@ -297,13 +285,14 @@ def _conjugate_reflection(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return np.conjugate(out, out=out)
 
 
-def _symmetry_defects(field: "SpectralField",
-                      scale_floor: float = 1e-12) -> tuple[float, float]:
+def _symmetry_defects(field: "SpectralField") -> tuple[float, float]:
     """The largest |coeff(k) - conj(coeff(-k))| relative to the coefficient
-    scale (floored at `scale_floor`), and the l1 norm of the anti-Hermitian
-    part, half the sum of those magnitudes."""
+    scale, and the l1 norm of the anti-Hermitian part, half the sum of
+    those magnitudes. The scale is floored at 1e-12: fields below it are
+    numerically zero and report no defect (rounding noise has no
+    symmetry)."""
     anti = np.abs(field.coeffs - _conjugate_reflection(field.grid, field.coeffs))
-    scale = max(float(np.max(np.abs(field.coeffs))), scale_floor)
+    scale = max(float(np.max(np.abs(field.coeffs))), 1e-12)
     return float(np.max(anti)) / scale, 0.5 * float(np.sum(anti))
 
 
@@ -334,16 +323,6 @@ class SpectralField:
                 else collocation_values(self.grid, self.coeffs, False))
         vals.setflags(write=False)
         return vals
-
-    def hermitian_defect(self, scale_floor: float = 1e-12) -> float:
-        """Largest |coeff(k) - conj(coeff(-k))| relative to the coefficient
-        scale. Fields below `scale_floor` in magnitude are numerically
-        zero and report no defect (rounding noise has no symmetry)."""
-        return _symmetry_defects(self, scale_floor)[0]
-
-    def is_dealiased(self, tol: float = 0.0) -> bool:
-        outside = self.coeffs[~self.grid.dealias_mask]
-        return bool(outside.size == 0 or np.max(np.abs(outside)) <= tol)
 
     # -- arithmetic (linear operations stay in coefficient space) ---------
 
@@ -565,10 +544,6 @@ def derivative(field: SpectralField, axis) -> SpectralField:
     """
     return SpectralField(field.grid, derivative_coeffs(field.grid, field.coeffs, axis),
                          field.real)
-
-
-def gradient(field: SpectralField) -> list[SpectralField]:
-    return [derivative(field, i) for i in range(field.grid.ndim)]
 
 
 def product(f: SpectralField, g: SpectralField) -> SpectralField:

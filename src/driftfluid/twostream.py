@@ -12,7 +12,9 @@ d_par(rho_1 v_1 + rho_2 v_2) = 0, and
 
 keeps that flux constant in time. Only (rho_1, v_1, v_2) are evolved;
 rho_2 = 1 - rho_1 is implied, so the mass constraint is exact by
-construction and the momentum flux residual is monitored.
+construction; the momentum flux residual |d_par(rho_1 v_1 + rho_2 v_2)|
+is monitored by the tests (tests/test_twostream.py), from the arrays a
+step advances.
 
 Linearised about constants the system is elliptic in space-time whenever
 the streams differ: the growth rate of wavenumber k is proportional to k,
@@ -35,14 +37,11 @@ from .spectral import (
     Grid,
     SpectralField,
     check_real,
-    collocation_values,
     constant,
     dealias,
-    derivative,
     full_coeffs,
     inverse,
     l2_norm,
-    product_coeffs,
 )
 
 
@@ -87,23 +86,6 @@ def _densities(rho1: np.ndarray) -> np.ndarray:
     rho = np.stack([rho1, -rho1])
     rho[1, 0] += 1.0
     return rho
-
-
-def pressure_gradient(state: TwoPhaseState) -> SpectralField:
-    """d_par p = -d_par(rho1 v1^2 + rho2 v2^2), zero mean: a field view of
-    the closure the step uses."""
-    grid, (rho1, v) = state.grid, state.half()
-    flux = drift_advection(grid, _densities(rho1), v, pressure=True, evolved=1)[2]
-    dp = pressure_gradient_coeffs(grid, flux).sum(axis=0)
-    return SpectralField(grid, full_coeffs(grid, dp))
-
-
-def momentum_flux_residual(state: TwoPhaseState) -> float:
-    """|d_par(rho1 v1 + rho2 v2)| in L2; zero on the constraint manifold."""
-    grid, (rho1, v) = state.grid, state.half()
-    flux = product_coeffs(grid, collocation_values(grid, _densities(rho1), True),
-                          collocation_values(grid, v, True), True).sum(axis=0)
-    return l2_norm(derivative(SpectralField(grid, full_coeffs(grid, flux)), 0))
 
 
 def tendencies(grid: Grid, rho1: np.ndarray, v: np.ndarray):

@@ -1,6 +1,6 @@
 """Mutation gate: faults planted by hand in the transport kernel, in the
-invariants the tests guard and in the ensemble run loop, each of which its
-named tests must catch.
+invariants the tests guard, in the ensemble run loop and in the config
+checks, each of which its named tests must catch.
 
     python tests/mutants.py             # every mutant
     python tests/mutants.py NAME ...    # the named ones
@@ -87,6 +87,10 @@ MUTANTS = (
            "    tend[0][(...,) + (0,) * grid.ndim] += 1e-12\n"
            "    result = (tend[0].reshape(",
            (PROPS + "test_drift_advection_conserves_mass",)),
+    Mutant("non-conservative-rho-tendency", "src/driftfluid/epsilon.py",
+           "table = [(2, 0, n, 1, None), (2, 1, n_rho, 0, par)]",
+           "table = [(2, 0, n, 1, None), (0, 1, n_rho, 0, None)]",   # -rho d_par v
+           (PROPS + "test_drift_advection_conserves_mass",)),
     Mutant("inverse-trusts-irfftn-values", "src/driftfluid/spectral.py",
            "    if field.real:\n        check_real(field, tol)\n", "",
            ("tests/test_spectral.py::TestTransforms::"
@@ -106,6 +110,13 @@ MUTANTS = (
             "test_one_stacked_step_per_iteration_until_each_run_is_done",
             "tests/test_quadrature.py::TestEvolve::"
             "test_samples_at_zero_and_after_every_step")),
+    # the config checks
+    Mutant("non-positive-dt-accepted", "src/driftfluid/cli.py",
+           'if dt["dt"] is not None and dt["dt"] <= 0:', "if False:",
+           ("tests/test_io_cli.py::TestRunConfig::"
+            "test_step_settings_that_run_nothing_are_refused",
+            "tests/test_io_cli.py::TestCliEntryPoint::"
+            "test_negative_dt_is_a_config_error")),
 )
 
 

@@ -255,7 +255,7 @@ class TestDiagnostics:
 
     def test_symbol_arithmetic_norm(self):
         """|sqrt(eps) E_par|_delta for rho_bar - 1 = sqrt(eps) cos(2 pi x):
-        the solve_V symbol gives exactly delta / (2 pi)."""
+        the parallel solve's symbol gives exactly delta / (2 pi)."""
         g = Grid.torus3d(4, 4, 16)
         eps = 0.04
         xp = g.meshgrid()[2]

@@ -130,6 +130,22 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="dt.step_size"):
             RunConfig.from_dict({"experiment": "eps_run",
                                  "dt": {"step_size": 0.1}})
+        with pytest.raises(ConfigError, match="unknown config key dt.cfl$"):
+            RunConfig.from_dict({"experiment": "eps_run", "dt": {"cfl": 1e-9}})
+
+    @pytest.mark.parametrize("key, raw", [
+        ("dt.dt", {"dt": {"dt": -0.1}}), ("dt.dt", {"dt": {"dt": 0.0}}),
+        ("dt.samples_per_period", {"dt": {"samples_per_period": -120}}),
+        ("dt.samples_per_period", {"dt": {"samples_per_period": 0}}),
+        ("snapshot_every", {"snapshot_every": -1})],
+        ids=["negative-dt", "zero-dt", "negative-samples", "zero-samples",
+             "negative-snapshot-spacing"])
+    def test_step_settings_that_run_nothing_are_refused(self, key, raw):
+        """A non-positive dt or samples per period would take zero steps
+        and write a passing one-row run; a negative snapshot spacing
+        snapshots nothing."""
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            RunConfig.from_dict({"experiment": "eps_run", **raw})
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="experiment"):
@@ -380,6 +396,15 @@ class TestCliEntryPoint:
                                         "experiment_params": {"horizn": 1.0}}))
         assert main(["validate", "--config", str(cfg_path)]) == 2
         assert "experiment_params.horizn" in capsys.readouterr().err
+
+    def test_negative_dt_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "eps_run",
+                                        "dt": {"dt": -0.1}}))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "dt.dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_blow_up_writes_a_failing_manifest(self, tmp_path, capsys):
         """An eps run that blows up ends the experiment with a manifest

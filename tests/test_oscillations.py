@@ -16,6 +16,7 @@ from driftfluid.epsilon import (
     wave_source,
 )
 from driftfluid.errors import ConfigError, InvariantError
+from driftfluid.poisson import solve_fields
 from driftfluid.oscillations import (
     WaveSource,
     advect_correctors,
@@ -164,7 +165,8 @@ class TestDuhamel:
         dt = dt_policy(eps)
         traj = run(st, dt, 160, {
             "Epar": parallel_field,
-            "source": lambda s: wave_source(s.rho, s.v, s.fields()[1], s.eps).coeffs})
+            "source": lambda s: wave_source(s.rho, s.v, solve_fields(s.rho, s.eps)[1],
+                                            s.eps).coeffs})
         src = WaveSource(grid=grid.par_grid, times=traj.times, coeffs=traj["source"])
         E0 = SpectralField(grid.par_grid, traj["Epar"][0])
         D = eps_dtE0(st.rho, st.v)

@@ -6,11 +6,11 @@ import pytest
 
 from driftfluid.errors import SolvabilityError
 from driftfluid.poisson import (
-    parallel_force,
-    perp_field,
+    V_coeffs,
+    parallel_coeffs,
+    perp_field_coeffs,
+    phi_coeffs,
     solve_fields,
-    solve_phi,
-    solve_V,
 )
 from driftfluid.spectral import (
     Grid,
@@ -43,7 +43,7 @@ class TestSolvePhi:
         x1 = g.meshgrid()[0]
         rho = forward(g, 1.0 + np.cos(2 * np.pi * x1))
         for eps in (1e-3, 0.3, 1.0):
-            phi = solve_phi(rho, eps)
+            phi = SpectralField(g, phi_coeffs(g, rho.coeffs, eps))
             expected = np.cos(2 * np.pi * x1) / TWO_PI_SQ
             assert np.max(np.abs(inverse(phi) - expected)) < 1e-14
 
@@ -51,7 +51,7 @@ class TestSolvePhi:
         g = Grid.torus3d(8, 8, 8)
         x1, _, xp = g.meshgrid()
         rho_vals = np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * xp)
-        phi = solve_phi(forward(g, rho_vals), 1.0)
+        phi = SpectralField(g, phi_coeffs(g, forward(g, rho_vals).coeffs, 1.0))
         expected = rho_vals / (TWO_PI_SQ * 2.0)
         assert np.max(np.abs(inverse(phi) - expected)) < 1e-14
 
@@ -59,7 +59,7 @@ class TestSolvePhi:
         g = Grid.torus3d(8, 8, 8)
         rho = random_band_field(g, 3, rng, amplitude=0.5, mean=1.0)
         for eps in (1.0, 0.1, 0.01):
-            phi = solve_phi(rho, eps)
+            phi = SpectralField(g, phi_coeffs(g, rho.coeffs, eps))
             lhs = (-eps**2 * derivative(derivative(phi, "par"), "par")
                    - derivative(derivative(phi, "perp1"), "perp1")
                    - derivative(derivative(phi, "perp2"), "perp2"))
@@ -68,13 +68,14 @@ class TestSolvePhi:
 
     def test_gauge_zero_perp_average(self, rng):
         g = Grid.torus3d(8, 8, 8)
-        phi = solve_phi(random_band_field(g, 3, rng, mean=1.0), 0.2)
+        phi = SpectralField(g, phi_coeffs(
+            g, random_band_field(g, 3, rng, mean=1.0).coeffs, 0.2))
         assert np.max(np.abs(perp_average(phi).coeffs)) == 0.0
 
     def test_shear_reduction(self, rng):
         g = Grid.shear2d(8, 16)
         rho = random_band_field(g, 3, rng, mean=1.0)
-        phi = solve_phi(rho, 0.5)
+        phi = SpectralField(g, phi_coeffs(g, rho.coeffs, 0.5))
         lhs = (-0.25 * derivative(derivative(phi, "par"), "par")
                - derivative(derivative(phi, "perp1"), "perp1"))
         target = perp_zero_removed(rho)
@@ -84,7 +85,8 @@ class TestSolvePhi:
 class TestPerpField:
     def test_constant_potential(self):
         g = Grid.torus3d(4, 4, 4)
-        e1, e2 = perp_field(constant(g, 2.0))
+        e1, e2 = (SpectralField(g, c)
+                  for c in perp_field_coeffs(g, constant(g, 2.0).coeffs))
         assert np.max(np.abs(e1.coeffs)) == 0.0
         assert np.max(np.abs(e2.coeffs)) == 0.0
 
@@ -92,14 +94,14 @@ class TestPerpField:
         g = Grid.torus3d(8, 8, 4)
         x2 = g.meshgrid()[1]
         phi = forward(g, np.sin(2 * np.pi * x2))
-        e1, e2 = perp_field(phi)
+        e1, e2 = (SpectralField(g, c) for c in perp_field_coeffs(g, phi.coeffs))
         assert np.max(np.abs(inverse(e1) + 2 * np.pi * np.cos(2 * np.pi * x2))) < 1e-12
         assert np.max(np.abs(e2.coeffs)) < 1e-14
 
     def test_divergence_free(self, rng):
         g = Grid.torus3d(8, 8, 8)
         phi = random_band_field(g, 3, rng)
-        e1, e2 = perp_field(phi)
+        e1, e2 = (SpectralField(g, c) for c in perp_field_coeffs(g, phi.coeffs))
         div = derivative(e1, "perp1") + derivative(e2, "perp2")
         assert np.max(np.abs(div.coeffs)) < 1e-12
 
@@ -107,7 +109,7 @@ class TestPerpField:
 class TestSolveV:
     def test_quasineutral_rest(self):
         line = Grid.line(16)
-        V = solve_V(constant(line, 1.0), 0.3)
+        V = SpectralField(line, V_coeffs(line, constant(line, 1.0).coeffs, 0.3))
         assert np.max(np.abs(V.coeffs)) == 0.0
 
     def test_single_mode_scaling(self):
@@ -115,7 +117,7 @@ class TestSolveV:
         x = line.coordinates(0)
         for eps in (1.0, 1e-2):
             rho_bar = forward(line, 1.0 + np.sqrt(eps) * np.cos(2 * np.pi * x))
-            V = solve_V(rho_bar, eps)
+            V = SpectralField(line, V_coeffs(line, rho_bar.coeffs, eps))
             expected = np.cos(2 * np.pi * x) / (np.sqrt(eps) * TWO_PI_SQ)
             assert np.max(np.abs(inverse(V) - expected)) < 1e-11 / eps
 
@@ -123,7 +125,7 @@ class TestSolveV:
         line = Grid.line(16)
         rho_bar = random_band_field(line, 5, rng, amplitude=0.3, mean=1.0)
         for eps in (1.0, 0.1, 0.01):
-            V = solve_V(rho_bar, eps)
+            V = SpectralField(line, V_coeffs(line, rho_bar.coeffs, eps))
             lhs = -eps * derivative(derivative(V, 0), 0)
             c = np.array(rho_bar.coeffs, copy=True)
             c[0] = 0.0
@@ -132,7 +134,7 @@ class TestSolveV:
     def test_solvability_guard(self):
         line = Grid.line(8)
         with pytest.raises(SolvabilityError):
-            solve_V(constant(line, 1.1), 0.1)
+            V_coeffs(line, constant(line, 1.1).coeffs, 0.1)
 
 
 class TestSymbolBounds:
@@ -163,6 +165,6 @@ class TestSymbolBounds:
     def test_parallel_force_consistency(self, rng):
         line = Grid.line(16)
         rho_bar = random_band_field(line, 4, rng, amplitude=0.2, mean=1.0)
-        V = solve_V(rho_bar, 0.4)
-        E = parallel_force(V)
+        V, E = (SpectralField(line, c)
+                for c in parallel_coeffs(line, rho_bar.coeffs, 0.4))
         assert np.max(np.abs((E + derivative(V, 0)).coeffs)) == 0.0

@@ -1,9 +1,10 @@
 """The inequalities and conservation laws behind the Cauchy-Kovalevskaya
 argument, as properties over random band-limited fields on line, shear
 and torus grids: the Banach algebra of the analytic norm, the monotonicity
-of the shrinking norm in the strip-consumption rate eta, the mass
-conservation of the drift-advection tendency, Parseval, and the Poisson
-solves (phi free of k_perp = 0 content, the mean-1 solvability). The
+of the analytic and gradient norms in delta and of the shrinking norm in
+the strip-consumption rate eta, the mass conservation of the
+drift-advection tendency, Parseval, and the Poisson solves (phi free of
+k_perp = 0 content, the mean-1 solvability, the mode-wise force bounds). The
 half-layout kernel (drift advection, field solves, the completion to the
 full layout) is checked against full-layout references written here, and
 its stacked, blocked transforms bit for bit against one numpy.fft call
@@ -22,7 +23,7 @@ from hypothesis import example, given, strategies as st
 from driftfluid import ck, epsilon, limit, spectral, toymodel, twostream
 from driftfluid.epsilon import drift_advection
 from driftfluid.errors import SolvabilityError
-from driftfluid.poisson import TWO_PI_SQ, field_coeffs, phi_coeffs, solve_phi
+from driftfluid.poisson import TWO_PI_SQ, field_coeffs, phi_coeffs
 from driftfluid.spectral import (
     PERP1,
     PERP2,
@@ -32,6 +33,7 @@ from driftfluid.spectral import (
     collocation_values,
     constant,
     full_coeffs,
+    gradient_norm,
     inner,
     inverse,
     l2_norm,
@@ -55,6 +57,18 @@ def test_banach_algebra(grid, kmax, delta, mean_f, mean_g, seed):
     g = random_band_field(grid, kmax, rng, mean=mean_g)
     lhs = analytic_norm(product(f, g), delta)
     assert lhs <= analytic_norm(f, delta) * analytic_norm(g, delta) * (1 + 1e-12) + 1e-13
+
+
+@given(grid=grids, kmax=st.integers(0, 3), mean=st.floats(-2.0, 2.0),
+       deltas=st.lists(st.floats(1.0, 3.0), min_size=2, max_size=2), seed=seeds)
+def test_analytic_and_gradient_norms_non_decreasing_in_delta(grid, kmax, mean,
+                                                             deltas, seed):
+    """Each weight, delta^|k| and |k| delta^|k|, is non-decreasing in
+    delta >= 1, and so are the analytic and gradient norms."""
+    f = random_band_field(grid, kmax, np.random.default_rng(seed), mean=mean)
+    lo, hi = sorted(deltas)
+    assert analytic_norm(f, lo) <= analytic_norm(f, hi)
+    assert gradient_norm(f, lo) <= gradient_norm(f, hi)
 
 
 @given(grid=grids, n_t=st.integers(1, 5), kmax=st.integers(0, 3),
@@ -220,8 +234,28 @@ def test_phi_has_no_perp_zero_content(grid, n_batch, kmax, eps, seed):
     rng = np.random.default_rng(seed)
     rho = _draw(grid, kmax, rng, n_batch, mean=1.0)
     assert np.all(phi_coeffs(grid, _half(grid, rho), eps)[grid._par_line] == 0.0)
-    phi = solve_phi(random_band_field(grid, kmax, rng, mean=1.0), eps)
-    assert np.all(phi.coeffs[grid._par_line] == 0.0)
+    phi = phi_coeffs(grid, random_band_field(grid, kmax, rng, mean=1.0).coeffs, eps)
+    assert np.all(phi[grid._par_line] == 0.0)
+
+
+@given(grid=grids, n_batch=st.integers(0, 3), kmax=st.integers(0, 3),
+       eps=st.floats(1e-300, 1.0), half=st.booleans(), seed=seeds)
+def test_force_symbol_bounds(grid, n_batch, kmax, eps, half, seed):
+    """Mode by mode, on either layout and with or without a leading axis:
+    |E_perp(k)| <= |rho(k)|/(2 pi), as |k_perp| >= 1 off the k_perp = 0
+    line, and |eps d_par phi(k)| <= |rho(k)|/(4 pi), as eps^2 k_par^2 +
+    |k_perp|^2 >= 2 eps |k_par| |k_perp|; on the line both forces vanish.
+    TestSymbolBounds pins the same constants on one 8^3 grid. eps stops at
+    1e-300: below it the parallel potential, of order 1/eps, overflows."""
+    rho = _draw(grid, kmax, np.random.default_rng(seed), n_batch, mean=1.0)
+    if half:
+        rho = _half(grid, rho)
+    forces = field_coeffs(grid, rho, eps)
+    off_line = np.abs(rho)
+    off_line[grid._par_line] = 0.0
+    e_perp = np.sqrt(np.abs(forces.Eperp1) ** 2 + np.abs(forces.Eperp2) ** 2)
+    assert np.all(e_perp <= off_line / (2 * np.pi) + 1e-13)
+    assert np.all(np.abs(forces.eps_dpar_phi) <= off_line / (4 * np.pi) + 1e-13)
 
 
 @given(grid=grids, n_batch=st.integers(0, 3), kmax=st.integers(0, 3),
