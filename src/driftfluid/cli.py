@@ -55,6 +55,7 @@ import numpy as np
 from . import __version__, epsilon, experiments, presets, toymodel, twostream
 from .errors import AdmissibilityError, BlowUpError, ConfigError
 from .oscillations import corrector_rows
+from .poisson import check_eps
 from .quadrature import Run, Trajectory, evolve, states_at
 from .specio import write_csv, write_json_atomic, write_spec
 from .spectral import Grid, NormParams
@@ -123,8 +124,10 @@ class RunConfig:
         fn, supplied = _EXPERIMENT_FUNCTIONS.get(merged["experiment"], (None, ()))
         allowed = set(inspect.signature(fn).parameters) - set(supplied) if fn else ()
         check_keys(merged["experiment_params"], allowed, "experiment_params.")
-        if not merged["eps"] or any(e <= 0 for e in merged["eps"]):
-            raise ConfigError("eps must be a non-empty list of positive values")
+        if not merged["eps"]:
+            raise ConfigError("eps must be a non-empty list")
+        for eps in merged["eps"]:
+            check_eps(eps)
         if merged["horizon"] <= 0:
             raise ConfigError("horizon must be positive")
         dt = merged["dt"]

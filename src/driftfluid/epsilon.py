@@ -7,14 +7,13 @@ The filtered current is w = v - G. Potentials and forces are derived from
 rho on demand and never integrated. The transport part of the tendency,
 drift_advection, is the one shared with the limit system, the CK
 iteration and the line-grid reductions; each stage of it is one stacked
-inverse and one stacked forward transform on small grids. A step is the
-shared RK4 step on half-layout coefficient arrays (see spectral), taken
-for an ensemble of states at once (`steps`, the body quadrature.evolve
-calls), their arrays stacked on a leading member axis with one eps and
-one dt per member: the fields are cut to their k_par >= 0 half once on
-entry and completed to the full layout once on exit, and the first stage
-reuses any collocation values a recording probe has cached on them.
-`step` and `run` are one-member calls of it.
+inverse and one stacked forward transform on small grids. A step is
+quadrature.ensemble_step of this system's tendency, taken for an
+ensemble of states at once (`steps`, the body quadrature.evolve calls),
+with one eps and one dt per member: the stages run on half-layout
+coefficient arrays (see spectral), and the first reuses any collocation
+values a recording probe has cached on rho and v. `step` and `run` are
+one-member calls of it.
 
 The density mean is a conserved, pinned quantity: the k = 0 tendency of
 rho vanishes identically (it is a divergence) and the coefficient is reset
@@ -36,16 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ConfigError
-from .poisson import Forces, field_coeffs, parallel_coeffs, phi_coeffs
-from .quadrature import (
-    Run,
-    Trajectory,
-    check_finite,
-    evolve,
-    rk4_step,
-    solo,
-    stack_members,
-)
+from .poisson import Forces, check_eps, field_coeffs, parallel_coeffs, phi_coeffs
+from .quadrature import Run, Trajectory, ensemble_step, evolve, solo
 from .spectral import (
     PERP1,
     PERP2,
@@ -62,7 +53,6 @@ from .spectral import (
     derivative,
     derivative_coeffs,
     embed_parallel,
-    full_coeffs,
     inverse,
     mean,
     perp_average,
@@ -107,8 +97,7 @@ def make_eps_state(rho: SpectralField, v: SpectralField, eps: float,
     grid, dealiased inputs, and optionally the quasineutral admissibility
     bound |<rho>_perp - 1|_1 <= adm_const * sqrt(eps) in the Wiener norm.
     """
-    if eps <= 0.0:
-        raise ConfigError(f"eps must be positive, got {eps}")
+    check_eps(eps)
     if rho.grid != v.grid:
         raise ConfigError("rho and v must share a grid")
     check_real(v)
@@ -281,26 +270,18 @@ def eps_dtE0(rho: SpectralField, v: SpectralField) -> SpectralField:
 
 
 def steps(states: list, dts: list) -> list:
-    """The eps system's RK4 step of an ensemble of states on one grid (see
-    quadrature.evolve), the members stacked on a leading axis of the
-    half-layout arrays with their own eps and dt; G advances through the
-    same stage quadrature. The first stage reuses each member's cached
-    collocation values, the conserved density mean is pinned to one
-    afterwards, and each member is checked for blow-up: its entry is the
-    new state or its BlowUpError."""
+    """The eps system's step of an ensemble of states on one grid, each
+    with its own eps and dt (quadrature.ensemble_step; see
+    quadrature.evolve): G advances through the same stage quadrature, the
+    first stage reuses the cached values of rho and v, and the conserved
+    density mean is pinned to one afterwards. A member's entry is its new
+    state or its BlowUpError."""
     grid, line = states[0].grid, states[0].G.grid
     eps = [st.eps for st in states]
-    values = tuple(stack_members([getattr(st, f)._values for st in states])
-                   for f in ("rho", "v"))
-    rho, v, G = rk4_step(
-        lambda y, c: tendencies(grid, y[0], y[1], eps,
-                                values if c == 0.0 else None),
-        tuple(stack_members([getattr(st, f).half_coeffs for st in states])
-              for f in ("rho", "v", "G")), dts)
+    (rho, v, G), errors = ensemble_step(
+        lambda y, values: tendencies(grid, y[0], y[1], eps, values),
+        states, dts, lambda st: (st.rho, st.v, st.G), "eps", cached=2)
     rho[(...,) + (0,) * grid.ndim] = 1.0
-    rho, v = (full_coeffs(grid, c) for c in (rho, v))
-    G = full_coeffs(line, G)
-    errors = check_finite((rho, v, G), states, dts, "eps")
     return [err or EpsState(t=st.t + dt, eps=st.eps, rho=SpectralField(grid, rho[i]),
                             v=SpectralField(grid, v[i]), G=SpectralField(line, G[i]))
             for i, (st, dt, err) in enumerate(zip(states, dts, errors))]

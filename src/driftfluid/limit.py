@@ -15,9 +15,10 @@ pointwise, so both constraints propagate; the discrete residual (from
 dealiasing truncation of triple products) is monitored and the k_perp = 0
 tendency modes are projected to zero, which keeps <rho>_perp = 1 exact.
 
-Like the eps step, a limit step runs its RK4 stages on half-layout
-coefficient arrays (see spectral), for an ensemble of states stacked on a
-leading member axis, and converts only at its boundaries.
+Like the eps step, a limit step is quadrature.ensemble_step of its
+tendency: the RK4 stages run on half-layout coefficient arrays (see
+spectral), for an ensemble of states stacked on a leading member axis,
+and convert only at the step's boundaries.
 """
 
 from __future__ import annotations
@@ -29,15 +30,7 @@ import numpy as np
 from .epsilon import drift_advection
 from .errors import AdmissibilityError, ConfigError
 from .poisson import perp_field_coeffs, phi_coeffs
-from .quadrature import (
-    Run,
-    Trajectory,
-    check_finite,
-    evolve,
-    rk4_step,
-    solo,
-    stack_members,
-)
+from .quadrature import Run, Trajectory, ensemble_step, evolve, solo
 from .spectral import (
     Grid,
     SpectralField,
@@ -47,7 +40,6 @@ from .spectral import (
     derivative_coeffs,
     embed_parallel,
     forward,
-    full_coeffs,
     inverse,
     l2_norm,
     mean,
@@ -115,43 +107,33 @@ def project_initial(rho0: SpectralField, v0: SpectralField) -> LimitState:
 
 def tendencies(grid: Grid, rho: np.ndarray, v: np.ndarray,
                with_pressure: bool = True, values: tuple | None = None):
-    """(d_t rho, d_t v, constraint flux residual) on half-layout
-    coefficient arrays: the drift-advection tendency with E_perp from the
-    eps = 0 symbol, plus the pressure closure, whose flux the kernel forms
-    in the same stacked transforms. `values`, the collocation values of
-    rho and v, saves their transforms when the caller has them.
+    """(d_t rho, d_t v) on half-layout coefficient arrays: the
+    drift-advection tendency with E_perp from the eps = 0 symbol, plus the
+    pressure closure, whose flux the kernel forms in the same stacked
+    transforms. `values`, the collocation values of rho and v, saves their
+    transforms when the caller has them.
 
     The k_perp = 0 modes of d_t rho are analytically -d_par <rho v>_perp,
-    zero on the constraint manifold; their discrete magnitude (the L2 norm
-    over the full line) is returned as the residual and they are projected
-    out so the constraint holds identically.
+    zero on the constraint manifold (constraint_residuals monitors it);
+    they are projected out so the constraint holds identically.
     """
     e1, e2 = perp_field_coeffs(grid, phi_coeffs(grid, rho, 0.0))
     drho, dv, *flux = drift_advection(grid, rho, v, e1, e2, values, with_pressure)
     if with_pressure:
         dv[grid._par_line] -= pressure_gradient_coeffs(grid.par_grid, *flux)
-    line = full_coeffs(grid.par_grid, drho[grid._par_line])
-    residual = float(np.sqrt(np.sum(np.abs(line) ** 2)))
     drho[grid._par_line] = 0.0
-    return drho, dv, residual
+    return drho, dv
 
 
 def steps(states: list, dts: list, with_pressure: bool = True) -> list:
-    """The limit system's RK4 step of an ensemble of states on one grid
-    (see quadrature.evolve), the members stacked on a leading axis of the
-    half-layout arrays with their own dt. The first stage reuses each
-    member's cached collocation values, and each member is checked for
-    blow-up: its entry is the new state or its BlowUpError."""
+    """The limit system's step of an ensemble of states on one grid, each
+    with its own dt (quadrature.ensemble_step; see quadrature.evolve); the
+    first stage reuses the cached values of rho and v. A member's entry is
+    its new state or its BlowUpError."""
     grid = states[0].grid
-    values = tuple(stack_members([getattr(st, f)._values for st in states])
-                   for f in ("rho", "v"))
-    rho, v = rk4_step(
-        lambda y, c: tendencies(grid, *y, with_pressure,
-                                values if c == 0.0 else None)[:2],
-        tuple(stack_members([getattr(st, f).half_coeffs for st in states])
-              for f in ("rho", "v")), dts)
-    rho, v = (full_coeffs(grid, c) for c in (rho, v))
-    errors = check_finite((rho, v), states, dts, "limit")
+    (rho, v), errors = ensemble_step(
+        lambda y, values: tendencies(grid, *y, with_pressure, values),
+        states, dts, lambda st: (st.rho, st.v), "limit", cached=2)
     return [err or LimitState(t=st.t + dt, rho=SpectralField(grid, rho[i]),
                               v=SpectralField(grid, v[i]))
             for i, (st, dt, err) in enumerate(zip(states, dts, errors))]

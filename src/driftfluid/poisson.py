@@ -21,6 +21,9 @@ CK kernels pass half-layout arrays. `solve_fields` is the one field
 wrapper, every potential and force of a single full-layout density as
 `SpectralField`s (the wave source reads them). The line-grid toy model's
 problem -eps d_par^2 V = sigma - 1 is the same division (`V_coeffs`).
+
+The parallel potential is of order 1/eps, so the constructors and the run
+config refuse eps below MIN_EPS, where it would overflow (`check_eps`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SolvabilityError
+from .errors import ConfigError, SolvabilityError
 from .spectral import (
     PERP1,
     PERP2,
@@ -41,6 +44,14 @@ from .spectral import (
 )
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
+MIN_EPS = 1e-300
+
+
+def check_eps(eps: float) -> None:
+    """Refuse an eps below MIN_EPS, or NaN: the parallel potential, of
+    order 1/eps, would overflow."""
+    if not eps >= MIN_EPS:
+        raise ConfigError(f"eps must be at least {MIN_EPS:g}, got {eps}")
 
 
 @dataclass(frozen=True)

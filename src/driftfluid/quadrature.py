@@ -15,12 +15,17 @@ Two tools used throughout the trajectory analysis:
 
 Every time-stepped system (the eps system, its limit, the two-phase and
 multi-phase reductions, corrector transport) advances with the one RK4
-step here; all but corrector transport then apply the one blow-up check
-and run through the one loop, `evolve`. It steps an ensemble: a list of
+step here. All but corrector transport take it through `ensemble_step`,
+the one place that knows the ensemble format: it stacks the members'
+evolved fields on a leading axis of their half-layout arrays, hands
+their cached collocation values to the first stage, completes the result
+to the full layout and reports a blow-up per member. Each system's
+`steps` adds only its tendency and the rebuilding of its states, and
+runs through the one loop, `evolve`. It steps an ensemble: a list of
 `Run`s of one system on one grid, each with its own data, dt, step count
-and probes, advanced together by one call of the system's stacked step
-per iteration, and it records only the probes each caller names into
-that run's `Trajectory`.
+and probes, advanced together by one call of the system's `steps` per
+iteration, and it records only the probes each caller names into that
+run's `Trajectory`.
 """
 
 from __future__ import annotations
@@ -33,16 +38,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigError
+from .spectral import full_coeffs
 
-# integral over one interval of the cubic through 4 samples, times 1/dt
-_W_INTERIOR = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0     # nodes j-1 .. j+2
-_W_FIRST = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0          # nodes 0 .. 3
-_W_LAST = _W_FIRST[::-1].copy()                             # nodes n-4 .. n-1
-
-# value of the cubic through 4 samples at the interval midpoint
-_W_MID_INTERIOR = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
-_W_MID_FIRST = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
-_W_MID_LAST = _W_MID_FIRST[::-1].copy()
+# weights of the cubic through 4 samples on the first interval (nodes
+# 0 .. 3), an interior one j (nodes j-1 .. j+2) and the last (nodes
+# n-4 .. n-1): its integral over the interval, times 1/dt, ...
+_W_INTEGRAL = (np.array([9.0, 19.0, -5.0, 1.0]) / 24.0,
+               np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0,
+               np.array([1.0, -5.0, 19.0, 9.0]) / 24.0)
+# ... and its value at the interval midpoint
+_W_MIDPOINT = (np.array([5.0, 15.0, -5.0, 1.0]) / 16.0,
+               np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0,
+               np.array([1.0, -5.0, 15.0, 5.0]) / 16.0)
 
 
 def rk4_step(f, y: tuple, dt) -> tuple:
@@ -66,19 +73,36 @@ def rk4_step(f, y: tuple, dt) -> tuple:
                  for a, h, p, q, r, s in zip(y, dt, k1, k2, k3, k4))
 
 
-def stack_members(arrays: list) -> np.ndarray:
-    """The members' arrays stacked on a new leading axis; one member's
-    array is a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+def ensemble_step(tendency, states: list, dts: list, fields, system: str,
+                  cached: int = 0) -> tuple:
+    """The RK4 step of an ensemble of states of one system on one grid, one
+    dt per member: the mechanics every system's stacked step shares.
 
+    fields(state) lists the real fields a state evolves; a tuple of fields
+    (phases) stands for one array with a phase axis. Each is stacked over
+    the members on a new leading axis of its half-layout coefficients (a
+    view for one member) and advanced by rk4_step with tendency(y, values):
+    values is, at the first stage only, the stacked collocation values of
+    the first `cached` fields (as cached on them by any probe that read
+    them), else None. Returns the new arrays completed to the full layout,
+    and per member None or the BlowUpError of a non-finite result carrying
+    the state its step started from.
+    """
+    per_field = list(zip(*(fields(st) for st in states)))   # its members
 
-def check_finite(arrays: tuple, states: list, dts: list, system: str) -> list:
-    """Per member of an ensemble step (the leading axis of every array):
-    None where every array is finite, else a BlowUpError carrying the state
-    that member's step of length dt started from."""
+    def stack(parts, attr):
+        arrays = [np.stack([getattr(f, attr) for f in p]) if isinstance(p, tuple)
+                  else getattr(p, attr) for p in parts]
+        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+    values = tuple(stack(parts, "_values") for parts in per_field[:cached])
+    y = rk4_step(lambda y, c: tendency(y, values if c == 0.0 else None),
+                 tuple(stack(parts, "half_coeffs") for parts in per_field), dts)
+    grids = [(p[0] if isinstance(p, tuple) else p).grid for p, *_ in per_field]
+    y = tuple(full_coeffs(grid, a) for grid, a in zip(grids, y))
     finite = np.logical_and.reduce(
-        [np.isfinite(a).reshape(len(states), -1).all(axis=1) for a in arrays])
-    return [None if ok else BlowUpError(
+        [np.isfinite(a).reshape(len(states), -1).all(axis=1) for a in y])
+    return y, [None if ok else BlowUpError(
         f"non-finite {system} state at t = {st.t + dt}", last_state=st,
         last_time=st.t, system=system) for ok, st, dt in zip(finite, states, dts)]
 
@@ -204,16 +228,22 @@ def _check_series(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def interval_integrals(y: np.ndarray, dt: float) -> np.ndarray:
-    """Integral of the local cubic over each interval; shape (n-1, ...)."""
+def _per_interval(y: np.ndarray, weights: tuple) -> np.ndarray:
+    """The weights (first, interior, last) of a cubic stencil (see
+    _W_INTEGRAL) applied on each interval; shape (n-1, ...)."""
+    first, interior, last = weights
     y = _check_series(y)
     out = np.empty((y.shape[0] - 1,) + y.shape[1:], dtype=y.dtype)
-    out[0] = np.tensordot(_W_FIRST, y[:4], axes=(0, 0))
-    out[-1] = np.tensordot(_W_LAST, y[-4:], axes=(0, 0))
-    if y.shape[0] > 4:
-        stack = np.stack([y[i: i + y.shape[0] - 3] for i in range(4)])
-        out[1:-1] = np.tensordot(_W_INTERIOR, stack, axes=(0, 0))
-    return out * dt
+    out[0] = np.tensordot(first, y[:4], axes=(0, 0))
+    out[-1] = np.tensordot(last, y[-4:], axes=(0, 0))
+    stack = np.stack([y[i: i + y.shape[0] - 3] for i in range(4)])
+    out[1:-1] = np.tensordot(interior, stack, axes=(0, 0))
+    return out
+
+
+def interval_integrals(y: np.ndarray, dt: float) -> np.ndarray:
+    """Integral of the local cubic over each interval; shape (n-1, ...)."""
+    return _per_interval(y, _W_INTEGRAL) * dt
 
 
 def cumulative_integral(y: np.ndarray, dt: float) -> np.ndarray:
@@ -226,14 +256,7 @@ def cumulative_integral(y: np.ndarray, dt: float) -> np.ndarray:
 
 def midpoints(y: np.ndarray) -> np.ndarray:
     """Cubic-interpolated values at interval midpoints; shape (n-1, ...)."""
-    y = _check_series(y)
-    out = np.empty((y.shape[0] - 1,) + y.shape[1:], dtype=y.dtype)
-    out[0] = np.tensordot(_W_MID_FIRST, y[:4], axes=(0, 0))
-    out[-1] = np.tensordot(_W_MID_LAST, y[-4:], axes=(0, 0))
-    if y.shape[0] > 4:
-        stack = np.stack([y[i: i + y.shape[0] - 3] for i in range(4)])
-        out[1:-1] = np.tensordot(_W_MID_INTERIOR, stack, axes=(0, 0))
-    return out
+    return _per_interval(y, _W_MIDPOINT)
 
 
 def _trig_monomial_moments(theta: float, nmax: int = 3):

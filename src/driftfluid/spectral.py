@@ -607,18 +607,22 @@ def l2_norm(field: SpectralField) -> float:
     return float(np.sqrt(np.sum(np.abs(field.coeffs) ** 2)))
 
 
-def analytic_norm(field: SpectralField, delta: float) -> float:
-    """|f|_delta = sum_k |coeff(k)| delta^|k|, |k| the l1 length.
-
-    delta = 1 gives the Wiener norm. Overflow saturates to +inf: analytic
-    norms legitimately diverge for under-resolved fields.
-    """
+def _weighted_l1(field: SpectralField, delta: float, factor=1) -> float:
+    """sum_k |coeff(k)| factor(k) delta^|k|, |k| the l1 length: the one sum
+    behind the analytic norms. Overflow saturates to +inf: analytic norms
+    legitimately diverge for under-resolved fields."""
     if delta < 1.0:
         raise ConfigError(f"delta must be >= 1, got {delta}")
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.power(float(delta), field.grid.ell1)
+        weights = factor * np.power(float(delta), field.grid.ell1)
         total = float(np.sum(np.abs(field.coeffs) * weights))
     return total if math.isfinite(total) else math.inf
+
+
+def analytic_norm(field: SpectralField, delta: float) -> float:
+    """|f|_delta = sum_k |coeff(k)| delta^|k|, |k| the l1 length; delta = 1
+    gives the Wiener norm."""
+    return _weighted_l1(field, delta)
 
 
 def gradient_norm(field: SpectralField, delta: float) -> float:
@@ -628,12 +632,7 @@ def gradient_norm(field: SpectralField, delta: float) -> float:
     coeff(k) is |k|_l1 delta^|k|. This keeps the loss-of-derivative
     inequality |grad f|_delta' <= delta/(delta-delta') |f|_delta exact.
     """
-    if delta < 1.0:
-        raise ConfigError(f"delta must be >= 1, got {delta}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = field.grid.ell1 * np.power(float(delta), field.grid.ell1)
-        total = float(np.sum(np.abs(field.coeffs) * weights))
-    return total if math.isfinite(total) else math.inf
+    return _weighted_l1(field, delta, field.grid.ell1)
 
 
 def second_derivative_norm(field: SpectralField, axis_i, axis_j,
@@ -647,15 +646,10 @@ def second_derivative_norm(field: SpectralField, axis_i, axis_j,
 
     a consequence of the shrinking-norm bound, never as a solver bound.
     """
-    if delta < 1.0:
-        raise ConfigError(f"delta must be >= 1, got {delta}")
     grid = field.grid
     ki = np.abs(grid.mode_grid(axis_i))
     kj = np.abs(grid.mode_grid(axis_j))
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = ki * kj * np.power(float(delta), grid.ell1)
-        total = float(np.sum(np.abs(field.coeffs) * weights))
-    return total if math.isfinite(total) else math.inf
+    return _weighted_l1(field, delta, ki * kj)
 
 
 @dataclass(frozen=True)

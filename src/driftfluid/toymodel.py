@@ -20,10 +20,10 @@ obeys a Gronwall bound and vanishes with eps for well-prepared data.
 With theta-dependent streaming the coupling term is O(1/sqrt(eps)) and
 the bound is lost: the dichotomy experiment below measures both branches.
 
-A step is the eps system's drift-advection kernel on the phases,
-stacked on a leading axis, plus E from the Poisson symbol solve; an
-ensemble of states (one eps and dt each) is stepped at once, its members
-on a further leading axis.
+The tendency is the eps system's drift-advection kernel on the phases,
+stacked on a leading axis, plus E from the Poisson symbol solve. A step
+is quadrature.ensemble_step of it for an ensemble of states (one eps and
+dt each), its members on a further leading axis.
 """
 
 from __future__ import annotations
@@ -35,16 +35,8 @@ import numpy as np
 
 from .epsilon import drift_advection
 from .errors import ConfigError, SolvabilityError
-from .poisson import TWO_PI_SQ, V_coeffs
-from .quadrature import (
-    Run,
-    Trajectory,
-    check_finite,
-    evolve,
-    rk4_step,
-    solo,
-    stack_members,
-)
+from .poisson import TWO_PI_SQ, V_coeffs, check_eps
+from .quadrature import Run, Trajectory, ensemble_step, evolve, solo
 from .spectral import (
     Grid,
     SpectralField,
@@ -52,7 +44,6 @@ from .spectral import (
     dealias,
     derivative_coeffs,
     forward,
-    full_coeffs,
     inverse,
     mean,
 )
@@ -77,8 +68,7 @@ class MultiPhaseState:
 
 
 def make_multi_phase(rho_list, u_list, eps: float) -> MultiPhaseState:
-    if eps <= 0.0:
-        raise ConfigError("eps must be positive")
+    check_eps(eps)
     if len(rho_list) != len(u_list) or not rho_list:
         raise ConfigError("need matching non-empty phase lists")
     grid = rho_list[0].grid
@@ -117,22 +107,16 @@ def tendencies(grid: Grid, rho: np.ndarray, u: np.ndarray, eps,
 
 
 def steps(states: list, dts: list) -> list:
-    """The toy model's RK4 step of an ensemble of states on one grid (see
-    quadrature.evolve): the members stacked on a leading axis of the
-    half-layout arrays, before the phase axis, with their own eps and dt.
-    The first stage reuses the collocation values a recording probe has
-    cached, and each member is checked for blow-up: its entry is the new
-    state or its BlowUpError."""
+    """The toy model's step of an ensemble of states on one grid, each
+    with its own eps and dt (quadrature.ensemble_step; see
+    quadrature.evolve): the member axis comes before the phase axis, and
+    the first stage reuses the cached values of the phases. A member's
+    entry is its new state or its BlowUpError."""
     grid = states[0].grid
     eps = [st.eps for st in states]
-    values = tuple(stack_members([np.stack([f._values for f in getattr(st, name)])
-                                  for st in states]) for name in ("rho", "u"))
-    rho, u = rk4_step(
-        lambda y, c: tendencies(grid, *y, eps, values if c == 0.0 else None),
-        tuple(stack_members([np.stack([f.half_coeffs for f in getattr(st, name)])
-                             for st in states]) for name in ("rho", "u")), dts)
-    rho, u = (full_coeffs(grid, a) for a in (rho, u))
-    errors = check_finite((rho, u), states, dts, "toy-model")
+    (rho, u), errors = ensemble_step(
+        lambda y, values: tendencies(grid, *y, eps, values),
+        states, dts, lambda st: (st.rho, st.u), "toy-model", cached=2)
     return [err or MultiPhaseState(st.t + dt, st.eps,
                                    tuple(SpectralField(grid, c) for c in rho[i]),
                                    tuple(SpectralField(grid, c) for c in u[i]))

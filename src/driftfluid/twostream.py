@@ -14,7 +14,8 @@ keeps that flux constant in time. Only (rho_1, v_1, v_2) are evolved;
 rho_2 = 1 - rho_1 is implied, so the mass constraint is exact by
 construction; the momentum flux residual |d_par(rho_1 v_1 + rho_2 v_2)|
 is monitored by the tests (tests/test_twostream.py), from the arrays a
-step advances.
+step advances. A step is quadrature.ensemble_step of the tendency on the
+half layout, for one member: growth runs never share a grid.
 
 Linearised about constants the system is elliptic in space-time whenever
 the streams differ: the growth rate of wavenumber k is proportional to k,
@@ -32,14 +33,13 @@ import numpy as np
 from .epsilon import drift_advection
 from .errors import ConfigError
 from .limit import pressure_gradient_coeffs
-from .quadrature import Run, Trajectory, check_finite, evolve, rk4_step, solo
+from .quadrature import Run, Trajectory, ensemble_step, evolve, solo
 from .spectral import (
     Grid,
     SpectralField,
     check_real,
     constant,
     dealias,
-    full_coeffs,
     inverse,
     l2_norm,
 )
@@ -55,12 +55,6 @@ class TwoPhaseState:
     @property
     def grid(self) -> Grid:
         return self.rho1.grid
-
-    def half(self) -> tuple[np.ndarray, np.ndarray]:
-        """The arrays a step advances: the half-layout coefficients of rho1
-        and of [v1, v2], stacked on a leading phase axis."""
-        return self.rho1.half_coeffs, np.stack([self.v1.half_coeffs,
-                                                self.v2.half_coeffs])
 
     def interior_margin(self) -> float:
         """min(rho1, 1 - rho1) on the collocation grid."""
@@ -81,17 +75,19 @@ def make_two_phase(rho1: SpectralField, v1: SpectralField,
 
 
 def _densities(rho1: np.ndarray) -> np.ndarray:
-    """[rho1, rho2] stacked on a leading phase axis, from the rho1 array
-    of TwoPhaseState.half: rho2 = 1 - rho1 is implied."""
+    """[rho1, rho2] stacked on a leading phase axis, from the half-layout
+    coefficients of rho1: rho2 = 1 - rho1 is implied."""
     rho = np.stack([rho1, -rho1])
     rho[1, 0] += 1.0
     return rho
 
 
 def tendencies(grid: Grid, rho1: np.ndarray, v: np.ndarray):
-    """(d_t rho1, d_t [v1, v2]) on the arrays of TwoPhaseState.half: the
-    drift-advection tendency of both phases, with the pressure closure
-    summed over them. Only rho1 is transported; rho2 enters the closure."""
+    """(d_t rho1, d_t [v1, v2]) on the arrays a step advances, the
+    half-layout coefficients of rho1 and of [v1, v2] stacked on a leading
+    phase axis: the drift-advection tendency of both phases, with the
+    pressure closure summed over them. Only rho1 is transported; rho2
+    enters the closure."""
     drho1, dv, flux = drift_advection(grid, _densities(rho1), v, pressure=True,
                                       evolved=1)
     dv -= pressure_gradient_coeffs(grid, flux).sum(axis=0)
@@ -99,16 +95,16 @@ def tendencies(grid: Grid, rho1: np.ndarray, v: np.ndarray):
 
 
 def steps(states: list, dts: list) -> list:
-    """The RK4 step on the half layout (see epsilon.steps) as the ensemble
-    step of quadrature.evolve, for one member: growth runs never share a
-    grid. Its entry is the new state or its BlowUpError."""
+    """The two-phase step (quadrature.ensemble_step; see quadrature.evolve)
+    of one member, since growth runs never share a grid: its entry is the
+    new state or its BlowUpError."""
     (state,), (dt,) = states, dts
     grid = state.grid
-    rho1, v = rk4_step(lambda y, c: tendencies(grid, *y), state.half(), dt)
-    rho1, v = full_coeffs(grid, rho1), full_coeffs(grid, v)
-    (error,) = check_finite((rho1[None], v[None]), states, dts, "two-phase")
-    return [error or TwoPhaseState(state.t + dt, SpectralField(grid, rho1),
-                                   *(SpectralField(grid, c) for c in v))]
+    (rho1, v), (error,) = ensemble_step(
+        lambda y, _: tuple(d[None] for d in tendencies(grid, y[0][0], y[1][0])),
+        states, dts, lambda st: (st.rho1, (st.v1, st.v2)), "two-phase")
+    return [error or TwoPhaseState(state.t + dt, SpectralField(grid, rho1[0]),
+                                   *(SpectralField(grid, c) for c in v[0]))]
 
 
 def step(state: TwoPhaseState, dt: float) -> TwoPhaseState:

@@ -1,6 +1,6 @@
 """Mutation gate: faults planted by hand in the transport kernel, in the
-invariants the tests guard, in the ensemble run loop and in the config
-checks, each of which its named tests must catch.
+invariants the tests guard, in the ensemble step and run loop and in the
+config checks, each of which its named tests must catch.
 
     python tests/mutants.py             # every mutant
     python tests/mutants.py NAME ...    # the named ones
@@ -68,7 +68,7 @@ MUTANTS = (
            ("tests/test_limit.py::TestTendencies::"
             "test_perp_average_tendency_vanishes_identically",)),
     Mutant("check-finite-disabled", "src/driftfluid/quadrature.py",
-           "[np.isfinite(a).reshape(len(states), -1).all(axis=1) for a in arrays]",
+           "[np.isfinite(a).reshape(len(states), -1).all(axis=1) for a in y]",
            "[np.ones(len(states), dtype=bool)]",
            ("tests/test_quadrature.py::TestBlowUp::test_step_raises_with_last_state",)),
     Mutant("eps-state-not-checked-real", "src/driftfluid/epsilon.py",
@@ -97,7 +97,12 @@ MUTANTS = (
             "test_inverse_rejects_a_defect_at_negative_kpar_only",
             "tests/test_spectral.py::TestTransforms::"
             "test_inverse_rejects_broken_symmetry")),
-    # the ensemble loop
+    # the ensemble step and loop
+    Mutant("cached-values-at-every-stage", "src/driftfluid/quadrature.py",
+           "tendency(y, values if c == 0.0 else None)", "tendency(y, values)",
+           ("tests/test_eps_solver.py::TestStep::test_single_mode_linear_oscillation",
+            "tests/test_toymodel.py::TestTendencies::"
+            "test_steps_match_field_reference[8]")),
     Mutant("ensemble-shares-first-dt", "src/driftfluid/quadrature.py",
            "[m.run.dt for m in live]", "[live[0].run.dt for m in live]",
            ("tests/test_quadrature.py::TestEnsemble::"
@@ -117,6 +122,10 @@ MUTANTS = (
             "test_step_settings_that_run_nothing_are_refused",
             "tests/test_io_cli.py::TestCliEntryPoint::"
             "test_negative_dt_is_a_config_error")),
+    Mutant("eps-below-floor-accepted", "src/driftfluid/poisson.py",
+           "    if not eps >= MIN_EPS:\n", "    if not eps > 0:\n",
+           ("tests/test_quadrature.py::TestEntryGuards::"
+            "test_eps_below_the_floor_is_refused",)),
 )
 
 

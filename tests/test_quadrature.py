@@ -9,7 +9,8 @@ import pytest
 from scipy.integrate import quad
 
 from driftfluid import epsilon, limit, toymodel, twostream
-from driftfluid.errors import BlowUpError, InvariantError
+from driftfluid.cli import RunConfig
+from driftfluid.errors import BlowUpError, ConfigError, InvariantError
 from driftfluid.quadrature import (
     Run,
     cumulative_integral,
@@ -28,6 +29,15 @@ class TestCumulativeIntegral:
         t = np.linspace(0.0, 2.0, 17)
         y = 1.0 - 2.0 * t + 0.5 * t**2 + 0.25 * t**3
         exact = t - t**2 + t**3 / 6 + t**4 / 16
+        ci = cumulative_integral(y, t[1] - t[0])
+        assert np.max(np.abs(ci - exact)) < 1e-13
+
+    def test_four_samples_exact_on_cubics(self):
+        """Four samples are the smallest series: its middle interval is an
+        interior one and must be integrated too."""
+        t = np.linspace(0.0, 1.5, 4)
+        y = 1.0 + t + t**2 + t**3
+        exact = t + t**2 / 2 + t**3 / 3 + t**4 / 4
         ci = cumulative_integral(y, t[1] - t[0])
         assert np.max(np.abs(ci - exact)) < 1e-13
 
@@ -62,6 +72,12 @@ class TestMidpoints:
         mids = midpoints(y)
         tm = 0.5 * (t[:-1] + t[1:])
         assert np.max(np.abs(mids - (2.0 + tm - tm**2 + 3.0 * tm**3))) < 1e-13
+
+    def test_four_samples_exact_on_cubics(self):
+        t = np.linspace(0.0, 1.5, 4)
+        y = 2.0 + t - t**2 + 3.0 * t**3
+        tm = 0.5 * (t[:-1] + t[1:])
+        assert np.max(np.abs(midpoints(y) - (2.0 + tm - tm**2 + 3.0 * tm**3))) < 1e-13
 
 
 class TestOscillatoryConvolutions:
@@ -202,6 +218,26 @@ class TestEntryGuards:
         make(lambda f: f)
         with pytest.raises(InvariantError):
             make(_skewed)
+
+    @pytest.mark.parametrize("entry", ["epsilon", "toymodel", "config"])
+    def test_eps_below_the_floor_is_refused(self, entry):
+        """The parallel potential is of order 1/eps and overflows below
+        eps = 1e-300, so every entry point that takes eps refuses it."""
+        rho, v = _torus_data()
+        line = Grid.line(16)
+        bump = forward(line, 0.1 * np.cos(2 * np.pi * line.coordinates(0)))
+        one = constant(line, 1.0)
+        make = {
+            "epsilon": lambda eps: epsilon.make_eps_state(rho, v, eps),
+            "toymodel": lambda eps: toymodel.make_multi_phase(
+                [one + bump, one - bump], [bump, -bump], eps),
+            "config": lambda eps: RunConfig.from_dict(
+                {"experiment": "eps_run", "eps": [eps]}),
+        }[entry]
+        make(1e-300)
+        for eps in (1e-310, 5e-324, 0.0, -0.1):
+            with pytest.raises(ConfigError, match="eps"):
+                make(eps)
 
 
 class _Doubling:

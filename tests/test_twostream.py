@@ -38,11 +38,17 @@ from driftfluid.twostream import (
 from oracles import two_phase_field_step
 
 
+def half(st):
+    """The arrays a two-phase step advances: the half-layout coefficients
+    of rho1 and of [v1, v2], stacked on a leading phase axis."""
+    return st.rho1.half_coeffs, np.stack([st.v1.half_coeffs, st.v2.half_coeffs])
+
+
 def field_tendencies(st):
     """twostream.tendencies of a state (it runs on half-layout arrays with
     the velocities stacked), completed to full-layout fields."""
     grid = st.grid
-    drho1, dv = tendencies(grid, *st.half())
+    drho1, dv = tendencies(grid, *half(st))
     return (SpectralField(grid, full_coeffs(grid, drho1)),
             *(SpectralField(grid, c) for c in full_coeffs(grid, dv)))
 
@@ -112,7 +118,7 @@ class TestConservation:
 
         def momentum_flux_residual(s):
             """|d_par(rho1 v1 + rho2 v2)| in L2, rho2 = 1 - rho1."""
-            rho1, v = s.half()
+            rho1, v = half(s)
             rho = collocation_values(grid, rho1, True)
             flux = product_coeffs(grid, np.stack([rho, 1.0 - rho]),
                                   collocation_values(grid, v, True), True).sum(axis=0)
@@ -128,7 +134,7 @@ class TestConservation:
         st = make_two_phase(forward(grid, 0.5 + 0.1 * np.sin(2 * np.pi * x)),
                             forward(grid, 1.0 + 0.1 * np.cos(2 * np.pi * x)),
                             forward(grid, -np.ones(32)))
-        rho1, v = st.half()
+        rho1, v = half(st)
         rho = np.stack([rho1, -rho1])
         rho[1, 0] += 1.0
         flux = drift_advection(grid, rho, v, pressure=True)[2]
