@@ -20,12 +20,25 @@ Config schema (JSON object; unknown keys are rejected with their path):
 
 Only "experiment" is required; everything else has defaults. "dt.dt",
 when set, and "dt.samples_per_period" must be positive, "snapshot_every"
-(of each eps time series) non-negative. The keys of
-"experiment_params" are the keyword arguments of the experiment's function
-that its runner does not supply (eps_run takes none). Outputs per
-run: RFC-4180 CSV tables, `.spec` snapshots, gnuplot-compatible plot
-scripts, and a manifest.json (written atomically) listing every file,
-the config echo, versions, wall time, and inline invariant check results.
+(of each eps time series) non-negative. Every value has a type: an
+object wherever the default is one; a list for "grid" and "eps"; a
+string for "experiment" and "initial_data.preset"; an integer for the
+"grid" entries, "seed" and "snapshot_every"; any other number an int or
+a float, never a bool. "dt.dt" and "adm_const" may also be null (a null
+"adm_const" skips the admissibility check). A mistyped value is a config
+error naming its key. The keys of "experiment_params" are the keyword
+arguments of the experiment's function that its runner does not supply
+(eps_run takes none).
+
+Each experiment is one row of `_EXPERIMENTS`: its runner, called as
+runner(cfg, out, workers) and returning its files and inline checks, the
+function that receives its "experiment_params", and the arguments the
+runner supplies to that function itself.
+
+Outputs per run: RFC-4180 CSV tables, `.spec` snapshots,
+gnuplot-compatible plot scripts, and a manifest.json (written
+atomically, by `run` alone) listing every file, the config echo,
+versions, wall time, and inline invariant check results.
 A blow-up (BlowUpError) of an eps or limit run ends the experiment: the
 manifest is still written, with passed false and a "blow_up" entry giving
 the system and the time of its last finite state. Exit status is nonzero
@@ -49,6 +62,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,8 +73,6 @@ from .poisson import check_eps
 from .quadrature import Run, Trajectory, evolve, states_at
 from .specio import write_csv, write_json_atomic, write_spec
 from .spectral import Grid, NormParams
-
-EXPERIMENTS = ("eps_run", "eps_sweep", "contraction", "growth", "dichotomy")
 
 _DEFAULTS = {
     "experiment": None,
@@ -75,15 +87,56 @@ _DEFAULTS = {
     "seed": 0,
     "snapshot_every": 0,
 }
+# the type rule beyond "an object or a list where the default is one"
+# and "any other value a number, int or float but never bool"
+_STRINGS = ("experiment", "initial_data.preset")
+_INTEGERS = ("grid", "seed", "snapshot_every")   # of grid: its entries
+_NULLABLE = ("dt.dt", "adm_const")
+_GRIDS = {3: Grid.torus3d, 2: Grid.shear2d, 1: Grid.line}
 
-# the function each experiment forwards "experiment_params" to, and the
-# arguments its runner supplies itself; eps_run takes none
-_EXPERIMENT_FUNCTIONS = {
-    "eps_sweep": (experiments.quasineutral_sweep, ("eps_list", "grid", "extra_runs")),
-    "contraction": (experiments.contraction_study, ("params",)),
-    "growth": (twostream.growth_experiment, ("horizon", "seed")),
-    "dichotomy": (toymodel.dichotomy_experiment, ("eps_list",)),
-}
+
+def _check_value(path: str, val, default) -> None:
+    """Refuse `val` at `path` unless it has the type the rule gives it;
+    a list default asks for a list, checked entry by entry."""
+    if isinstance(default, list):
+        if not isinstance(val, list):
+            raise ConfigError(f"{path} must be a list, got {val!r}")
+        for i, entry in enumerate(val):
+            _check_value(f"{path}[{i}]", entry, None)
+        return
+    key = path.partition("[")[0]
+    if key in _STRINGS:
+        ok, kind = isinstance(val, str), "a string"
+    elif val is None and key in _NULLABLE:
+        return
+    else:
+        kind = "an integer" if key in _INTEGERS else "a number"
+        ok = isinstance(val, int if key in _INTEGERS else (int, float)) \
+            and not isinstance(val, bool)
+    if not ok:
+        raise ConfigError(f"{path} must be {kind}, got {val!r}")
+
+
+def _merged(raw, defaults: dict, path: str) -> dict:
+    """`raw` over `defaults`, one nesting level at a time, with unknown
+    keys and mistyped values refused by their path. An empty default
+    object takes any keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path[:-1] or 'config'} must be an object, got {raw!r}")
+    if not defaults:
+        return raw
+    for key in raw:
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {path}{key}")
+    merged = {}
+    for key, default in defaults.items():
+        val = raw.get(key, default)
+        if isinstance(default, dict):
+            val = _merged(val, default, f"{path}{key}.")
+        else:
+            _check_value(f"{path}{key}", val, default)
+        merged[key] = val
+    return merged
 
 
 @dataclass
@@ -102,28 +155,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        def check_keys(d, allowed, path):
-            for key in d:
-                if key not in allowed:
-                    raise ConfigError(f"unknown config key {path}{key}")
-
-        check_keys(raw, _DEFAULTS.keys(), "")
-        merged = {}
-        for key, default in _DEFAULTS.items():
-            val = raw.get(key, default)
-            if isinstance(default, dict) and val is not default \
-                    and key != "experiment_params":
-                check_keys(val, default.keys() if key != "initial_data"
-                           else ("preset", "params"), f"{key}.")
-                val = {**default, **val}
-            merged[key] = val
-        if merged["experiment"] not in EXPERIMENTS:
+        merged = _merged(raw, _DEFAULTS, "")
+        if merged["experiment"] not in _EXPERIMENTS:
             raise ConfigError(
-                f"experiment must be one of {EXPERIMENTS}, got "
+                f"experiment must be one of {tuple(_EXPERIMENTS)}, got "
                 f"{merged['experiment']!r}")
-        fn, supplied = _EXPERIMENT_FUNCTIONS.get(merged["experiment"], (None, ()))
+        _, fn, supplied = _EXPERIMENTS[merged["experiment"]]
         allowed = set(inspect.signature(fn).parameters) - set(supplied) if fn else ()
-        check_keys(merged["experiment_params"], allowed, "experiment_params.")
+        for key in merged["experiment_params"]:
+            if key not in allowed:
+                raise ConfigError(f"unknown config key experiment_params.{key}")
         if not merged["eps"]:
             raise ConfigError("eps must be a non-empty list")
         for eps in merged["eps"]:
@@ -142,14 +183,9 @@ class RunConfig:
         return cls(**merged)
 
     def make_grid(self) -> Grid:
-        dims = list(self.grid)
-        if len(dims) == 3:
-            return Grid.torus3d(*dims)
-        if len(dims) == 2:
-            return Grid.shear2d(*dims)
-        if len(dims) == 1:
-            return Grid.line(dims[0])
-        raise ConfigError(f"grid must have 1-3 entries, got {dims}")
+        if len(self.grid) not in _GRIDS:
+            raise ConfigError(f"grid must have 1-3 entries, got {self.grid}")
+        return _GRIDS[len(self.grid)](*self.grid)
 
     def norm_params(self) -> NormParams:
         return NormParams(**self.norms)
@@ -169,16 +205,12 @@ class Manifest:
     checks: dict = field(default_factory=dict)
     blow_up: dict | None = None   # the system and last finite time of a blow-up
 
-    def add(self, path: Path, root: Path):
-        self.files.append({"path": str(path.relative_to(root)),
-                           "bytes": path.stat().st_size})
-
     def ok(self) -> bool:
         return self.blow_up is None and all(self.checks.values())
 
 
 def _plot_script(path: Path, csv_name: str, columns: list[tuple[int, str]],
-                 title: str, logy: bool = False) -> None:
+                 title: str) -> None:
     lines = [
         "# gnuplot script",
         "set datafile separator ','",
@@ -186,8 +218,6 @@ def _plot_script(path: Path, csv_name: str, columns: list[tuple[int, str]],
         f"set title '{title}'",
         "set xlabel 't'",
     ]
-    if logy:
-        lines.append("set logscale y")
     plots = ", ".join(f"'{csv_name}' using 1:{i} with lines title '{name}'"
                       for i, name in columns)
     lines.append(f"plot {plots}")
@@ -224,28 +254,24 @@ def _write_eps_run(eps: float, traj: Trajectory,
     """The files of one eps run and its inline checks."""
     names = ["t", *(k for k in traj.series if k != "state")]   # CSV columns
     out.mkdir(parents=True, exist_ok=True)
-    files = []
     csv_path = out / "timeseries.csv"
     write_csv(csv_path, names,
               ({"t": float(t), **{k: float(traj[k][i]) for k in names[1:]}}
                for i, t in enumerate(traj.times)))
-    files.append(csv_path)
     gp = out / "timeseries.gp"
     _plot_script(gp, "timeseries.csv",
                  [(3, "energy"), (5, "|rho-1|_delta"), (7, "|sqrt(eps)Epar|_delta")],
                  f"eps = {eps}")
-    files.append(gp)
+    files = [csv_path, gp]
     for i, st in enumerate(traj.series.get("state", ())):
         if st is None:
             continue
         sp = out / f"state_{i:06d}.spec"
         write_spec(sp, {"rho": st.rho, "v": st.v}, time=st.t, eps=eps)
         files.append(sp)
-    checks = {
+    return files, {
         f"mass_drift_eps_{eps:g}": bool(np.max(np.abs(traj["mass"] - 1.0)) < 1e-12),
-        f"positivity_eps_{eps:g}": bool(np.all(traj["min_rho"] > 0.0)),
-    }
-    return files, checks
+        f"positivity_eps_{eps:g}": bool(np.all(traj["min_rho"] > 0.0))}
 
 
 def _run_eps_single(cfg: RunConfig, eps: float,
@@ -255,15 +281,12 @@ def _run_eps_single(cfg: RunConfig, eps: float,
     return _write_eps_run(eps, evolve(epsilon.steps, [_eps_run(cfg, eps)])[0], out)
 
 
-def _sweep_member(raw_cfg: dict, eps: float, out_dir: str):
+def _sweep_member(raw_cfg: dict, eps: float, out: Path):
     """Worker-pool entry point (must be picklable)."""
-    cfg = RunConfig.from_dict(raw_cfg)
-    files, checks = _run_eps_single(cfg, eps, Path(out_dir))
-    return [str(f) for f in files], checks
+    return _run_eps_single(RunConfig.from_dict(raw_cfg), eps, out)
 
 
-def _run_eps_sweep(cfg: RunConfig, out: Path, manifest: Manifest,
-                   workers: int) -> None:
+def _run_eps_sweep(cfg: RunConfig, out: Path, workers: int) -> tuple:
     """The per-eps time series, split across a process pool with
     `workers` > 1 and otherwise stepped in the sweep's eps ensemble, then
     the sweep's own tables."""
@@ -274,7 +297,7 @@ def _run_eps_sweep(cfg: RunConfig, out: Path, manifest: Manifest,
         from concurrent.futures import ProcessPoolExecutor
         raw = _config_echo(cfg)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_member, raw, eps, str(d))
+            futures = [pool.submit(_sweep_member, raw, eps, d)
                        for eps, d in jobs]
             members = [fut.result() for fut in futures]  # submission order
         res = experiments.quasineutral_sweep(cfg.eps, grid=cfg.make_grid(), **kwargs)
@@ -284,10 +307,10 @@ def _run_eps_sweep(cfg: RunConfig, out: Path, manifest: Manifest,
                                              extra_runs=runs, **kwargs)
         members = [_write_eps_run(eps, traj, d)
                    for (eps, d), traj in zip(jobs, res.extra_trajectories)]
-    for files, checks in members:
-        for f in files:
-            manifest.add(Path(f), out)
-        manifest.checks.update(checks)
+    files, checks = [], {}
+    for member_files, member_checks in members:
+        files += member_files
+        checks.update(member_checks)
 
     csv_path = out / "convergence.csv"
     write_csv(csv_path,
@@ -298,7 +321,6 @@ def _run_eps_sweep(cfg: RunConfig, out: Path, manifest: Manifest,
                 "v_error_raw": e.v_error_raw, "residual": e.residual,
                 "mass_drift": e.mass_drift, "energy_drift": e.energy_drift}
                for e in res.entries))
-    manifest.add(csv_path, out)
 
     # the limit flow at the smallest eps's sampling over the horizon, with
     # the constraint-residual column, and the demodulated corrector table
@@ -308,11 +330,9 @@ def _run_eps_sweep(cfg: RunConfig, out: Path, manifest: Manifest,
     write_csv(lim_csv, ["t", "mass", "constraint_residual"],
               ({"t": float(t), "mass": float(m), "constraint_residual": float(r)}
                for t, m, r in zip(lim.times[:n], lim["mass"], lim["residual"])))
-    manifest.add(lim_csv, out)
     corr_csv = out / "correctors.csv"
     write_csv(corr_csv, ["t", "k_par", "re_eplus", "im_eplus", "residual"],
               corrector_rows(res.correctors))
-    manifest.add(corr_csv, out)
 
     gp = out / "convergence.gp"
     gp.write_text("\n".join([
@@ -322,17 +342,16 @@ def _run_eps_sweep(cfg: RunConfig, out: Path, manifest: Manifest,
         "plot 'convergence.csv' using 1:2 with linespoints title 'rho error',"
         " 'convergence.csv' using 1:3 with linespoints title 'v error'",
     ]) + "\n")
-    manifest.add(gp, out)
-    manifest.checks["rho_error_decreasing"] = res.strictly_decreasing("rho_error")
-    manifest.checks["v_error_decreasing"] = res.strictly_decreasing("v_error_filtered")
-    manifest.checks["residual_decreasing"] = res.strictly_decreasing("residual")
+    checks["rho_error_decreasing"] = res.strictly_decreasing("rho_error")
+    checks["v_error_decreasing"] = res.strictly_decreasing("v_error_filtered")
+    checks["residual_decreasing"] = res.strictly_decreasing("residual")
+    return files + [csv_path, lim_csv, corr_csv, gp], checks
 
 
-def _run_contraction(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
+def _run_contraction(cfg: RunConfig, out: Path, workers: int) -> tuple:
     kwargs = dict(cfg.experiment_params)
     kwargs.setdefault("eps", cfg.eps[0])
     study = experiments.contraction_study(params=cfg.norm_params(), **kwargs)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "contraction.csv"
     write_csv(csv_path,
               ["n", "norm_rho_diff", "norm_w_diff", "norm_G_diff",
@@ -340,41 +359,38 @@ def _run_contraction(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
               ({"n": r.n, "norm_rho_diff": r.d_rho, "norm_w_diff": r.d_w,
                 "norm_G_diff": r.d_G, "norm_E_diff": r.d_E, "ratio": r.ratio}
                for r in study.rows))
-    manifest.add(csv_path, out)
     write_json_atomic(out / "contraction.json", {
         "eta": study.eta, "max_ratio": study.max_ratio,
         "sup_l2_vs_rk4": study.sup_l2_vs_rk4})
-    manifest.add(out / "contraction.json", out)
-    manifest.checks["contraction_rate"] = study.max_ratio <= 0.5
-    manifest.checks["fixed_point_matches_rk4"] = study.sup_l2_vs_rk4 <= 1e-6
+    return [csv_path, out / "contraction.json"], {
+        "contraction_rate": study.max_ratio <= 0.5,
+        "fixed_point_matches_rk4": study.sup_l2_vs_rk4 <= 1e-6}
 
 
-def _run_growth(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
+def _run_growth(cfg: RunConfig, out: Path, workers: int) -> tuple:
     p = dict(cfg.experiment_params)
     background = tuple(p.pop("background", (0.5, 1.0, -1.0)))
     k_max = int(p.pop("k_max", 5))
     res = twostream.growth_experiment(background, k_max, cfg.horizon,
                                       seed=cfg.seed, **p)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "growth.csv"
     write_csv(csv_path,
               ["k", "re_sigma_lin", "im_sigma_lin", "sigma_meas", "r_squared"],
               ({"k": r.k, "re_sigma_lin": r.sigma_lin.real,
                 "im_sigma_lin": r.sigma_lin.imag, "sigma_meas": r.sigma_meas,
                 "r_squared": r.r_squared} for r in res.rows))
-    manifest.add(csv_path, out)
     within = [abs(r.sigma_meas - r.sigma_lin.real) <= 0.1 * abs(r.sigma_lin.real)
               for r in res.rows if r.sigma_lin.real > 1e-9]
-    manifest.checks["growth_matches_linear_theory"] = bool(all(within)) if within else True
-    manifest.checks["growth_run_completed"] = not res.blew_up
+    return [csv_path], {
+        "growth_matches_linear_theory": bool(all(within)) if within else True,
+        "growth_run_completed": not res.blew_up}
 
 
-def _run_dichotomy(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
+def _run_dichotomy(cfg: RunConfig, out: Path, workers: int) -> tuple:
     report = toymodel.dichotomy_experiment(cfg.eps, **cfg.experiment_params)
     trajectories = report.pop("trajectories")
-    out.mkdir(parents=True, exist_ok=True)
     write_json_atomic(out / "dichotomy.json", report)
-    manifest.add(out / "dichotomy.json", out)
+    files = [out / "dichotomy.json"]
     # per-branch time series at the largest eps (t, energy, H, masses)
     eps = max(report["eps"])
     for branch in ("stable", "unstable"):
@@ -387,35 +403,47 @@ def _run_dichotomy(cfg: RunConfig, out: Path, manifest: Manifest) -> None:
                     **{f"mass_{i}": float(m) for i, m in enumerate(ms)}}
                    for t, e, h, ms in zip(traj.times, traj["energy"],
                                           traj["entropy"], traj["masses"])))
-        manifest.add(path, out)
-    manifest.checks["stable_branch_decreasing"] = report["stable_strictly_decreasing"]
-    manifest.checks["unstable_branch_nondecreasing"] = report["unstable_nondecreasing"]
+        files.append(path)
+    return files, {
+        "stable_branch_decreasing": report["stable_strictly_decreasing"],
+        "unstable_branch_nondecreasing": report["unstable_nondecreasing"]}
+
+
+class _Experiment(NamedTuple):
+    runner: Callable      # (cfg, out, workers) -> (files written, checks)
+    function: Callable | None   # receives "experiment_params"
+    supplied: tuple = ()  # the arguments of `function` its runner sets
+
+
+_EXPERIMENTS = {
+    "eps_run": _Experiment(
+        lambda cfg, out, workers: _run_eps_single(cfg, cfg.eps[0], out / "run"),
+        None),
+    "eps_sweep": _Experiment(_run_eps_sweep, experiments.quasineutral_sweep,
+                             ("eps_list", "grid", "extra_runs")),
+    "contraction": _Experiment(_run_contraction, experiments.contraction_study,
+                               ("params",)),
+    "growth": _Experiment(_run_growth, twostream.growth_experiment,
+                          ("horizon", "seed")),
+    "dichotomy": _Experiment(_run_dichotomy, toymodel.dichotomy_experiment,
+                             ("eps_list",)),
+}
 
 
 def run(cfg: RunConfig, out_dir, reference_mode: bool = False,
         workers: int = 1) -> Manifest:
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    if reference_mode:
-        workers = 1
     manifest = Manifest(config=_config_echo(cfg))
     start = time.perf_counter()
+    files = []
     try:
-        if cfg.experiment == "eps_run":
-            files, checks = _run_eps_single(cfg, cfg.eps[0], root / "run")
-            for f in files:
-                manifest.add(f, root)
-            manifest.checks.update(checks)
-        elif cfg.experiment == "eps_sweep":
-            _run_eps_sweep(cfg, root, manifest, workers)
-        elif cfg.experiment == "contraction":
-            _run_contraction(cfg, root, manifest)
-        elif cfg.experiment == "growth":
-            _run_growth(cfg, root, manifest)
-        elif cfg.experiment == "dichotomy":
-            _run_dichotomy(cfg, root, manifest)
+        files, manifest.checks = _EXPERIMENTS[cfg.experiment].runner(
+            cfg, root, 1 if reference_mode else workers)
     except BlowUpError as exc:
         manifest.blow_up = {"system": exc.system, "time": exc.last_time}
+    manifest.files = [{"path": str(Path(f).relative_to(root)),
+                       "bytes": Path(f).stat().st_size} for f in files]
     manifest.wall_time = time.perf_counter() - start
     record = {
         "config": manifest.config,

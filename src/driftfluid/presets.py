@@ -16,28 +16,21 @@ Every preset returns (rho, v) fields on the requested grid:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import Grid, SpectralField, constant, dealias, forward, l2_norm, zeros
+from .spectral import (Grid, SpectralField, constant, dealias, forward,
+                       from_modes, l2_norm, zeros)
 from . import limit as limit_mod
-
-PRESETS = ("equilibrium", "single_mode", "shear", "two_stream", "random_band")
 
 
 def build(name: str, grid: Grid, eps: float = 1.0, **params):
-    makers = {
-        "equilibrium": equilibrium,
-        "single_mode": single_mode,
-        "shear": shear,
-        "two_stream": two_stream,
-        "random_band": random_band,
-    }
-    if name not in makers:
+    if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}")
-    return makers[name](grid, eps=eps, **params)
+    return PRESETS[name](grid, eps=eps, **params)
 
 
 def equilibrium(grid: Grid, eps: float = 1.0) -> tuple[SpectralField, SpectralField]:
@@ -123,7 +116,6 @@ def random_band(grid: Grid, eps: float = 1.0, kmax: int = 2,
         mode_lists = [[int(k) for k in grid.modes(i)
                        if abs(k) <= min(kmax, grid.shape[i] // 2 - 1)]
                       for i in range(grid.ndim)]
-        import itertools
         for kvec in itertools.product(*mode_lists):
             if all(k == 0 for k in kvec):
                 continue
@@ -135,7 +127,6 @@ def random_band(grid: Grid, eps: float = 1.0, kmax: int = 2,
             else:
                 raise ConfigError(f"unknown decay {decay!r}")
             entries[kvec] = w * (rng.standard_normal() + 1j * rng.standard_normal())
-        from .spectral import from_modes
         return dealias(from_modes(grid, entries))
 
     fluct = sample()
@@ -148,3 +139,8 @@ def random_band(grid: Grid, eps: float = 1.0, kmax: int = 2,
     rho = constant(grid, 1.0) + fluct
     v = sample()
     return rho, (0.5 * amplitude / max(l2_norm(v), 1e-300)) * v
+
+
+# the presets by name, in the order list-presets prints them
+PRESETS = {maker.__name__: maker for maker in (
+    equilibrium, single_mode, shear, two_stream, random_band)}

@@ -305,7 +305,8 @@ _L_LAST = _lagrange_monomial([-2.0, -1.0, 0.0, 1.0])
 
 
 def _filon_weights(theta: float):
-    """Per-interval weights so that
+    """Weight triples (first, interior, last), as for _per_interval, of the
+    sine kernel and of the cosine kernel: per interval
 
         int_0^1 p(u) sin(theta (1-u)) du = w_sin . y_stencil
 
@@ -317,16 +318,11 @@ def _filon_weights(theta: float):
     # expand sin(theta(1-u)) = sin th cos(th u) ... instead integrate in w=1-u:
     # int_0^1 p(u) sin(theta(1-u)) du = int_0^1 p(1-w) sin(theta w) dw.
     # Build monomial moments of q(w) = p(1-w): binomial re-expansion.
-    binom = np.zeros((4, 4))
-    for n in range(4):
-        for j in range(n + 1):
-            binom[n, j] = math.comb(n, j) * (-1.0) ** j
-    out = {}
-    for name, L in (("interior", _L_INTERIOR), ("first", _L_FIRST), ("last", _L_LAST)):
-        # q coefficients: q_j = sum_n p_n * C(n,j) (-1)^j  (from (1-w)^n)
-        Q = L @ binom
-        out[name] = (Q @ ms, Q @ mc)
-    return out
+    binom = np.array([[math.comb(n, j) * (-1.0) ** j for j in range(4)]
+                      for n in range(4)])
+    # q coefficients: q_j = sum_n p_n * C(n,j) (-1)^j  (from (1-w)^n)
+    Q = [L @ binom for L in (_L_FIRST, _L_INTERIOR, _L_LAST)]
+    return tuple(q @ ms for q in Q), tuple(q @ mc for q in Q)
 
 
 def oscillatory_convolutions(g: np.ndarray, dt: float, omega: float,
@@ -335,40 +331,22 @@ def oscillatory_convolutions(g: np.ndarray, dt: float, omega: float,
     analogue C[m], for uniformly sampled g along axis 0.
     """
     g = _check_series(np.asarray(g, dtype=complex))
-    n = g.shape[0]
     theta = omega * dt
+    ct, st = np.cos(theta), np.sin(theta)
+    # the local integrals over each interval [t_j, t_{j+1}]
     if rule == "filon":
-        weights = _filon_weights(theta)
-
-        def local(j):
-            if j == 0:
-                ws, wc = weights["first"]
-                stencil = g[0:4]
-            elif j == n - 2:
-                ws, wc = weights["last"]
-                stencil = g[n - 4: n]
-            else:
-                ws, wc = weights["interior"]
-                stencil = g[j - 1: j + 3]
-            ls = dt * np.tensordot(ws, stencil, axes=(0, 0))
-            lc = dt * np.tensordot(wc, stencil, axes=(0, 0))
-            return ls, lc
+        ws, wc = _filon_weights(theta)
+        ls, lc = dt * _per_interval(g, ws), dt * _per_interval(g, wc)
     elif rule == "trapezoid":
-        st, ct = np.sin(theta), np.cos(theta)
-
-        def local(j):
-            # endpoint values of the full integrand on [t_j, t_{j+1}]
-            ls = 0.5 * dt * (st * g[j] + 0.0 * g[j + 1])
-            lc = 0.5 * dt * (ct * g[j] + 1.0 * g[j + 1])
-            return ls, lc
+        # endpoint values of the full integrand
+        ls = 0.5 * dt * (st * g[:-1])
+        lc = 0.5 * dt * (ct * g[:-1] + g[1:])
     else:
         raise ConfigError(f"unknown quadrature rule {rule!r}")
 
     S = np.zeros_like(g)
     C = np.zeros_like(g)
-    ct, st = np.cos(theta), np.sin(theta)
-    for j in range(n - 1):
-        ls, lc = local(j)
-        S[j + 1] = ct * S[j] + st * C[j] + ls
-        C[j + 1] = -st * S[j] + ct * C[j] + lc
+    for j in range(g.shape[0] - 1):
+        S[j + 1] = ct * S[j] + st * C[j] + ls[j]
+        C[j + 1] = -st * S[j] + ct * C[j] + lc[j]
     return S, C

@@ -1,6 +1,7 @@
 """Mutation gate: faults planted by hand in the transport kernel, in the
-invariants the tests guard, in the ensemble step and run loop and in the
-config checks, each of which its named tests must catch.
+invariants the tests guard, in the ensemble step and run loop, in the
+config checks and in the experiment runners, each of which its named
+tests must catch.
 
     python tests/mutants.py             # every mutant
     python tests/mutants.py NAME ...    # the named ones
@@ -122,10 +123,21 @@ MUTANTS = (
             "test_step_settings_that_run_nothing_are_refused",
             "tests/test_io_cli.py::TestCliEntryPoint::"
             "test_negative_dt_is_a_config_error")),
+    Mutant("config-type-unchecked", "src/driftfluid/cli.py",
+           "    if isinstance(default, list):\n",
+           "    return\n    if isinstance(default, list):\n",
+           ("tests/test_io_cli.py::TestCliEntryPoint::"
+            "test_mistyped_value_is_a_config_error",)),
     Mutant("eps-below-floor-accepted", "src/driftfluid/poisson.py",
            "    if not eps >= MIN_EPS:\n", "    if not eps > 0:\n",
            ("tests/test_quadrature.py::TestEntryGuards::"
             "test_eps_below_the_floor_is_refused",)),
+    # the experiment runners
+    Mutant("runner-drops-a-file", "src/driftfluid/cli.py",
+           "return files + [csv_path, lim_csv, corr_csv, gp], checks",
+           "return files + [csv_path, corr_csv, gp], checks",
+           ("tests/test_io_cli.py::TestRunner::"
+            "test_eps_sweep_workers_match_single_worker",)),
 )
 
 

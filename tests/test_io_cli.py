@@ -147,6 +147,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"^{key} "):
             RunConfig.from_dict({"experiment": "eps_run", **raw})
 
+    def test_every_value_type_the_rule_allows_is_accepted(self):
+        """Integers where numbers go, a fractional samples per period and
+        the two null numbers; a null adm_const skips the admissibility
+        check."""
+        cfg = RunConfig.from_dict({
+            "experiment": "eps_run", "grid": [4, 4, 16], "eps": [1, 0.5],
+            "horizon": 2, "dt": {"samples_per_period": 40.5, "dt": None},
+            "norms": {"delta0": 2, "delta": 1.1, "eta": 1, "beta": 0.5},
+            "initial_data": {"preset": "random_band", "params": {"kmax": 1}},
+            "experiment_params": {}, "adm_const": None, "seed": 3,
+            "snapshot_every": 0})
+        assert cfg.dt["samples_per_period"] == 40.5 and cfg.adm_const is None
+        assert RunConfig.from_dict({"experiment": "eps_run",
+                                    "dt": {"dt": 1}}).policy_dt(0.01) == 1.0
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="experiment"):
             RunConfig.from_dict({"experiment": "warp_drive"})
@@ -222,6 +237,18 @@ class TestValidate:
         assert json.loads(out.stdout) == []
 
 
+def assert_manifest_lists_exactly_its_files(root: Path) -> dict:
+    """The manifest.json under `root` lists every file the run wrote there
+    once, with its size, and nothing else; returns the manifest."""
+    data = json.loads((root / "manifest.json").read_text())
+    emitted = {str(p.relative_to(root)): p.stat().st_size
+               for p in root.rglob("*") if p.is_file()}
+    del emitted["manifest.json"]
+    assert len(data["files"]) == len(emitted)
+    assert {f["path"]: f["bytes"] for f in data["files"]} == emitted
+    return data
+
+
 class TestRunner:
     def test_eps_run_outputs_and_manifest(self, tmp_path):
         cfg = RunConfig.from_dict({
@@ -234,13 +261,7 @@ class TestRunner:
         listed = {f["path"] for f in manifest.files}
         assert "run/timeseries.csv" in listed
         assert any(p.endswith(".spec") for p in listed)
-        data = json.loads((tmp_path / "manifest.json").read_text())
-        assert data["passed"]
-        # manifest completeness: every emitted file is listed
-        emitted = {str(p.relative_to(tmp_path))
-                   for p in tmp_path.rglob("*") if p.is_file()}
-        emitted.discard("manifest.json")
-        assert emitted == set(listed)
+        assert assert_manifest_lists_exactly_its_files(tmp_path)["passed"]
 
     def test_reference_mode_byte_identical(self, tmp_path):
         cfg_raw = {
@@ -260,6 +281,7 @@ class TestRunner:
             "experiment": "dichotomy", "eps": [1e-1, 1e-2],
             "experiment_params": {"horizon": 0.1}})
         manifest = run(cfg, tmp_path)
+        assert_manifest_lists_exactly_its_files(tmp_path)
         report = json.loads((tmp_path / "dichotomy.json").read_text())
         assert manifest.checks["stable_branch_decreasing"]
         assert "stable" in report and "unstable" in report
@@ -295,8 +317,8 @@ class TestRunner:
         manifests = {}
         for workers in (1, 2):
             run(RunConfig.from_dict(raw), tmp_path / str(workers), workers=workers)
-            manifests[workers] = json.loads(
-                (tmp_path / str(workers) / "manifest.json").read_text())
+            manifests[workers] = assert_manifest_lists_exactly_its_files(
+                tmp_path / str(workers))
         assert manifests[1]["files"] == manifests[2]["files"]
         assert manifests[1]["checks"] == manifests[2]["checks"]
         for member in ("eps_0.1", "eps_0.025"):
@@ -323,6 +345,7 @@ class TestRunner:
         manifest = run(cfg, tmp_path, reference_mode=True)
         assert manifest.ok()
         assert stepped == {"epsilon": [4], "limit": [2]}
+        assert_manifest_lists_exactly_its_files(tmp_path)
         listed = {f["path"] for f in manifest.files}
         assert {"convergence.csv", "limit_timeseries.csv",
                 "correctors.csv"} <= listed
@@ -352,7 +375,7 @@ class TestRunner:
         """The contraction experiment at its default 4x4x8 grid."""
         cfg = RunConfig.from_dict({"experiment": "contraction", "eps": [0.25]})
         run(cfg, tmp_path, reference_mode=True)
-        data = json.loads((tmp_path / "manifest.json").read_text())
+        data = assert_manifest_lists_exactly_its_files(tmp_path)
         assert data["passed"]
         assert {f["path"] for f in data["files"]} == {"contraction.csv",
                                                       "contraction.json"}
@@ -364,6 +387,7 @@ class TestRunner:
             "experiment": "growth", "horizon": 2.0,
             "experiment_params": {"k_max": 2}})
         manifest = run(cfg, tmp_path)
+        assert_manifest_lists_exactly_its_files(tmp_path)
         assert manifest.checks["growth_matches_linear_theory"]
         raw = (tmp_path / "growth.csv").read_text()
         assert raw.splitlines()[0] == "k,re_sigma_lin,im_sigma_lin,sigma_meas,r_squared"
@@ -404,6 +428,25 @@ class TestCliEntryPoint:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 2
         assert "dt.dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, raw", [
+        ("eps", {"eps": "0.1"}), ("eps", {"eps": 0.1}), ("dt", {"dt": 5}),
+        ("horizon", {"horizon": "2"}), ("grid", {"grid": [4, 4, "16"]}),
+        ("snapshot_every", {"snapshot_every": 2.5}), ("eps", {"eps": [True]}),
+        ("experiment_params", {"experiment_params": []})],
+        ids=["eps-string", "eps-number", "dt-number", "horizon-string",
+             "grid-string-entry", "snapshot-spacing-float", "eps-bool-entry",
+             "experiment-params-list"])
+    def test_mistyped_value_is_a_config_error(self, tmp_path, capsys, key, raw):
+        """A value of the wrong type is refused by name before anything
+        runs, not met later as a TypeError or run with."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "eps_run", "horizon": 0.1,
+                                        **raw}))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
         assert not (tmp_path / "out").exists()
 
     def test_blow_up_writes_a_failing_manifest(self, tmp_path, capsys):
