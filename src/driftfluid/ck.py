@@ -34,13 +34,19 @@ geometrically in the shrinking analytic norms; the fixed point solves the
 same system as the RK4 integrator. The slab length is eta (delta0 -
 delta1): shrinking the strip-consumption rate eta both shortens the slab
 and strengthens the weights, which is how the bisection helper below
-finds a certified contraction rate.
+finds a certified contraction rate. Its probes and run_scheme draw the
+iterates from one generator, which computes an iterate only when asked:
+a probe asks only for the rows its verdict reads and stops at the first
+row that fails it (a non-finite total or a ratio above the target), as
+that row already decides the verdict.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -168,6 +174,18 @@ def contraction_report(distances: list[dict]) -> list[ContractionRow]:
     return rows
 
 
+def _scheme(first: Iterate, rho0: SpectralField, v0: SpectralField,
+            params: NormParams) -> Iterator[tuple[Iterate, dict]]:
+    """The iterates n = 1, 2, ... after `first`, each with its
+    iterate_difference to the one before it; an iterate is computed only
+    when it is asked for."""
+    prev = first
+    while True:
+        nxt = iterate(prev, rho0, v0)
+        yield nxt, iterate_difference(nxt, prev, params)
+        prev = nxt
+
+
 def run_scheme(rho0: SpectralField, v0: SpectralField, eps: float,
                params: NormParams, delta1: float, dt_target: float,
                n_max: int = 40, tol: float = 1e-10):
@@ -179,10 +197,10 @@ def run_scheme(rho0: SpectralField, v0: SpectralField, eps: float,
     times = time_grid(params, delta1, dt_target)
     iterates = [initialize(rho0, v0, eps, times)]
     distances = []
-    for _ in range(n_max):
-        iterates.append(iterate(iterates[-1], rho0, v0))
-        distances.append(iterate_difference(iterates[-1], iterates[-2], params))
-        if max(distances[-1].values()) < tol:
+    for it, d in islice(_scheme(iterates[0], rho0, v0, params), n_max):
+        iterates.append(it)
+        distances.append(d)
+        if max(d.values()) < tol:
             break
     return iterates, distances
 
@@ -204,21 +222,39 @@ def max_ratio(distances: list[dict], first: int = 2,
     return max(picked)
 
 
+def _contracts(distances: Iterable[dict], target: float, last: int) -> bool:
+    """max_ratio(rows 1 ... last, first=2, last=last) <= target, reading
+    the rows of `distances` one at a time: it stops at the first row from
+    2 on whose total is non-finite or whose ratio is finite and above
+    target, since either already puts that max_ratio above target."""
+    read = []
+    for d in islice(distances, last):
+        read.append(d)
+        if len(read) >= 2:
+            row = contraction_report(read)[-1]
+            if not math.isfinite(row.total) or (
+                    math.isfinite(row.ratio) and row.ratio > target):
+                return False
+    return max_ratio(read, first=2, last=last) <= target
+
+
 def bisect_eta(rho0: SpectralField, v0: SpectralField, eps: float,
                params: NormParams, delta1: float, dt_target: float,
                target: float = 0.5, n_probe: int = 7, n_bisect: int = 10,
                eta_max: float = 64.0) -> float:
-    """Largest eta (within bisection resolution) whose first n_probe
-    iterations contract at rate <= target in the shrinking norms. The
-    underlying theory only asserts that some small eta works, so the
-    search starts from params.eta, brackets by doubling/halving, then
-    bisects."""
+    """Largest eta (within bisection resolution) whose iterations 2 to
+    n_probe - 1 contract at rate <= target in the shrinking norms
+    (max_ratio with first=2, last=n_probe - 1). The underlying theory
+    only asserts that some small eta works, so the search starts from
+    params.eta, brackets by doubling/halving, then bisects. A probe
+    computes only the iterates its verdict reads, and stops at the first
+    row that fails it."""
 
     def feasible(eta: float) -> bool:
         p = replace(params, eta=eta)
-        _, distances = run_scheme(rho0, v0, eps, p, delta1, dt_target,
-                                  n_max=n_probe, tol=0.0)
-        return max_ratio(distances, first=2, last=n_probe - 1) <= target
+        first = initialize(rho0, v0, eps, time_grid(p, delta1, dt_target))
+        return _contracts((d for _, d in _scheme(first, rho0, v0, p)),
+                          target, n_probe - 1)
 
     eta = params.eta
     if feasible(eta):

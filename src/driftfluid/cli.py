@@ -42,7 +42,9 @@ versions, wall time, and inline invariant check results.
 A blow-up (BlowUpError) of an eps or limit run ends the experiment: the
 manifest is still written, with passed false and a "blow_up" entry giving
 the system and the time of its last finite state. Exit status is nonzero
-iff an inline check fails or a run blows up.
+iff an inline check fails or a run blows up. A ConfigError met while
+running ends the run like a config error met in the config: exit status
+2, no manifest, and the output directory removed if the run created it.
 
 In "eps_sweep", "grid" and "eps" govern every table. The per-eps
 eps_<eps>/timeseries.csv follow "horizon", "dt", "initial_data",
@@ -58,6 +60,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field
@@ -432,7 +435,12 @@ _EXPERIMENTS = {
 
 def run(cfg: RunConfig, out_dir, reference_mode: bool = False,
         workers: int = 1) -> Manifest:
+    """Run the experiment into `out_dir` and write its manifest. A
+    ConfigError met while running (an unknown preset, a grid that cannot
+    be built) propagates with no manifest written, after removing
+    `out_dir` if this call created it."""
     root = Path(out_dir)
+    created = not root.exists()
     root.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(config=_config_echo(cfg))
     start = time.perf_counter()
@@ -442,6 +450,10 @@ def run(cfg: RunConfig, out_dir, reference_mode: bool = False,
             cfg, root, 1 if reference_mode else workers)
     except BlowUpError as exc:
         manifest.blow_up = {"system": exc.system, "time": exc.last_time}
+    except ConfigError:
+        if created:
+            shutil.rmtree(root)
+        raise
     manifest.files = [{"path": str(Path(f).relative_to(root)),
                        "bytes": Path(f).stat().st_size} for f in files]
     manifest.wall_time = time.perf_counter() - start
@@ -530,8 +542,12 @@ def main(argv=None) -> int:
         print("ok" if report["ok"] else "invalid")
         return 0 if report["ok"] else 1
 
-    manifest = run(cfg, args.out, reference_mode=args.reference_mode,
-                   workers=args.workers)
+    try:
+        manifest = run(cfg, args.out, reference_mode=args.reference_mode,
+                       workers=args.workers)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     for name, passed in manifest.checks.items():
         print(f"check {name}: {'pass' if passed else 'FAIL'}")
     if manifest.blow_up is not None:

@@ -34,16 +34,12 @@ def matched_well_prepared_data(grid: Grid, amplitude: float = 0.05):
     return forward(grid, rho), forward(grid, v)
 
 
-# what oscillation filtering reads off an eps run: E_par, and <rho v>_perp
-# for the initial filtered primitive
-FILTER_PROBES = {"Epar": epsilon.parallel_field, "mom_bar": epsilon.mean_current}
-
-
-def _analyze(times, Epar, mom_bar, eps: float, par_grid: Grid,
+def _analyze(times, Epar, mom_bar0, eps: float, par_grid: Grid,
              window_periods: int) -> oscillations.OscillationRecord:
     """oscillations.analyze of an eps run, the filtered primitive starting
-    from the fluctuation of <rho v>_perp at t = 0."""
-    W0 = np.array(mom_bar[0], copy=True)
+    from the fluctuation of <rho v>_perp at t = 0 (`mom_bar0`, the
+    coefficients of epsilon.mean_current of the initial state)."""
+    W0 = np.array(mom_bar0, copy=True)
     W0[0] = 0.0
     return oscillations.analyze(times, Epar, eps, SpectralField(par_grid, W0),
                                 window_periods=window_periods)
@@ -112,7 +108,7 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
         dt = epsilon.dt_policy(eps, samples_per_period=samples_per_period)
         n1 = int(round(compare_time / dt))
         n = n1 + max(math.ceil((horizon - compare_time) / dt), 4)
-        eps_probes = {**FILTER_PROBES, "mass": epsilon.mass,
+        eps_probes = {"Epar": epsilon.parallel_field, "mass": epsilon.mass,
                       "energy": epsilon.energy, "mid": states_at([n1])}
         lim_probes = {"ubar": epsilon.mean_current, "mid": states_at([n1])}
         n_eps = n_lim = n_corr = n
@@ -124,17 +120,18 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
             n_lim = max(n, math.ceil(horizon / dt))
             lim_probes["mass"] = epsilon.mass
             lim_probes["residual"] = lambda st: limit.constraint_residuals(st.rho, st.v)[1]
-        members.append((eps, n1, n, n_corr))
-        eps_runs.append(Run(epsilon.make_eps_state(rho0, v0, eps), dt, n_eps,
-                            eps_probes))
+        state = epsilon.make_eps_state(rho0, v0, eps)
+        members.append((eps, n1, n, n_corr, epsilon.mean_current(state)))
+        eps_runs.append(Run(state, dt, n_eps, eps_probes))
         lim_runs.append(Run(lim0, dt, n_lim, lim_probes))
     eps_trajs = evolve(epsilon.steps, eps_runs + list(extra_runs))
     lim_trajs = evolve(limit.steps, lim_runs)
     entries = []
-    for (eps, n1, n, n_corr), traj, lim_traj in zip(members, eps_trajs, lim_trajs):
+    for (eps, n1, n, n_corr, m0), traj, lim_traj in zip(members, eps_trajs,
+                                                        lim_trajs):
         if eps == eps_min:
             record = _analyze(traj.times[: n_corr + 1], traj["Epar"][: n_corr + 1],
-                              traj["mom_bar"], eps, grid.par_grid, 2)
+                              m0, eps, grid.par_grid, 2)
             lim_min = lim_traj
         times = traj.times[: n + 1]
         Epar = traj["Epar"][: n + 1]
@@ -145,8 +142,8 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
         # limit flow's mean parallel current
         sq = math.sqrt(eps)
         E0 = SpectralField(grid.par_grid, sq * Epar[0])
-        m0 = SpectralField(grid.par_grid, traj["mom_bar"][0])
-        ep0, em0 = oscillations.corrector_initial_data(E0, m0)
+        ep0, em0 = oscillations.corrector_initial_data(
+            E0, SpectralField(grid.par_grid, m0))
         corr = oscillations.advect_correctors(ep0, em0, times,
                                               lim_traj["ubar"][: n + 1])
 
@@ -203,17 +200,19 @@ def filtering_sweep(eps_list, n_par: int = 16, alpha: float = 0.05,
     grid = Grid.shear2d(4, n_par)
     xp = grid.meshgrid()[grid.par_axis]
     eps_sorted = sorted(eps_list, reverse=True)
-    runs = []
+    runs, mom_bar0 = [], []
     for eps in eps_sorted:
         rho0 = forward(grid, 1.0 + alpha * math.sqrt(eps) * np.cos(2 * np.pi * xp))
         state = epsilon.make_eps_state(rho0, forward(grid, np.zeros(grid.shape)),
                                        eps, adm_const=2.0 * alpha)
         dt = epsilon.dt_policy(eps)
-        runs.append(Run(state, dt, int(math.ceil(horizon / dt)), FILTER_PROBES))
+        mom_bar0.append(epsilon.mean_current(state))
+        runs.append(Run(state, dt, int(math.ceil(horizon / dt)),
+                        {"Epar": epsilon.parallel_field}))
     entries = []
-    for eps, traj in zip(eps_sorted, evolve(epsilon.steps, runs)):
-        record = _analyze(traj.times, traj["Epar"], traj["mom_bar"], eps,
-                          grid.par_grid, window_periods)
+    for eps, m0, traj in zip(eps_sorted, mom_bar0, evolve(epsilon.steps, runs)):
+        record = _analyze(traj.times, traj["Epar"], m0, eps, grid.par_grid,
+                          window_periods)
         corr, dec = record.correctors, record.decomposition
         sel_r = (corr.times >= average_range[0]) & (corr.times <= average_range[1])
         # weak smallness: W oscillates at O(1) amplitude but its time

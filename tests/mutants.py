@@ -1,7 +1,7 @@
 """Mutation gate: faults planted by hand in the transport kernel, in the
-invariants the tests guard, in the ensemble step and run loop, in the
-config checks and in the experiment runners, each of which its named
-tests must catch.
+invariants the tests guard, in the contraction probes, in the ensemble
+step and run loop, in the config checks and in the experiment runners,
+each of which its named tests must catch.
 
     python tests/mutants.py             # every mutant
     python tests/mutants.py NAME ...    # the named ones
@@ -80,6 +80,17 @@ MUTANTS = (
            "    if any(not math.isfinite(r.total) for r in rows):\n"
            "        return math.inf\n", "",
            ("tests/test_ck.py::TestMaxRatio::test_non_finite_total_is_infeasible",)),
+    Mutant("probe-exits-at-target-ratio", "src/driftfluid/ck.py",
+           "math.isfinite(row.ratio) and row.ratio > target",
+           "math.isfinite(row.ratio) and row.ratio >= target",
+           ("tests/test_ck.py::TestLazyVerdict::"
+            "test_verdict_is_max_ratio_and_stops_at_first_failing_row",)),
+    Mutant("probe-reads-past-non-finite-total", "src/driftfluid/ck.py",
+           "            if not math.isfinite(row.total) or (\n"
+           "                    math.isfinite(row.ratio) and row.ratio > target):\n",
+           "            if math.isfinite(row.ratio) and row.ratio > target:\n",
+           ("tests/test_ck.py::TestLazyVerdict::"
+            "test_verdict_is_max_ratio_and_stops_at_first_failing_row",)),
     Mutant("ck-gap-t-times-eta", "src/driftfluid/spectral.py",
            "- times[:, None] / params.eta", "- times[:, None] * params.eta",
            (PROPS + "test_shrinking_norm_non_decreasing_in_eta",)),

@@ -21,6 +21,7 @@ from driftfluid.ck import (
 )
 from driftfluid.epsilon import dt_policy, make_eps_state, parallel_field, run as eps_run
 from driftfluid.errors import ConfigError
+from driftfluid.experiments import contraction_study
 from driftfluid.poisson import solve_fields
 from driftfluid.quadrature import cumulative_integral
 from driftfluid.spectral import (
@@ -260,6 +261,95 @@ class TestMaxRatio:
         rows = contraction_report(distances)
         assert rows[-1].total == 0.0 and rows[-2].total == 0.0
         assert max_ratio(distances, first=2) == pytest.approx(0.4, abs=1e-10)
+
+
+def infinite_at(its, k):
+    """`its` with iterate k carrying one infinite E_par coefficient, so
+    rows k and k + 1 of their distances have infinite totals."""
+    epar = its[k].Epar.copy()
+    epar[1, 1] = np.inf
+    return its[:k] + [replace(its[k], Epar=epar)] + its[k + 1:]
+
+
+def lazy_verdict(distances, target, last):
+    """ck._contracts on a one-pass stream of `distances`, and how many
+    rows it read."""
+    stream = iter(distances)
+    verdict = ck._contracts(stream, target, last)
+    return verdict, len(distances) - len(list(stream))
+
+
+class TestLazyVerdict:
+    """A probe reads rows 1 ... last of the distances one at a time and
+    stops at the first failing row from 2 on; its verdict is always that
+    of max_ratio over every row, first=2, last=last."""
+
+    @pytest.mark.parametrize("factors, infinite, target, last, read", [
+        # ratios 0.5 to rounding, target their exact maximum
+        ([0.5 ** n for n in range(7)], None, None, 6, 6),
+        # ratios 0.4, then 0.75 at row 3
+        ([0.0, 1.0, 1.4, 1.7, 1.8, 1.85, 1.87], None, 0.5, 6, 3),
+        # non-finite totals at rows 3 and 4, inside [2, 6]
+        ([0.4 ** n for n in range(7)], 3, 0.5, 6, 3),
+        # non-finite total at row 6, past last = 5
+        ([0.4 ** n for n in range(7)], 6, 0.5, 5, 5),
+        # non-finite total at row 1, before first = 2
+        ([0.4 ** n for n in range(7)], 0, 0.5, 6, 6),
+        # zero totals from row 3 on: 0 then 0/0 ratios
+        ([1.0, 0.4, 0.16, 0.16, 0.16, 0.16, 0.16], None, 0.5, 6, 6),
+        # a zero total at row 4, so an infinite ratio at row 5
+        ([0.0, 1.0, 1.4, 1.56, 1.56, 1.6, 1.61], None, 0.5, 6, 6)],
+        ids=["ratio-at-target", "fails-at-row-3", "non-finite-inside",
+             "non-finite-after-last", "non-finite-before-first",
+             "zero-total-tail", "inf-ratio-after-zero-total"])
+    def test_verdict_is_max_ratio_and_stops_at_first_failing_row(
+            self, factors, infinite, target, last, read):
+        its = geometric_iterates(factors)
+        if infinite is not None:
+            its = infinite_at(its, infinite)
+        distances = consecutive_distances(its)
+        if target is None:
+            target = max_ratio(distances, first=2, last=last)
+        full = max_ratio(distances, first=2, last=last) <= target
+        assert lazy_verdict(distances, target, last) == (full, read)
+
+    def test_infeasible_probe_stops_at_row_2(self, monkeypatch):
+        """At eta = 4 the second difference already fails the halving
+        rate: the probe computes two iterates; at eta = 2 it computes the
+        six its rows 1 ... 6 need."""
+        g = Grid.torus3d(4, 4, 8)
+        eps = 0.25
+        st = small_state(g, eps)
+        direct, calls = ck.iterate, []
+
+        def counted(prev, rho0, v0):
+            calls.append(prev.n)
+            return direct(prev, rho0, v0)
+
+        monkeypatch.setattr(ck, "iterate", counted)
+        for eta, verdict, made in ((4.0, False, 2), (2.0, True, 6)):
+            calls.clear()
+            p = replace(PARAMS, eta=eta)
+            first = initialize(st.rho, st.v, eps, time_grid(p, 1.1, dt_policy(eps)))
+            stream = (d for _, d in ck._scheme(first, st.rho, st.v, p))
+            assert ck._contracts(stream, 0.5, 6) is verdict
+            assert len(calls) == made
+
+    def test_contraction_study_counts(self, monkeypatch):
+        """The study's probes and final run compute 66 iterates (103 when
+        every probe computed seven), with one run_scheme call."""
+        counts = {"iterate": 0, "run_scheme": 0}
+        for name in counts:
+            direct = getattr(ck, name)
+
+            def counted(*args, _direct=direct, _name=name, **kwargs):
+                counts[_name] += 1
+                return _direct(*args, **kwargs)
+
+            monkeypatch.setattr(ck, name, counted)
+        study = contraction_study()
+        assert counts == {"iterate": 66, "run_scheme": 1}
+        assert study.eta == 2.859375
 
 
 class TestEtaSelection:

@@ -449,6 +449,25 @@ class TestCliEntryPoint:
         assert capsys.readouterr().err.startswith(f"config error: {key}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("raw, problem", [
+        ({"initial_data": {"preset": "vortex"}}, "unknown preset 'vortex'"),
+        ({"grid": [4, 4, 4, 16]}, "grid must have 1-3 entries"),
+        ({"grid": [4, 0, 16]}, "mode count 0")],
+        ids=["unknown-preset", "four-grid-entries", "zero-mode-count"])
+    def test_config_error_met_while_running_is_a_config_error(
+            self, tmp_path, capsys, raw, problem):
+        """A config that passes the schema but fails once the run builds
+        its grid or initial data is reported like any other config error,
+        and leaves no output behind."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "eps_run", "horizon": 0.1,
+                                        **raw}))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and problem in err
+        assert not (tmp_path / "out").exists()
+
     def test_blow_up_writes_a_failing_manifest(self, tmp_path, capsys):
         """An eps run that blows up ends the experiment with a manifest
         that records the blow-up and fails, and a nonzero exit status
