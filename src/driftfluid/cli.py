@@ -42,9 +42,10 @@ versions, wall time, and inline invariant check results.
 A blow-up (BlowUpError) of an eps or limit run ends the experiment: the
 manifest is still written, with passed false and a "blow_up" entry giving
 the system and the time of its last finite state. Exit status is nonzero
-iff an inline check fails or a run blows up. A ConfigError met while
-running ends the run like a config error met in the config: exit status
-2, no manifest, and the output directory removed if the run created it.
+iff an inline check fails or a run blows up. A ConfigError or an
+AdmissibilityError met while running ends the run like a config error
+met in the config: exit status 2, no manifest, and the output directory
+removed if the run created it.
 
 In "eps_sweep", "grid" and "eps" govern every table. The per-eps
 eps_<eps>/timeseries.csv follow "horizon", "dt", "initial_data",
@@ -437,8 +438,9 @@ def run(cfg: RunConfig, out_dir, reference_mode: bool = False,
         workers: int = 1) -> Manifest:
     """Run the experiment into `out_dir` and write its manifest. A
     ConfigError met while running (an unknown preset, a grid that cannot
-    be built) propagates with no manifest written, after removing
-    `out_dir` if this call created it."""
+    be built) or an AdmissibilityError (initial data that breaks the
+    admissibility bound) propagates with no manifest written, after
+    removing `out_dir` if this call created it."""
     root = Path(out_dir)
     created = not root.exists()
     root.mkdir(parents=True, exist_ok=True)
@@ -450,7 +452,7 @@ def run(cfg: RunConfig, out_dir, reference_mode: bool = False,
             cfg, root, 1 if reference_mode else workers)
     except BlowUpError as exc:
         manifest.blow_up = {"system": exc.system, "time": exc.last_time}
-    except ConfigError:
+    except (ConfigError, AdmissibilityError):
         if created:
             shutil.rmtree(root)
         raise
@@ -545,7 +547,7 @@ def main(argv=None) -> int:
     try:
         manifest = run(cfg, args.out, reference_mode=args.reference_mode,
                        workers=args.workers)
-    except ConfigError as exc:
+    except (ConfigError, AdmissibilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for name, passed in manifest.checks.items():

@@ -28,7 +28,6 @@ far above the 1e-6 conservation target, so the default is stricter.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -133,8 +132,7 @@ def oscillation_period(eps: float) -> float:
 
 def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
                     e1: np.ndarray | None = None, e2: np.ndarray | None = None,
-                    values: tuple | None = None, pressure: bool = False,
-                    evolved: int | None = None) -> tuple:
+                    values: tuple | None = None, pressure: bool = False) -> tuple:
     """The transport operator shared by the eps system, its limit, the CK
     iteration and the line-grid reductions: E x B drift in the
     perpendicular plane plus parallel advection,
@@ -142,9 +140,9 @@ def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
         (-d_par(v rho) - div_perp(E_perp rho), -v d_par v - div_perp(E_perp v)),
 
     on half-layout coefficient arrays of real fields with common leading
-    axes (flattened into rows). E_perp = (e1, e2) is left out when not
-    given, and on a grid without both perpendicular axes, where its
-    divergence vanishes. `values` may hold rho's and v's values.
+    axes (members, phases: flattened into rows). E_perp = (e1, e2) is left
+    out when not given, and on a grid without both perpendicular axes,
+    where its divergence vanishes. `values` may hold rho's and v's values.
 
     Products are taken in groups of k = max(1, block_rows(grid) // rows).
     While a group lacks values, an inverse transform makes those of the next
@@ -155,14 +153,11 @@ def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
 
     With `pressure`, the closure flux <rho (v v)>_perp (both products
     dealiased; one more transform each way) is returned third, on the
-    parallel line per leading row. Only the first `evolved` densities
-    along the first leading axis (all by default) are transported: the
-    two-phase system's rho2 = 1 - rho1 enters its closure alone.
+    parallel line per leading row.
     """
     par = grid.par_axis
     lead = v.shape[:v.ndim - grid.ndim]
-    rho_lead = lead if evolved is None else (evolved,) + lead[1:]
-    n, n_rho = math.prod(lead), math.prod(rho_lead)
+    n = math.prod(lead)
     rho, v, e1, e2 = (a if a is None else row_stack(grid, a) for a in (rho, v, e1, e2))
     # fields 0 d_par v, 1 rho, 2 v, 3 E_perp1, 4 E_perp2 (row stacks): the
     # coefficients left to transform, in this order, and the values made
@@ -170,14 +165,14 @@ def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
     vals = [None] * 5
     if values is not None:
         vals[1:3], coeffs[1:3] = (row_stack(grid, a) for a in values), (None, None)
-    # products (factor, factor, rows, tendency: 0 rho, 1 v or None, axis of
-    # its derivative or None); the first of each tendency sets it
-    table = [(2, 0, n, 1, None), (2, 1, n_rho, 0, par)]
+    # products (factor, factor, tendency: 0 rho, 1 v or None, axis of its
+    # derivative or None); the first of each tendency sets it
+    table = [(2, 0, 1, None), (2, 1, 0, par)]
     if e1 is not None and PERP1 in grid.axes and PERP2 in grid.axes:
         coeffs[3:] = e1, e2
         for f, axis in ((3, grid.axis_index(PERP1)), (4, grid.axis_index(PERP2))):
-            table += [(f, 1, n_rho, 0, axis), (f, 2, n, 1, axis)]
-    table += [(2, 2, n, None, None)] * pressure
+            table += [(f, 1, 0, axis), (f, 2, 1, axis)]
+    table += [(2, 2, None, None)] * pressure
     k = max(1, block_rows(grid) // n)
     tend = [None, None]                           # d_t rho, d_t v
     for g in range(0, len(table), k):
@@ -189,14 +184,13 @@ def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
             for i, f in enumerate(take):
                 vals[f], coeffs[f] = made[i * n:(i + 1) * n], None
             del made
-        ends = list(itertools.accumulate(p[2] for p in group))
-        prods = np.empty((ends[-1],) + grid.shape)
-        for (a, b, r, *_), end in zip(group, ends):
-            np.multiply(vals[a][:r], vals[b][:r], out=prods[end - r:end])
+        prods = np.empty((len(group) * n,) + grid.shape)
+        for i, (a, b, *_) in enumerate(group):
+            np.multiply(vals[a], vals[b], out=prods[i * n:(i + 1) * n])
         out = dealiased_coeffs(grid, prods, True)
         del prods
-        for (*_, r, t, axis), end in zip(group, ends):
-            part = out[end - r:end]
+        for i, (*_, t, axis) in enumerate(group):
+            part = out[i * n:(i + 1) * n]
             if axis is not None:
                 part *= grid.half.derivative_mults[axis]
             if t is None:
@@ -209,8 +203,7 @@ def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
         # rho's values outlive the table when rho (v v) follows it
         keep = {f for p in table[g + k:] for f in p[:2]} | ({1} if pressure else set())
         vals = [a if f in keep else None for f, a in enumerate(vals)]
-    result = (tend[0].reshape(rho_lead + grid.half.shape),
-              tend[1].reshape(lead + grid.half.shape))
+    result = tuple(a.reshape(lead + grid.half.shape) for a in tend)
     if pressure:
         flux = product_coeffs(grid, vals[1], collocation_values(grid, vv, True), True)
         result += (flux[grid._par_line].reshape(lead + (-1,)),)

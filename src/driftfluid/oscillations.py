@@ -16,7 +16,7 @@ coefficients:
 * demodulation of sqrt(eps) E1 against exp(+-i t/sqrt(eps)) to extract the
   slowly modulated corrector envelopes E+ and E-;
 * transport of the correctors by the mean parallel current of the limit
-  flow:  d_t E+- + ubar d_par E+- = 0.
+  flow:  d_t E+- + ubar d_par E+- = 0, the pair advanced as one array.
 """
 
 from __future__ import annotations
@@ -251,7 +251,10 @@ def advect_correctors(Eplus0: SpectralField, Eminus0: SpectralField,
         d_t E+- + ubar(t, x_par) d_par E+- = 0,
 
     RK4 in time on the sampling grid of ubar, spectral in space with the
-    dealiased product; ubar at the half steps is cubic-interpolated.
+    dealiased product; ubar at the half steps is cubic-interpolated. E+-
+    advance as one [n_t, 2, n_par] array (a stage transforms both d_par
+    E+- in one call, ubar in one and both products in one), of which the
+    series' Eplus and Eminus are views.
     """
     times = np.asarray(ubar_times, dtype=float)
     dt = _check_uniform(times)
@@ -261,19 +264,17 @@ def advect_correctors(Eplus0: SpectralField, Eminus0: SpectralField,
         raise ConfigError("ubar series does not match the corrector time grid")
     ubar_at = {0.0: ubar_coeffs[:-1], 0.5: midpoints(ubar_coeffs),
                1.0: ubar_coeffs[1:]}
-    out_p = np.empty_like(ubar_coeffs)
-    out_m = np.empty_like(ubar_coeffs)
-    out_p[0] = Eplus0.coeffs
-    out_m[0] = Eminus0.coeffs
+    out = np.empty((len(times), 2, grid.shape[0]), dtype=complex)
+    out[0] = Eplus0.coeffs, Eminus0.coeffs
 
     for j in range(len(times) - 1):
         def f(y, c):
             u_vals = collocation_values(grid, ubar_at[c][j], False)
-            return tuple(-product_coeffs(grid, u_vals, collocation_values(
-                grid, derivative_coeffs(grid, e, 0), False), False) for e in y)
+            return (-product_coeffs(grid, u_vals, collocation_values(
+                grid, derivative_coeffs(grid, y[0], 0), False), False),)
 
-        out_p[j + 1], out_m[j + 1] = rk4_step(f, (out_p[j], out_m[j]), dt)
-    return CorrectorSeries(grid=grid, times=times, Eplus=out_p, Eminus=out_m)
+        (out[j + 1],) = rk4_step(f, (out[j],), dt)
+    return CorrectorSeries(grid=grid, times=times, Eplus=out[:, 0], Eminus=out[:, 1])
 
 
 def oscillation_residual(times, sqrt_eps_Epar, Eplus, Eminus, eps: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epsilon import drift_advection
+from .epsilon import drift_advection, dt_policy
 from .errors import ConfigError, SolvabilityError
 from .poisson import TWO_PI_SQ, V_coeffs, check_eps
 from .quadrature import Run, Trajectory, ensemble_step, evolve, solo
@@ -225,7 +225,7 @@ def dichotomy_experiment(eps_list, streaming: float = 0.5,
         for eps in eps_list:
             state = dichotomy_data(grid, eps, stream, mean_velocity,
                                    structure, offset, ripple)
-            dt = min(2.0 * math.pi * math.sqrt(eps) / 120.0, horizon / 64.0)
+            dt = min(dt_policy(eps), horizon / 64.0)
             members.append((branch, float(eps)))
             runs.append(Run(state, dt, int(math.ceil(horizon / dt)), probes))
     for (branch, eps), traj in zip(members, evolve(steps, runs, partial=True)):

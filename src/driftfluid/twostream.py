@@ -14,8 +14,9 @@ keeps that flux constant in time. Only (rho_1, v_1, v_2) are evolved;
 rho_2 = 1 - rho_1 is implied, so the mass constraint is exact by
 construction; the momentum flux residual |d_par(rho_1 v_1 + rho_2 v_2)|
 is monitored by the tests (tests/test_twostream.py), from the arrays a
-step advances. A step is quadrature.ensemble_step of the tendency on the
-half layout, for one member: growth runs never share a grid.
+step advances. As in the toy model, the tendency is the drift-advection
+kernel on the phases stacked on an axis after the ensemble's member axis
+(quadrature.ensemble_step), plus the closure summed over the phases.
 
 Linearised about constants the system is elliptic in space-time whenever
 the streams differ: the growth rate of wavenumber k is proportional to k,
@@ -74,37 +75,32 @@ def make_two_phase(rho1: SpectralField, v1: SpectralField,
     return state
 
 
-def _densities(rho1: np.ndarray) -> np.ndarray:
-    """[rho1, rho2] stacked on a leading phase axis, from the half-layout
-    coefficients of rho1: rho2 = 1 - rho1 is implied."""
-    rho = np.stack([rho1, -rho1])
-    rho[1, 0] += 1.0
-    return rho
-
-
 def tendencies(grid: Grid, rho1: np.ndarray, v: np.ndarray):
     """(d_t rho1, d_t [v1, v2]) on the arrays a step advances, the
-    half-layout coefficients of rho1 and of [v1, v2] stacked on a leading
-    phase axis: the drift-advection tendency of both phases, with the
-    pressure closure summed over them. Only rho1 is transported; rho2
-    enters the closure."""
-    drho1, dv, flux = drift_advection(grid, _densities(rho1), v, pressure=True,
-                                      evolved=1)
-    dv -= pressure_gradient_coeffs(grid, flux).sum(axis=0)
-    return drho1[0], dv
+    half-layout coefficients of rho1 and of [v1, v2] stacked on a phase
+    axis after any member axis: the drift-advection tendency of both
+    phases, with [rho1, rho2] stacked alike (rho2 = 1 - rho1 is implied),
+    and the pressure closure summed over the phases. rho2's tendency is
+    made with rho1's and dropped."""
+    rho = np.stack([rho1, -rho1], axis=-2)
+    rho[..., 1, 0] += 1.0
+    drho, dv, flux = drift_advection(grid, rho, v, pressure=True)
+    dv -= pressure_gradient_coeffs(grid, flux).sum(axis=-2)[..., None, :]
+    return drho[..., 0, :], dv
 
 
 def steps(states: list, dts: list) -> list:
-    """The two-phase step (quadrature.ensemble_step; see quadrature.evolve)
-    of one member, since growth runs never share a grid: its entry is the
-    new state or its BlowUpError."""
-    (state,), (dt,) = states, dts
-    grid = state.grid
-    (rho1, v), (error,) = ensemble_step(
-        lambda y, _: tuple(d[None] for d in tendencies(grid, y[0][0], y[1][0])),
-        states, dts, lambda st: (st.rho1, (st.v1, st.v2)), "two-phase")
-    return [error or TwoPhaseState(state.t + dt, SpectralField(grid, rho1[0]),
-                                   *(SpectralField(grid, c) for c in v[0]))]
+    """The two-phase step of an ensemble of states on one grid, each with
+    its own dt (quadrature.ensemble_step; see quadrature.evolve): the
+    member axis comes before the phase axis of [v1, v2]. A member's entry
+    is its new state or its BlowUpError."""
+    grid = states[0].grid
+    (rho1, v), errors = ensemble_step(
+        lambda y, _: tendencies(grid, *y), states, dts,
+        lambda st: (st.rho1, (st.v1, st.v2)), "two-phase")
+    return [err or TwoPhaseState(st.t + dt, SpectralField(grid, rho1[i]),
+                                 *(SpectralField(grid, c) for c in v[i]))
+            for i, (st, dt, err) in enumerate(zip(states, dts, errors))]
 
 
 def step(state: TwoPhaseState, dt: float) -> TwoPhaseState:

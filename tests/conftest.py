@@ -43,3 +43,16 @@ def random_band_field(grid: Grid, kmax: int, rng, amplitude: float = 1.0,
     sym = amplitude * 0.5 * (raw.coeffs + raw.conj().coeffs)
     sym[(0,) * grid.ndim] = mean
     return SpectralField(grid, sym, real=True)
+
+
+def count_transforms(monkeypatch) -> list:
+    """Record (name, input shape) of every numpy.fft entry point called
+    from here on."""
+    calls = []
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                 "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

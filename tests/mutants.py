@@ -1,6 +1,7 @@
 """Mutation gate: faults planted by hand in the transport kernel, in the
-invariants the tests guard, in the contraction probes, in the ensemble
-step and run loop, in the config checks and in the experiment runners,
+invariants the tests guard, in the contraction probes, in the stacked
+layouts of the correctors and the two-phase step, in the ensemble step
+and run loop, in the config checks and in the experiment runners,
 each of which its named tests must catch.
 
     python tests/mutants.py             # every mutant
@@ -95,13 +96,13 @@ MUTANTS = (
            "- times[:, None] / params.eta", "- times[:, None] * params.eta",
            (PROPS + "test_shrinking_norm_non_decreasing_in_eta",)),
     Mutant("constant-offset-on-drho", "src/driftfluid/epsilon.py",
-           "    result = (tend[0].reshape(",
+           "    result = tuple(a.reshape(",
            "    tend[0][(...,) + (0,) * grid.ndim] += 1e-12\n"
-           "    result = (tend[0].reshape(",
+           "    result = tuple(a.reshape(",
            (PROPS + "test_drift_advection_conserves_mass",)),
     Mutant("non-conservative-rho-tendency", "src/driftfluid/epsilon.py",
-           "table = [(2, 0, n, 1, None), (2, 1, n_rho, 0, par)]",
-           "table = [(2, 0, n, 1, None), (0, 1, n_rho, 0, None)]",   # -rho d_par v
+           "table = [(2, 0, 1, None), (2, 1, 0, par)]",
+           "table = [(2, 0, 1, None), (0, 1, 0, None)]",   # -rho d_par v
            (PROPS + "test_drift_advection_conserves_mass",)),
     Mutant("inverse-trusts-irfftn-values", "src/driftfluid/spectral.py",
            "    if field.real:\n        check_real(field, tol)\n", "",
@@ -109,6 +110,16 @@ MUTANTS = (
             "test_inverse_rejects_a_defect_at_negative_kpar_only",
             "tests/test_spectral.py::TestTransforms::"
             "test_inverse_rejects_broken_symmetry")),
+    # the stacked layouts of the correctors and of the two-phase step
+    Mutant("corrector-rows-swapped", "src/driftfluid/oscillations.py",
+           "Eplus=out[:, 0], Eminus=out[:, 1]", "Eplus=out[:, 1], Eminus=out[:, 0]",
+           ("tests/test_oscillations.py::TestAdvection::"
+            "test_distinct_correctors_translate_each_to_its_own_solution",)),
+    Mutant("two-phase-closure-summed-over-members", "src/driftfluid/twostream.py",
+           "pressure_gradient_coeffs(grid, flux).sum(axis=-2)",
+           "pressure_gradient_coeffs(grid, flux).sum(axis=0)",
+           ("tests/test_quadrature.py::TestEnsemble::"
+            "test_two_phase_members_match_their_solo_runs",)),
     # the ensemble step and loop
     Mutant("cached-values-at-every-stage", "src/driftfluid/quadrature.py",
            "tendency(y, values if c == 0.0 else None)", "tendency(y, values)",

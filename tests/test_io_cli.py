@@ -468,6 +468,26 @@ class TestCliEntryPoint:
         assert err.startswith("config error: ") and problem in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment", ["eps_run", "eps_sweep"])
+    def test_inadmissible_data_met_while_running_is_a_config_error(
+            self, tmp_path, capsys, experiment):
+        """Initial data that breaks the admissibility bound, which
+        `validate` reports as a finding, ends `run` like a config error:
+        exit status 2, the message on stderr, and no output left behind."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": experiment, "grid": [4, 4, 16], "eps": [0.01],
+            "adm_const": 0.001,
+            "initial_data": {"preset": "single_mode",
+                             "params": {"amplitude": 0.5}}}))
+        assert main(["validate", "--config", str(cfg_path)]) == 1
+        assert "admissibility failure" in capsys.readouterr().out
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "exceeds C sqrt(eps)" in err
+        assert not (tmp_path / "out").exists()
+
     def test_blow_up_writes_a_failing_manifest(self, tmp_path, capsys):
         """An eps run that blows up ends the experiment with a manifest
         that records the blow-up and fails, and a nonzero exit status

@@ -37,7 +37,7 @@ from driftfluid.spectral import (
     zeros,
 )
 
-from conftest import random_band_field
+from conftest import count_transforms, random_band_field
 from oracles import characteristic_foot, oscillator_reference
 
 
@@ -343,6 +343,35 @@ class TestAdvection:
         t_final = times[-1]
         expected = e0.coeffs * np.exp(-2j * np.pi * grid.modes(0) * c_speed * t_final)
         assert np.max(np.abs(cs.Eplus[-1] - expected)) < 1e-9
+
+    def test_distinct_correctors_translate_each_to_its_own_solution(self):
+        """E+ and E- advance as the two rows of one array: under a constant
+        current each row is its own initial data translated, at every
+        sample, with neither swapped for nor mixed into the other."""
+        grid = Grid.line(32)
+        c_speed = 0.37
+        plus0 = from_modes(grid, {2: 0.1 - 0.05j}, real=False)
+        minus0 = from_modes(grid, {-2: 0.05 + 0.02j, 1: 0.08j}, real=False)
+        times = np.linspace(0, 1, 401)
+        ubar = np.zeros((401, 32), complex)
+        ubar[:, 0] = c_speed
+        cs = advect_correctors(plus0, minus0, times, ubar)
+        shift = np.exp(-2j * np.pi * np.outer(c_speed * times, grid.modes(0)))
+        assert np.max(np.abs(cs.Eplus - plus0.coeffs * shift)) < 1e-9
+        assert np.max(np.abs(cs.Eminus - minus0.coeffs * shift)) < 1e-9
+
+    def test_three_transforms_per_stage(self, monkeypatch):
+        """Each RK4 stage makes one inverse transform for both d_par E+-,
+        one for ubar and one forward transform for both products."""
+        grid = Grid.line(16)
+        e0 = from_modes(grid, {1: 0.5, -2: 0.1j}, real=False)
+        times = np.linspace(0, 0.1, 6)
+        ubar = np.broadcast_to(from_modes(grid, {0: 0.3, 1: 0.05}).coeffs,
+                               (6, 16)).copy()
+        calls = count_transforms(monkeypatch)
+        advect_correctors(e0, e0.conj(), times, ubar)
+        assert len(calls) == 3 * 4 * (len(times) - 1)
+        assert {name for name, _ in calls} == {"ifftn", "fftn"}
 
     def test_smooth_current_vs_characteristics(self):
         grid = Grid.line(64)

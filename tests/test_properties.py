@@ -41,7 +41,7 @@ from driftfluid.spectral import (
     shrinking_norm,
 )
 
-from conftest import PROPERTY_GRIDS, random_band_field
+from conftest import PROPERTY_GRIDS, count_transforms, random_band_field
 from oracles import per_product_drift_advection
 
 grids = st.sampled_from(PROPERTY_GRIDS)
@@ -277,8 +277,7 @@ def test_density_mean_other_than_one_is_unsolvable(grid, n_batch, kmax, mean, se
 
 def _stacked_kernel(grid, n_batch, kmax, cached, seed):
     """Random inputs, and drift_advection of them with the pressure
-    closure's flux plus the density tendency of the first row alone
-    (`evolved`, None without a leading axis)."""
+    closure's flux."""
     rng = np.random.default_rng(seed)
     inputs = tuple(_half(grid, _draw(grid, kmax, rng, n_batch, mean))
                    for mean in (1.0, 0.3, 0.0, 0.0))
@@ -286,18 +285,15 @@ def _stacked_kernel(grid, n_batch, kmax, cached, seed):
     values = ((collocation_values(grid, rho, True),
                collocation_values(grid, v, True)) if cached else None)
     got = drift_advection(grid, *inputs, values, pressure=True)
-    first = drift_advection(grid, *inputs, values, evolved=1)[0] if n_batch else None
-    return inputs, got, first
+    return inputs, got
 
 
-def _assert_per_transform(grid, inputs, got, first):
+def _assert_per_transform(grid, inputs, got):
     """The kernel's outputs equal the one-call-per-transform oracle's bit
     for bit."""
     want = per_product_drift_advection(grid, *inputs)
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
-    if first is not None:
-        assert np.array_equal(first, want[0][:1])
 
 
 @given(grid=grids, n_batch=st.integers(0, 3), kmax=st.integers(0, 3),
@@ -321,23 +317,10 @@ def test_kernel_blocks_are_bitwise_per_transform(grid, n_batch, kmax, cached,
     match bit for bit."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "FFT_BLOCK_POINTS", rows * grid.size)
-        calls = _count_transforms(patch)
+        calls = count_transforms(patch)
         outputs = _stacked_kernel(grid, n_batch, kmax, cached, seed)
     assert max(math.prod(shape[:-grid.ndim]) for _, shape in calls) <= rows
     _assert_per_transform(grid, *outputs)
-
-
-def _count_transforms(monkeypatch) -> list:
-    """Record (name, input shape) of every numpy.fft entry point called
-    from here on."""
-    calls = []
-    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-                 "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
-        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _fn(a, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
 
 
 def _state_fields(grid):
@@ -352,7 +335,7 @@ def test_eps_step_transforms_once_each_way_per_stage(monkeypatch):
     stacked forward per RK4 stage (42 with one call per field)."""
     state = epsilon.make_eps_state(*_state_fields(Grid.torus3d(4, 4, 16)), 0.05)
     state.rho._values, state.v._values
-    calls = _count_transforms(monkeypatch)
+    calls = count_transforms(monkeypatch)
     epsilon.step(state, 1e-3)
     assert len(calls) <= 8 and {name for name, _ in calls} == {"irfftn", "rfftn"}
 
@@ -364,7 +347,7 @@ def test_limit_step_transforms_per_stage(monkeypatch):
     (54 with one call per field)."""
     state = limit.project_initial(*_state_fields(Grid.torus3d(4, 4, 16)))
     state.rho._values, state.v._values
-    calls = _count_transforms(monkeypatch)
+    calls = count_transforms(monkeypatch)
     limit.step(state, 1e-3)
     assert len(calls) <= 16 and {name for name, _ in calls} == {"irfftn", "rfftn"}
 
@@ -382,7 +365,7 @@ def test_reduction_and_ck_transform_counts(monkeypatch):
     r, u = _state_fields(line)
     two = twostream.make_two_phase(0.5 * r, u, -1.0 * u)
     toy = toymodel.make_multi_phase([r, r], [u, -1.0 * u], 0.1)
-    calls = _count_transforms(monkeypatch)
+    calls = count_transforms(monkeypatch)
     for bound, run in [(6, lambda: ck.iterate(first, rho, v)),
                        (16, lambda: twostream.step(two, 1e-3)),
                        (12, lambda: toymodel.step(toy, 1e-3))]:

@@ -357,6 +357,17 @@ def _toy_runs():
             Run(toymodel.dichotomy_data(line, 0.001, 0.5), 5e-4, 5, probes)]
 
 
+def _two_phase_runs():
+    """Two-phase members with their own data, dt and step count."""
+    line = Grid.line(16)
+    backgrounds = [(0.5, 1.0, -1.0), (0.4, 0.5, -0.3), (0.6, 0.2, 0.2)]
+    return [Run(twostream.seeded_state(line, bg, "analytic", 0.5, 4, 1e-3, seed),
+                dt, n_steps, {"rho1": lambda st: st.rho1.coeffs,
+                              "pert": lambda st, bg=bg: twostream.perturbation_norm(st, bg)})
+            for seed, (bg, dt, n_steps) in enumerate(zip(
+                backgrounds, (1e-3, 2e-3, 5e-4), (4, 3, 5)))]
+
+
 class TestEnsemble:
     """evolve steps a list of runs together; each member's record is the
     one its run gets alone."""
@@ -381,6 +392,12 @@ class TestEnsemble:
         for run, got in zip(runs, evolve(toymodel.steps, runs, partial=True)):
             _assert_alone(got, toymodel.run(run.state, run.dt, run.n_steps,
                                             run.probes))
+
+    def test_two_phase_members_match_their_solo_runs(self):
+        runs = _two_phase_runs()
+        for run, got in zip(runs, evolve(twostream.steps, runs, partial=True)):
+            _assert_alone(got, twostream.run(run.state, run.dt, run.n_steps,
+                                             run.probes))
 
     def test_a_blown_toy_member_retires_alone(self):
         runs = _toy_runs()
