@@ -31,7 +31,7 @@ arguments of the experiment's function that its runner does not supply
 (eps_run takes none).
 
 Each experiment is one row of `_EXPERIMENTS`: its runner, called as
-runner(cfg, out, workers) and returning its files and inline checks, the
+runner(cfg, out) and returning its files and inline checks, the
 function that receives its "experiment_params", and the arguments the
 runner supplies to that function itself.
 
@@ -44,8 +44,11 @@ manifest is still written, with passed false and a "blow_up" entry giving
 the system and the time of its last finite state. Exit status is nonzero
 iff an inline check fails or a run blows up. A ConfigError or an
 AdmissibilityError met while running ends the run like a config error
-met in the config: exit status 2, no manifest, and the output directory
-removed if the run created it.
+met in the config: exit status 2, no manifest, and no output directory
+made, because each is raised before a runner writes its first file.
+
+Every run is one process with byte-identical outputs for an identical
+config and seed; an "eps_sweep" steps all its eps as one ensemble.
 
 In "eps_sweep", "grid" and "eps" govern every table. The per-eps
 eps_<eps>/timeseries.csv follow "horizon", "dt", "initial_data",
@@ -61,7 +64,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
-import shutil
 import sys
 import time
 from dataclasses import dataclass, field
@@ -278,41 +280,17 @@ def _write_eps_run(eps: float, traj: Trajectory,
         f"positivity_eps_{eps:g}": bool(np.all(traj["min_rho"] > 0.0))}
 
 
-def _run_eps_single(cfg: RunConfig, eps: float,
-                    out: Path) -> tuple[list[Path], dict]:
-    """One eps run on its own; returns the emitted files and its inline
-    checks."""
-    return _write_eps_run(eps, evolve(epsilon.steps, [_eps_run(cfg, eps)])[0], out)
-
-
-def _sweep_member(raw_cfg: dict, eps: float, out: Path):
-    """Worker-pool entry point (must be picklable)."""
-    return _run_eps_single(RunConfig.from_dict(raw_cfg), eps, out)
-
-
-def _run_eps_sweep(cfg: RunConfig, out: Path, workers: int) -> tuple:
-    """The per-eps time series, split across a process pool with
-    `workers` > 1 and otherwise stepped in the sweep's eps ensemble, then
+def _run_eps_sweep(cfg: RunConfig, out: Path) -> tuple:
+    """The per-eps time series, stepped in the sweep's eps ensemble, then
     the sweep's own tables."""
-    jobs = [(eps, out / f"eps_{eps:g}") for eps in cfg.eps]
     kwargs = dict(cfg.experiment_params)
     kwargs.setdefault("horizon", min(cfg.horizon, 2.5))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        raw = _config_echo(cfg)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_member, raw, eps, d)
-                       for eps, d in jobs]
-            members = [fut.result() for fut in futures]  # submission order
-        res = experiments.quasineutral_sweep(cfg.eps, grid=cfg.make_grid(), **kwargs)
-    else:
-        runs = [_eps_run(cfg, eps) for eps, _ in jobs]
-        res = experiments.quasineutral_sweep(cfg.eps, grid=cfg.make_grid(),
-                                             extra_runs=runs, **kwargs)
-        members = [_write_eps_run(eps, traj, d)
-                   for (eps, d), traj in zip(jobs, res.extra_trajectories)]
+    runs = [_eps_run(cfg, eps) for eps in cfg.eps]
+    res = experiments.quasineutral_sweep(cfg.eps, grid=cfg.make_grid(),
+                                         extra_runs=runs, **kwargs)
     files, checks = [], {}
-    for member_files, member_checks in members:
+    for eps, traj in zip(cfg.eps, res.extra_trajectories):
+        member_files, member_checks = _write_eps_run(eps, traj, out / f"eps_{eps:g}")
         files += member_files
         checks.update(member_checks)
 
@@ -352,10 +330,11 @@ def _run_eps_sweep(cfg: RunConfig, out: Path, workers: int) -> tuple:
     return files + [csv_path, lim_csv, corr_csv, gp], checks
 
 
-def _run_contraction(cfg: RunConfig, out: Path, workers: int) -> tuple:
+def _run_contraction(cfg: RunConfig, out: Path) -> tuple:
     kwargs = dict(cfg.experiment_params)
     kwargs.setdefault("eps", cfg.eps[0])
     study = experiments.contraction_study(params=cfg.norm_params(), **kwargs)
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "contraction.csv"
     write_csv(csv_path,
               ["n", "norm_rho_diff", "norm_w_diff", "norm_G_diff",
@@ -371,12 +350,13 @@ def _run_contraction(cfg: RunConfig, out: Path, workers: int) -> tuple:
         "fixed_point_matches_rk4": study.sup_l2_vs_rk4 <= 1e-6}
 
 
-def _run_growth(cfg: RunConfig, out: Path, workers: int) -> tuple:
+def _run_growth(cfg: RunConfig, out: Path) -> tuple:
     p = dict(cfg.experiment_params)
     background = tuple(p.pop("background", (0.5, 1.0, -1.0)))
     k_max = int(p.pop("k_max", 5))
     res = twostream.growth_experiment(background, k_max, cfg.horizon,
                                       seed=cfg.seed, **p)
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "growth.csv"
     write_csv(csv_path,
               ["k", "re_sigma_lin", "im_sigma_lin", "sigma_meas", "r_squared"],
@@ -390,9 +370,10 @@ def _run_growth(cfg: RunConfig, out: Path, workers: int) -> tuple:
         "growth_run_completed": not res.blew_up}
 
 
-def _run_dichotomy(cfg: RunConfig, out: Path, workers: int) -> tuple:
+def _run_dichotomy(cfg: RunConfig, out: Path) -> tuple:
     report = toymodel.dichotomy_experiment(cfg.eps, **cfg.experiment_params)
     trajectories = report.pop("trajectories")
+    out.mkdir(parents=True, exist_ok=True)
     write_json_atomic(out / "dichotomy.json", report)
     files = [out / "dichotomy.json"]
     # per-branch time series at the largest eps (t, energy, H, masses)
@@ -414,14 +395,16 @@ def _run_dichotomy(cfg: RunConfig, out: Path, workers: int) -> tuple:
 
 
 class _Experiment(NamedTuple):
-    runner: Callable      # (cfg, out, workers) -> (files written, checks)
+    runner: Callable      # (cfg, out) -> (files written, checks)
     function: Callable | None   # receives "experiment_params"
     supplied: tuple = ()  # the arguments of `function` its runner sets
 
 
 _EXPERIMENTS = {
     "eps_run": _Experiment(
-        lambda cfg, out, workers: _run_eps_single(cfg, cfg.eps[0], out / "run"),
+        lambda cfg, out: _write_eps_run(
+            cfg.eps[0], evolve(epsilon.steps, [_eps_run(cfg, cfg.eps[0])])[0],
+            out / "run"),
         None),
     "eps_sweep": _Experiment(_run_eps_sweep, experiments.quasineutral_sweep,
                              ("eps_list", "grid", "extra_runs")),
@@ -434,28 +417,23 @@ _EXPERIMENTS = {
 }
 
 
-def run(cfg: RunConfig, out_dir, reference_mode: bool = False,
-        workers: int = 1) -> Manifest:
+def run(cfg: RunConfig, out_dir, reference_mode: bool = True) -> Manifest:
     """Run the experiment into `out_dir` and write its manifest. A
     ConfigError met while running (an unknown preset, a grid that cannot
     be built) or an AdmissibilityError (initial data that breaks the
-    admissibility bound) propagates with no manifest written, after
-    removing `out_dir` if this call created it."""
+    admissibility bound) propagates with no manifest written and no
+    directory made: each is raised before the runner writes its first
+    file. Every run is in one process with byte-identical outputs;
+    `reference_mode` is accepted and ignored, because the benchmark
+    worker (perfbench/worker.py) still passes it."""
     root = Path(out_dir)
-    created = not root.exists()
-    root.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(config=_config_echo(cfg))
     start = time.perf_counter()
     files = []
     try:
-        files, manifest.checks = _EXPERIMENTS[cfg.experiment].runner(
-            cfg, root, 1 if reference_mode else workers)
+        files, manifest.checks = _EXPERIMENTS[cfg.experiment].runner(cfg, root)
     except BlowUpError as exc:
         manifest.blow_up = {"system": exc.system, "time": exc.last_time}
-    except (ConfigError, AdmissibilityError):
-        if created:
-            shutil.rmtree(root)
-        raise
     manifest.files = [{"path": str(Path(f).relative_to(root)),
                        "bytes": Path(f).stat().st_size} for f in files]
     manifest.wall_time = time.perf_counter() - start
@@ -469,6 +447,7 @@ def run(cfg: RunConfig, out_dir, reference_mode: bool = False,
     }
     if manifest.blow_up is not None:
         record["blow_up"] = manifest.blow_up
+    root.mkdir(parents=True, exist_ok=True)
     write_json_atomic(root / "manifest.json", record)
     return manifest
 
@@ -513,9 +492,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute an experiment config")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", required=True)
-    run_p.add_argument("--reference-mode", action="store_true",
-                       help="single worker, bitwise-reproducible outputs")
-    run_p.add_argument("--workers", type=int, default=1)
 
     val_p = sub.add_parser("validate", help="dry-run checks on a config")
     val_p.add_argument("--config", required=True)
@@ -545,8 +521,7 @@ def main(argv=None) -> int:
         return 0 if report["ok"] else 1
 
     try:
-        manifest = run(cfg, args.out, reference_mode=args.reference_mode,
-                       workers=args.workers)
+        manifest = run(cfg, args.out)
     except (ConfigError, AdmissibilityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,7 @@ Spectral snapshots use the `.spec` container: a single JSON header line
 (UTF-8, newline-terminated) followed by a flat little-endian float64
 payload of interleaved re/im coefficient pairs, one block per field in
 header order. CSV output is RFC-4180 with shortest-roundtrip floats so
-byte-identical reruns are possible in reference mode.
+reruns are byte-identical.
 """
 
 from __future__ import annotations

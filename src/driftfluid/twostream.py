@@ -284,6 +284,8 @@ def growth_experiment(background, k_max: int, horizon: float,
     rho1_bar] and compared against the leading linearised eigenvalue. A
     run that blows up before its window closes contributes a partial fit.
     """
+    if k_max < 1:
+        raise ConfigError(f"k_max must be at least 1, got {k_max}")
     rng = np.random.default_rng(seed)
     weights = decay_profile(kind, param, np.arange(k_max + 1))
     weights = weights / weights[1]

@@ -1,8 +1,9 @@
 """Mutation gate: faults planted by hand in the transport kernel, in the
 invariants the tests guard, in the contraction probes, in the stacked
-layouts of the correctors and the two-phase step, in the ensemble step
-and run loop, in the config checks and in the experiment runners,
-each of which its named tests must catch.
+layouts of the correctors and the two-phase step, in the toy model's
+quasineutral limit, in the ensemble step and run loop, in the config
+checks and in the experiment runners, each of which its named tests
+must catch.
 
     python tests/mutants.py             # every mutant
     python tests/mutants.py NAME ...    # the named ones
@@ -120,6 +121,12 @@ MUTANTS = (
            "pressure_gradient_coeffs(grid, flux).sum(axis=0)",
            ("tests/test_quadrature.py::TestEnsemble::"
             "test_two_phase_members_match_their_solo_runs",)),
+    # the quasineutral limit of the toy model
+    Mutant("toy-field-eps-applied-twice", "src/driftfluid/toymodel.py",
+           "V_coeffs(grid, _total(rho), eps)",
+           "V_coeffs(grid, _total(rho), np.square(eps))",
+           ("tests/test_twostream.py::TestQuasineutralLimit::"
+            "test_toy_model_converges_to_the_two_phase_system",)),
     # the ensemble step and loop
     Mutant("cached-values-at-every-stage", "src/driftfluid/quadrature.py",
            "tendency(y, values if c == 0.0 else None)", "tendency(y, values)",
@@ -159,7 +166,11 @@ MUTANTS = (
            "return files + [csv_path, lim_csv, corr_csv, gp], checks",
            "return files + [csv_path, corr_csv, gp], checks",
            ("tests/test_io_cli.py::TestRunner::"
-            "test_eps_sweep_workers_match_single_worker",)),
+            "test_eps_sweep_members_match_lone_eps_runs",)),
+    Mutant("growth-without-modes-accepted", "src/driftfluid/twostream.py",
+           "    if k_max < 1:\n", "    if False:\n",
+           ("tests/test_io_cli.py::TestCliEntryPoint::"
+            "test_config_error_met_while_running_is_a_config_error",)),
 )
 
 

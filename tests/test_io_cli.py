@@ -256,7 +256,7 @@ class TestRunner:
             "snapshot_every": 8,
             "initial_data": {"preset": "single_mode",
                              "params": {"amplitude": 0.05}}})
-        manifest = run(cfg, tmp_path, reference_mode=True)
+        manifest = run(cfg, tmp_path)
         assert manifest.ok()
         listed = {f["path"] for f in manifest.files}
         assert "run/timeseries.csv" in listed
@@ -264,6 +264,8 @@ class TestRunner:
         assert assert_manifest_lists_exactly_its_files(tmp_path)["passed"]
 
     def test_reference_mode_byte_identical(self, tmp_path):
+        # `reference_mode=True` is the call the benchmark worker makes;
+        # `run` accepts and ignores it, since every run is reproducible
         cfg_raw = {
             "experiment": "eps_run", "eps": [2.5e-2], "horizon": 0.2,
             "seed": 11,
@@ -296,7 +298,7 @@ class TestRunner:
             "experiment_params": {"horizon": 0.1, "mean_velocity": 0.3,
                                   "structure": 0.1, "offset": 0.05,
                                   "ripple": 0.2, "n_points": 16}})
-        run(cfg, tmp_path, reference_mode=True)
+        run(cfg, tmp_path)
         report = json.loads((tmp_path / "dichotomy.json").read_text())
         assert "trajectories" not in report
         for branch in ("stable", "unstable"):
@@ -306,7 +308,10 @@ class TestRunner:
             assert float(last["relative_entropy"]) == report[branch]["0.1"]["H_final"]
             assert float(last["t"]) == report[branch]["0.1"]["t_final"]
 
-    def test_eps_sweep_workers_match_single_worker(self, tmp_path):
+    def test_eps_sweep_members_match_lone_eps_runs(self, tmp_path):
+        """Each eps time series of a sweep, stepped in the sweep's
+        ensemble, is byte for byte the time series of an eps_run of that
+        eps alone."""
         raw = {"experiment": "eps_sweep", "grid": [4, 4, 16],
                "eps": [1e-1, 2.5e-2], "horizon": 0.5,
                "dt": {"samples_per_period": 40},
@@ -314,17 +319,14 @@ class TestRunner:
                                      "average_range": [0.1, 0.5]},
                "initial_data": {"preset": "single_mode",
                                 "params": {"amplitude": 0.05}}}
-        manifests = {}
-        for workers in (1, 2):
-            run(RunConfig.from_dict(raw), tmp_path / str(workers), workers=workers)
-            manifests[workers] = assert_manifest_lists_exactly_its_files(
-                tmp_path / str(workers))
-        assert manifests[1]["files"] == manifests[2]["files"]
-        assert manifests[1]["checks"] == manifests[2]["checks"]
-        for member in ("eps_0.1", "eps_0.025"):
-            one = (tmp_path / "1" / member / "timeseries.csv").read_bytes()
-            two = (tmp_path / "2" / member / "timeseries.csv").read_bytes()
-            assert one == two
+        run(RunConfig.from_dict(raw), tmp_path / "sweep")
+        assert_manifest_lists_exactly_its_files(tmp_path / "sweep")
+        for eps in raw["eps"]:
+            lone = tmp_path / f"lone_{eps:g}"
+            run(RunConfig.from_dict({**raw, "experiment": "eps_run", "eps": [eps],
+                                     "experiment_params": {}}), lone)
+            member = tmp_path / "sweep" / f"eps_{eps:g}" / "timeseries.csv"
+            assert member.read_bytes() == (lone / "run" / "timeseries.csv").read_bytes()
 
     def test_eps_sweep_companion_tables(self, tmp_path, monkeypatch):
         """The companion tables come from the sweep's own runs: one eps
@@ -342,7 +344,7 @@ class TestRunner:
             "experiment": "eps_sweep", "eps": [1e-1, 2.5e-2], "horizon": 2.5,
             "initial_data": {"preset": "single_mode",
                              "params": {"amplitude": 0.05}}})
-        manifest = run(cfg, tmp_path, reference_mode=True)
+        manifest = run(cfg, tmp_path)
         assert manifest.ok()
         assert stepped == {"epsilon": [4], "limit": [2]}
         assert_manifest_lists_exactly_its_files(tmp_path)
@@ -364,7 +366,7 @@ class TestRunner:
                                   "samples_per_period": 40},
             "initial_data": {"preset": "single_mode",
                              "params": {"amplitude": 0.05}}})
-        run(cfg, tmp_path, reference_mode=True)
+        run(cfg, tmp_path)
         rows = (tmp_path / "limit_timeseries.csv").read_text().splitlines()[1:]
         t = np.array([float(r.split(",")[0]) for r in rows])
         dt = epsilon.dt_policy(2.5e-2, samples_per_period=40)
@@ -374,7 +376,7 @@ class TestRunner:
     def test_contraction_experiment_run(self, tmp_path):
         """The contraction experiment at its default 4x4x8 grid."""
         cfg = RunConfig.from_dict({"experiment": "contraction", "eps": [0.25]})
-        run(cfg, tmp_path, reference_mode=True)
+        run(cfg, tmp_path)
         data = assert_manifest_lists_exactly_its_files(tmp_path)
         assert data["passed"]
         assert {f["path"] for f in data["files"]} == {"contraction.csv",
@@ -450,18 +452,25 @@ class TestCliEntryPoint:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("raw, problem", [
-        ({"initial_data": {"preset": "vortex"}}, "unknown preset 'vortex'"),
-        ({"grid": [4, 4, 4, 16]}, "grid must have 1-3 entries"),
-        ({"grid": [4, 0, 16]}, "mode count 0")],
-        ids=["unknown-preset", "four-grid-entries", "zero-mode-count"])
+        ({"experiment": "eps_run", "horizon": 0.1,
+          "initial_data": {"preset": "vortex"}}, "unknown preset 'vortex'"),
+        ({"experiment": "eps_run", "horizon": 0.1, "grid": [4, 4, 4, 16]},
+         "grid must have 1-3 entries"),
+        ({"experiment": "eps_run", "horizon": 0.1, "grid": [4, 0, 16]},
+         "mode count 0"),
+        ({"experiment": "growth", "experiment_params": {"k_max": 0}},
+         "k_max must be at least 1"),
+        ({"experiment": "growth", "experiment_params": {"k_max": -2}},
+         "k_max must be at least 1")],
+        ids=["unknown-preset", "four-grid-entries", "zero-mode-count",
+             "growth-no-modes", "growth-negative-k-max"])
     def test_config_error_met_while_running_is_a_config_error(
             self, tmp_path, capsys, raw, problem):
         """A config that passes the schema but fails once the run builds
-        its grid or initial data is reported like any other config error,
-        and leaves no output behind."""
+        its grid, initial data or modes is reported like any other config
+        error, and leaves no output behind."""
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"experiment": "eps_run", "horizon": 0.1,
-                                        **raw}))
+        cfg_path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -514,6 +523,6 @@ class TestCliEntryPoint:
             "initial_data": {"preset": "single_mode",
                              "params": {"amplitude": 0.02}}}))
         rc = main(["run", "--config", str(cfg_path),
-                   "--out", str(tmp_path / "out"), "--reference-mode"])
+                   "--out", str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "manifest.json").exists()
