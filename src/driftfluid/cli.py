@@ -26,14 +26,35 @@ string for "experiment" and "initial_data.preset"; an integer for the
 "grid" entries, "seed" and "snapshot_every"; any other number an int or
 a float, never a bool. "dt.dt" and "adm_const" may also be null (a null
 "adm_const" skips the admissibility check). A mistyped value is a config
-error naming its key. The keys of "experiment_params" are the keyword
-arguments of the experiment's function that its runner does not supply
-(eps_run takes none).
+error naming its key.
 
-Each experiment is one row of `_EXPERIMENTS`: its runner, called as
-runner(cfg, out) and returning its files and inline checks, the
+"experiment_params" and "initial_data.params" are keyword arguments,
+admitted by one rule against the signature of the function that takes
+them: the experiment's function less the arguments its prepare step
+supplies (eps_run takes none), and the preset's function less "grid"
+and "eps". A key that names no such parameter, or one whose default has
+no JSON form (contraction's grid=None), is an unknown config key. A
+value must have its default's JSON type: an integer for an int, a
+number for a float, a string for a str, a bool for a bool, a list of as
+many numbers for a tuple. Defaults are not filled in, so the manifest
+echoes the config as given. "experiment_params" is admitted with the
+rest of the config; "initial_data.params" by the eps experiments, the
+only ones that read it, when they build their initial data.
+
+Each experiment is one row of `_EXPERIMENTS`: its prepare step, the
 function that receives its "experiment_params", and the arguments the
-runner supplies to that function itself.
+prepare step supplies to that function itself. prepare(cfg) maps the
+config to arguments once, makes every check and builds every grid,
+initial state, NormParams and Run, but steps nothing; it returns
+finish, and finish(out) steps, writes the files and returns them with
+the inline checks. `run` is prepare, then finish. `validate` is
+prepare alone: what prepare raises, a ConfigError or an
+AdmissibilityError, is its finding ("admissibility failure: ..." for the
+latter), and it stops at the first; it adds a finding for each eps whose
+dt exceeds the oscillation resolution bound. So `validate` refuses a
+config exactly when `run` exits 2 before its first step. One error
+only a computed result can show is left to `run`: contraction's "no
+contracting eta found above 1e-8", met while bisecting eta.
 
 Outputs per run: RFC-4180 CSV tables, `.spec` snapshots,
 gnuplot-compatible plot scripts, and a manifest.json (written
@@ -45,7 +66,7 @@ the system and the time of its last finite state. Exit status is nonzero
 iff an inline check fails or a run blows up. A ConfigError or an
 AdmissibilityError met while running ends the run like a config error
 met in the config: exit status 2, no manifest, and no output directory
-made, because each is raised before a runner writes its first file.
+made, because each is raised before finish writes its first file.
 
 Every run is one process with byte-identical outputs for an identical
 config and seed; an "eps_sweep" steps all its eps as one ensemble.
@@ -98,51 +119,81 @@ _DEFAULTS = {
 _STRINGS = ("experiment", "initial_data.preset")
 _INTEGERS = ("grid", "seed", "snapshot_every")   # of grid: its entries
 _NULLABLE = ("dt.dt", "adm_const")
+# objects of keyword arguments, admitted against the function that takes
+# them (_admitted)
+_PARAMS = ("experiment_params", "initial_data.params")
 _GRIDS = {3: Grid.torus3d, 2: Grid.shear2d, 1: Grid.line}
+
+# each JSON type by the Python type it stands for: its name and its test
+_JSON = {bool: ("a bool", lambda v: isinstance(v, bool)),
+         int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+         float: ("a number",
+                 lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+         str: ("a string", lambda v: isinstance(v, str))}
 
 
 def _check_value(path: str, val, default) -> None:
     """Refuse `val` at `path` unless it has the type the rule gives it;
-    a list default asks for a list, checked entry by entry."""
+    a list default asks for a list, checked entry by entry, and an object
+    of keyword arguments (_PARAMS) for an object."""
     if isinstance(default, list):
         if not isinstance(val, list):
             raise ConfigError(f"{path} must be a list, got {val!r}")
         for i, entry in enumerate(val):
             _check_value(f"{path}[{i}]", entry, None)
         return
-    key = path.partition("[")[0]
-    if key in _STRINGS:
-        ok, kind = isinstance(val, str), "a string"
-    elif val is None and key in _NULLABLE:
+    if isinstance(default, dict):
+        if not isinstance(val, dict):
+            raise ConfigError(f"{path} must be an object, got {val!r}")
         return
-    else:
-        kind = "an integer" if key in _INTEGERS else "a number"
-        ok = isinstance(val, int if key in _INTEGERS else (int, float)) \
-            and not isinstance(val, bool)
-    if not ok:
+    key = path.partition("[")[0]
+    if val is None and key in _NULLABLE:
+        return
+    kind, ok = _JSON[str if key in _STRINGS else int if key in _INTEGERS else float]
+    if not ok(val):
         raise ConfigError(f"{path} must be {kind}, got {val!r}")
 
 
 def _merged(raw, defaults: dict, path: str) -> dict:
     """`raw` over `defaults`, one nesting level at a time, with unknown
-    keys and mistyped values refused by their path. An empty default
-    object takes any keys."""
+    keys and mistyped values refused by their path."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path[:-1] or 'config'} must be an object, got {raw!r}")
-    if not defaults:
-        return raw
     for key in raw:
         if key not in defaults:
             raise ConfigError(f"unknown config key {path}{key}")
     merged = {}
     for key, default in defaults.items():
         val = raw.get(key, default)
-        if isinstance(default, dict):
+        if isinstance(default, dict) and f"{path}{key}" not in _PARAMS:
             val = _merged(val, default, f"{path}{key}.")
         else:
             _check_value(f"{path}{key}", val, default)
         merged[key] = val
     return merged
+
+
+def _admitted(raw: dict, fn, supplied, path: str) -> dict:
+    """`raw`, the keyword arguments of `fn` set at `path`, each refused by
+    its path unless it names a parameter of `fn` outside `supplied` whose
+    default has a JSON form, and has that default's JSON type: an integer
+    for an int, a number for a float, a string for a str, a bool for a
+    bool, a list of as many numbers for a tuple. No default is filled in."""
+    params = inspect.signature(fn).parameters if fn else {}
+    for key, val in raw.items():
+        default = params[key].default if key in params and key not in supplied else None
+        if isinstance(default, tuple):
+            kind = f"a list of {len(default)} numbers"
+            ok = isinstance(val, list) and len(val) == len(default) \
+                and all(map(_JSON[float][1], val))
+        elif type(default) in _JSON:
+            kind, test = _JSON[type(default)]
+            ok = test(val)
+        else:
+            raise ConfigError(f"unknown config key {path}{key}")
+        if not ok:
+            raise ConfigError(f"{path}{key} must be {kind}, got {val!r}")
+    return raw
 
 
 @dataclass
@@ -167,10 +218,7 @@ class RunConfig:
                 f"experiment must be one of {tuple(_EXPERIMENTS)}, got "
                 f"{merged['experiment']!r}")
         _, fn, supplied = _EXPERIMENTS[merged["experiment"]]
-        allowed = set(inspect.signature(fn).parameters) - set(supplied) if fn else ()
-        for key in merged["experiment_params"]:
-            if key not in allowed:
-                raise ConfigError(f"unknown config key experiment_params.{key}")
+        _admitted(merged["experiment_params"], fn, supplied, "experiment_params.")
         if not merged["eps"]:
             raise ConfigError("eps must be a non-empty list")
         for eps in merged["eps"]:
@@ -232,7 +280,8 @@ def _plot_script(path: Path, csv_name: str, columns: list[tuple[int, str]],
 
 def _build_eps_state(cfg: RunConfig, grid: Grid, eps: float):
     name = cfg.initial_data["preset"]
-    params = dict(cfg.initial_data.get("params", {}))
+    params = dict(_admitted(cfg.initial_data["params"], presets.maker(name),
+                            ("grid", "eps"), "initial_data.params."))
     if name == "random_band":
         params.setdefault("seed", cfg.seed)
     made = presets.build(name, grid, eps=eps, **params)
@@ -280,16 +329,29 @@ def _write_eps_run(eps: float, traj: Trajectory,
         f"positivity_eps_{eps:g}": bool(np.all(traj["min_rho"] > 0.0))}
 
 
-def _run_eps_sweep(cfg: RunConfig, out: Path) -> tuple:
+def _prepare_eps_run(cfg: RunConfig) -> Callable:
+    eps = cfg.eps[0]
+    member = _eps_run(cfg, eps)
+    return lambda out: _write_eps_run(
+        eps, evolve(epsilon.steps, [member])[0], out / "run")
+
+
+def _prepare_eps_sweep(cfg: RunConfig) -> Callable:
     """The per-eps time series, stepped in the sweep's eps ensemble, then
     the sweep's own tables."""
     kwargs = dict(cfg.experiment_params)
     kwargs.setdefault("horizon", min(cfg.horizon, 2.5))
+    grid = cfg.make_grid()
     runs = [_eps_run(cfg, eps) for eps in cfg.eps]
-    res = experiments.quasineutral_sweep(cfg.eps, grid=cfg.make_grid(),
-                                         extra_runs=runs, **kwargs)
+    experiments.prepare_quasineutral_sweep(cfg.eps, grid=grid, extra_runs=runs,
+                                           **kwargs)
+    return lambda out: _write_eps_sweep(cfg.eps, experiments.quasineutral_sweep(
+        cfg.eps, grid=grid, extra_runs=runs, **kwargs), out)
+
+
+def _write_eps_sweep(eps_list, res: experiments.SweepResult, out: Path) -> tuple:
     files, checks = [], {}
-    for eps, traj in zip(cfg.eps, res.extra_trajectories):
+    for eps, traj in zip(eps_list, res.extra_trajectories):
         member_files, member_checks = _write_eps_run(eps, traj, out / f"eps_{eps:g}")
         files += member_files
         checks.update(member_checks)
@@ -330,10 +392,15 @@ def _run_eps_sweep(cfg: RunConfig, out: Path) -> tuple:
     return files + [csv_path, lim_csv, corr_csv, gp], checks
 
 
-def _run_contraction(cfg: RunConfig, out: Path) -> tuple:
-    kwargs = dict(cfg.experiment_params)
-    kwargs.setdefault("eps", cfg.eps[0])
-    study = experiments.contraction_study(params=cfg.norm_params(), **kwargs)
+def _prepare_contraction(cfg: RunConfig) -> Callable:
+    kwargs = {"eps": cfg.eps[0], **cfg.experiment_params,
+              "params": cfg.norm_params()}
+    experiments.prepare_contraction_study(**kwargs)
+    return lambda out: _write_contraction(experiments.contraction_study(**kwargs),
+                                          out)
+
+
+def _write_contraction(study: experiments.ContractionStudy, out: Path) -> tuple:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "contraction.csv"
     write_csv(csv_path,
@@ -350,12 +417,13 @@ def _run_contraction(cfg: RunConfig, out: Path) -> tuple:
         "fixed_point_matches_rk4": study.sup_l2_vs_rk4 <= 1e-6}
 
 
-def _run_growth(cfg: RunConfig, out: Path) -> tuple:
-    p = dict(cfg.experiment_params)
-    background = tuple(p.pop("background", (0.5, 1.0, -1.0)))
-    k_max = int(p.pop("k_max", 5))
-    res = twostream.growth_experiment(background, k_max, cfg.horizon,
-                                      seed=cfg.seed, **p)
+def _prepare_growth(cfg: RunConfig) -> Callable:
+    kwargs = {**cfg.experiment_params, "horizon": cfg.horizon, "seed": cfg.seed}
+    twostream.prepare_growth_experiment(**kwargs)
+    return lambda out: _write_growth(twostream.growth_experiment(**kwargs), out)
+
+
+def _write_growth(res: twostream.GrowthResult, out: Path) -> tuple:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "growth.csv"
     write_csv(csv_path,
@@ -370,8 +438,13 @@ def _run_growth(cfg: RunConfig, out: Path) -> tuple:
         "growth_run_completed": not res.blew_up}
 
 
-def _run_dichotomy(cfg: RunConfig, out: Path) -> tuple:
-    report = toymodel.dichotomy_experiment(cfg.eps, **cfg.experiment_params)
+def _prepare_dichotomy(cfg: RunConfig) -> Callable:
+    toymodel.prepare_dichotomy_experiment(cfg.eps, **cfg.experiment_params)
+    return lambda out: _write_dichotomy(toymodel.dichotomy_experiment(
+        cfg.eps, **cfg.experiment_params), out)
+
+
+def _write_dichotomy(report: dict, out: Path) -> tuple:
     trajectories = report.pop("trajectories")
     out.mkdir(parents=True, exist_ok=True)
     write_json_atomic(out / "dichotomy.json", report)
@@ -395,43 +468,44 @@ def _run_dichotomy(cfg: RunConfig, out: Path) -> tuple:
 
 
 class _Experiment(NamedTuple):
-    runner: Callable      # (cfg, out) -> (files written, checks)
+    # cfg -> finish: every check made and every state built, nothing
+    # stepped; finish(out) steps, writes and returns (files written, checks)
+    prepare: Callable
     function: Callable | None   # receives "experiment_params"
-    supplied: tuple = ()  # the arguments of `function` its runner sets
+    supplied: tuple = ()  # the arguments of `function` its prepare step sets
 
 
 _EXPERIMENTS = {
-    "eps_run": _Experiment(
-        lambda cfg, out: _write_eps_run(
-            cfg.eps[0], evolve(epsilon.steps, [_eps_run(cfg, cfg.eps[0])])[0],
-            out / "run"),
-        None),
-    "eps_sweep": _Experiment(_run_eps_sweep, experiments.quasineutral_sweep,
+    "eps_run": _Experiment(_prepare_eps_run, None),
+    "eps_sweep": _Experiment(_prepare_eps_sweep, experiments.quasineutral_sweep,
                              ("eps_list", "grid", "extra_runs")),
-    "contraction": _Experiment(_run_contraction, experiments.contraction_study,
+    "contraction": _Experiment(_prepare_contraction, experiments.contraction_study,
                                ("params",)),
-    "growth": _Experiment(_run_growth, twostream.growth_experiment,
+    "growth": _Experiment(_prepare_growth, twostream.growth_experiment,
                           ("horizon", "seed")),
-    "dichotomy": _Experiment(_run_dichotomy, toymodel.dichotomy_experiment,
+    "dichotomy": _Experiment(_prepare_dichotomy, toymodel.dichotomy_experiment,
                              ("eps_list",)),
 }
 
 
 def run(cfg: RunConfig, out_dir, reference_mode: bool = True) -> Manifest:
-    """Run the experiment into `out_dir` and write its manifest. A
-    ConfigError met while running (an unknown preset, a grid that cannot
-    be built) or an AdmissibilityError (initial data that breaks the
-    admissibility bound) propagates with no manifest written and no
-    directory made: each is raised before the runner writes its first
-    file. Every run is in one process with byte-identical outputs;
-    `reference_mode` is accepted and ignored, because the benchmark
-    worker (perfbench/worker.py) still passes it."""
+    """Run the experiment into `out_dir` and write its manifest: its
+    prepare step, then its finish. A ConfigError (an unknown preset, a
+    grid that cannot be built) or an AdmissibilityError (initial data that
+    breaks the admissibility bound) propagates with no manifest written
+    and no directory made. The prepare step raises every one of them but
+    contraction's "no contracting eta found above 1e-8", which only the
+    bisection's iterates can show; finish raises that one before it
+    writes its first file. Every run is in one process with
+    byte-identical outputs; `reference_mode` is accepted and ignored,
+    because the benchmark worker (perfbench/worker.py) still passes it."""
     root = Path(out_dir)
     manifest = Manifest(config=_config_echo(cfg))
     start = time.perf_counter()
+    finish = _EXPERIMENTS[cfg.experiment].prepare(cfg)
     files = []
     try:
-        files, manifest.checks = _EXPERIMENTS[cfg.experiment].runner(cfg, root)
+        files, manifest.checks = finish(root)
     except BlowUpError as exc:
         manifest.blow_up = {"system": exc.system, "time": exc.last_time}
     manifest.files = [{"path": str(Path(f).relative_to(root)),
@@ -457,22 +531,19 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 
 def validate(cfg: RunConfig) -> dict:
-    """Dry-run validation; findings are reported, never raised."""
+    """`run` stopped before its first step: the experiment's prepare step,
+    whose ConfigError or AdmissibilityError, the first one met, is a
+    finding, plus a finding for each eps whose dt exceeds the oscillation
+    resolution bound. Findings are reported, never raised."""
     findings = []
     try:
-        grid = cfg.make_grid()
+        _EXPERIMENTS[cfg.experiment].prepare(cfg)
+    except AdmissibilityError as exc:
+        findings.append(f"admissibility failure: {exc}")
     except ConfigError as exc:
-        return {"ok": False, "findings": [f"grid: {exc}"]}
+        findings.append(str(exc))
     if cfg.experiment in ("eps_run", "eps_sweep"):
         for eps in cfg.eps:
-            try:
-                _build_eps_state(cfg, grid, eps)
-            except AdmissibilityError as exc:
-                findings.append(f"eps={eps:g}: admissibility failure: {exc}")
-                continue
-            except ConfigError as exc:
-                findings.append(f"eps={eps:g}: {exc}")
-                continue
             dt = cfg.policy_dt(eps)
             resolve = epsilon.dt_policy(eps, epsilon.MIN_SAMPLES_PER_PERIOD)
             if dt > resolve:

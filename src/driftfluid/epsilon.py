@@ -123,6 +123,9 @@ def make_eps_state(rho: SpectralField, v: SpectralField, eps: float,
 def dt_policy(eps: float,
               samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD) -> float:
     """dt = oscillation period / samples_per_period."""
+    if not samples_per_period > 0:
+        raise ConfigError("samples_per_period must be positive, got "
+                          f"{samples_per_period}")
     return oscillation_period(eps) / samples_per_period
 
 

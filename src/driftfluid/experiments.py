@@ -5,11 +5,13 @@ sweep, and the contraction study."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ck, epsilon, limit, oscillations
+from .errors import ConfigError
 from .quadrature import Run, Trajectory, evolve, states_at
 from .spectral import (
     Grid,
@@ -99,6 +101,25 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
     the demodulated correctors of the result need. Every eps run, with the
     caller's `extra_runs` (eps runs on `grid`), is stepped as one ensemble,
     and every limit run as another."""
+    return prepare_quasineutral_sweep(eps_list, grid, amplitude, horizon,
+                                      compare_time, average_range,
+                                      samples_per_period, extra_runs)()
+
+
+def prepare_quasineutral_sweep(eps_list, grid: Grid | None = None,
+                               amplitude: float = 0.05, horizon: float = 2.5,
+                               compare_time: float = 2.25,
+                               average_range: tuple[float, float] = (0.5, 2.5),
+                               samples_per_period: int = 120,
+                               extra_runs: list[Run] = ()
+                               ) -> Callable[[], SweepResult]:
+    """quasineutral_sweep up to its first step: every state and run made
+    and checked, nothing stepped. The returned function steps them and
+    returns the sweep's result."""
+    if not horizon > 0:
+        raise ConfigError(f"horizon must be positive, got {horizon}")
+    if not compare_time >= 0:
+        raise ConfigError(f"compare_time must be non-negative, got {compare_time}")
     grid = grid or Grid.torus3d(4, 4, 16)
     rho0, v0 = matched_well_prepared_data(grid, amplitude)
     lim0 = limit.project_initial(rho0, v0)
@@ -124,54 +145,57 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
         members.append((eps, n1, n, n_corr, epsilon.mean_current(state)))
         eps_runs.append(Run(state, dt, n_eps, eps_probes))
         lim_runs.append(Run(lim0, dt, n_lim, lim_probes))
-    eps_trajs = evolve(epsilon.steps, eps_runs + list(extra_runs))
-    lim_trajs = evolve(limit.steps, lim_runs)
-    entries = []
-    for (eps, n1, n, n_corr, m0), traj, lim_traj in zip(members, eps_trajs,
-                                                        lim_trajs):
-        if eps == eps_min:
-            record = _analyze(traj.times[: n_corr + 1], traj["Epar"][: n_corr + 1],
-                              m0, eps, grid.par_grid, 2)
-            lim_min = lim_traj
-        times = traj.times[: n + 1]
-        Epar = traj["Epar"][: n + 1]
-        mass = traj["mass"][: n + 1]
-        energy = traj["energy"][: n + 1]
 
-        # correctors: initial data from the eps data, transport by the
-        # limit flow's mean parallel current
-        sq = math.sqrt(eps)
-        E0 = SpectralField(grid.par_grid, sq * Epar[0])
-        ep0, em0 = oscillations.corrector_initial_data(
-            E0, SpectralField(grid.par_grid, m0))
-        corr = oscillations.advect_correctors(ep0, em0, times,
-                                              lim_traj["ubar"][: n + 1])
+    def finish() -> SweepResult:
+        eps_trajs = evolve(epsilon.steps, eps_runs + list(extra_runs))
+        lim_trajs = evolve(limit.steps, lim_runs)
+        entries = []
+        for (eps, n1, n, n_corr, m0), traj, lim_traj in zip(members, eps_trajs,
+                                                            lim_trajs):
+            if eps == eps_min:
+                record = _analyze(traj.times[: n_corr + 1], traj["Epar"][: n_corr + 1],
+                                  m0, eps, grid.par_grid, 2)
+                lim_min = lim_traj
+            times = traj.times[: n + 1]
+            Epar = traj["Epar"][: n + 1]
+            mass = traj["mass"][: n + 1]
+            energy = traj["energy"][: n + 1]
 
-        res = oscillations.oscillation_residual(
-            times, sq * Epar, corr.Eplus, corr.Eminus, eps)
-        sel = (times >= average_range[0]) & (times <= average_range[1])
+            # correctors: initial data from the eps data, transport by the
+            # limit flow's mean parallel current
+            sq = math.sqrt(eps)
+            E0 = SpectralField(grid.par_grid, sq * Epar[0])
+            ep0, em0 = oscillations.corrector_initial_data(
+                E0, SpectralField(grid.par_grid, m0))
+            corr = oscillations.advect_correctors(ep0, em0, times,
+                                                  lim_traj["ubar"][: n + 1])
 
-        j = int(np.argmin(np.abs(times - compare_time)))
-        osc = oscillations.reconstruct_W(times[j: j + 1], corr.Eplus[j: j + 1],
-                                         corr.Eminus[j: j + 1], eps)[0]
-        osc_field = SpectralField(grid.par_grid, osc, real=False)
-        eps_mid, lim_mid = traj["mid"][n1], lim_traj["mid"][n1]
-        dv_raw = eps_mid.v - lim_mid.v
-        dv_filt = dv_raw - embed_parallel(osc_field, grid)
-        drho = eps_mid.rho - lim_mid.rho
-        entries.append(SweepEntry(
-            eps=float(eps),
-            rho_error=l2_norm(drho),
-            v_error_filtered=float(np.sqrt(np.sum(np.abs(dv_filt.coeffs) ** 2))),
-            v_error_raw=l2_norm(dv_raw),
-            residual=float(np.mean(res[sel])),
-            mass_drift=float(np.max(np.abs(mass - 1.0))),
-            energy_drift=float(np.max(np.abs(energy - energy[0]))),
-        ))
-    return SweepResult(grid=grid, horizon=horizon, compare_time=compare_time,
-                       entries=entries, limit_trajectory=lim_min,
-                       correctors=record,
-                       extra_trajectories=eps_trajs[len(members):])
+            res = oscillations.oscillation_residual(
+                times, sq * Epar, corr.Eplus, corr.Eminus, eps)
+            sel = (times >= average_range[0]) & (times <= average_range[1])
+
+            j = int(np.argmin(np.abs(times - compare_time)))
+            osc = oscillations.reconstruct_W(times[j: j + 1], corr.Eplus[j: j + 1],
+                                             corr.Eminus[j: j + 1], eps)[0]
+            osc_field = SpectralField(grid.par_grid, osc, real=False)
+            eps_mid, lim_mid = traj["mid"][n1], lim_traj["mid"][n1]
+            dv_raw = eps_mid.v - lim_mid.v
+            dv_filt = dv_raw - embed_parallel(osc_field, grid)
+            drho = eps_mid.rho - lim_mid.rho
+            entries.append(SweepEntry(
+                eps=float(eps),
+                rho_error=l2_norm(drho),
+                v_error_filtered=float(np.sqrt(np.sum(np.abs(dv_filt.coeffs) ** 2))),
+                v_error_raw=l2_norm(dv_raw),
+                residual=float(np.mean(res[sel])),
+                mass_drift=float(np.max(np.abs(mass - 1.0))),
+                energy_drift=float(np.max(np.abs(energy - energy[0]))),
+            ))
+        return SweepResult(grid=grid, horizon=horizon, compare_time=compare_time,
+                           entries=entries, limit_trajectory=lim_min,
+                           correctors=record,
+                           extra_trajectories=eps_trajs[len(members):])
+    return finish
 
 
 @dataclass
@@ -242,6 +266,18 @@ def contraction_study(eps: float = 0.25, amplitude: float = 0.01,
     """Bisect eta for the halving contraction rate, report the
     consecutive-difference table, and compare the converged iterate with
     the RK4 trajectory on the same time grid."""
+    return prepare_contraction_study(eps, amplitude, grid, params, delta1,
+                                     n_keep, target)()
+
+
+def prepare_contraction_study(eps: float = 0.25, amplitude: float = 0.01,
+                              grid: Grid | None = None,
+                              params: NormParams | None = None,
+                              delta1: float = 1.1, n_keep: int = 10,
+                              target: float = 0.5) -> Callable[[], ContractionStudy]:
+    """contraction_study up to its first iterate: the initial state made
+    and the norm radii checked, nothing iterated or stepped. The returned
+    function runs the study and returns its result."""
     grid = grid or Grid.torus3d(4, 4, 8)
     mesh = grid.meshgrid()
     x1 = mesh[grid.axis_index("perp1")]
@@ -252,24 +288,29 @@ def contraction_study(eps: float = 0.25, amplitude: float = 0.01,
     state = epsilon.make_eps_state(rho0, v0, eps)
     params = params or NormParams(delta0=1.5, delta=1.1, eta=1.0, beta=0.5)
     dt_target = epsilon.dt_policy(eps)
-    eta = ck.bisect_eta(state.rho, state.v, eps, params, delta1, dt_target,
-                        target=target)
-    tuned = replace(params, eta=eta)
-    iterates, distances = ck.run_scheme(state.rho, state.v, eps, tuned, delta1,
-                                        dt_target, n_max=max(n_keep, 12),
-                                        tol=1e-12)
+    ck.time_grid(params, delta1, dt_target)   # refuses delta1 outside (1, delta0)
 
-    times = iterates[0].times
-    dt = float(times[1] - times[0])
-    traj = epsilon.run(state, dt, len(times) - 1,
-                       {"rho": lambda st: st.rho.coeffs, "v": lambda st: st.v.coeffs})
-    final = iterates[-1]
+    def finish() -> ContractionStudy:
+        eta = ck.bisect_eta(state.rho, state.v, eps, params, delta1, dt_target,
+                            target=target)
+        tuned = replace(params, eta=eta)
+        iterates, distances = ck.run_scheme(state.rho, state.v, eps, tuned, delta1,
+                                            dt_target, n_max=max(n_keep, 12),
+                                            tol=1e-12)
 
-    def l2_per_sample(coeffs):
-        return np.sqrt(np.sum(np.abs(coeffs.reshape(len(times), -1)) ** 2, axis=1))
+        times = iterates[0].times
+        dt = float(times[1] - times[0])
+        traj = epsilon.run(state, dt, len(times) - 1,
+                           {"rho": lambda st: st.rho.coeffs,
+                            "v": lambda st: st.v.coeffs})
+        final = iterates[-1]
 
-    sup = np.sqrt(l2_per_sample(final.rho - traj["rho"]) ** 2
-                  + l2_per_sample(final.v - traj["v"]) ** 2)
-    return ContractionStudy(eta=eta, rows=ck.contraction_report(distances),
-                            max_ratio=ck.max_ratio(distances, first=2, last=8),
-                            sup_l2_vs_rk4=float(np.max(sup)))
+        def l2_per_sample(coeffs):
+            return np.sqrt(np.sum(np.abs(coeffs.reshape(len(times), -1)) ** 2, axis=1))
+
+        sup = np.sqrt(l2_per_sample(final.rho - traj["rho"]) ** 2
+                      + l2_per_sample(final.v - traj["v"]) ** 2)
+        return ContractionStudy(eta=eta, rows=ck.contraction_report(distances),
+                                max_ratio=ck.max_ratio(distances, first=2, last=8),
+                                sup_l2_vs_rk4=float(np.max(sup)))
+    return finish

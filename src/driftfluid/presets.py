@@ -28,9 +28,14 @@ from . import limit as limit_mod
 
 
 def build(name: str, grid: Grid, eps: float = 1.0, **params):
+    return maker(name)(grid, eps=eps, **params)
+
+
+def maker(name: str):
+    """The preset function called `name`."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}")
-    return PRESETS[name](grid, eps=eps, **params)
+    return PRESETS[name]
 
 
 def equilibrium(grid: Grid, eps: float = 1.0) -> tuple[SpectralField, SpectralField]:

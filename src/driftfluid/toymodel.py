@@ -29,6 +29,7 @@ dt each), its members on a further leading axis.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,10 +214,23 @@ def dichotomy_experiment(eps_list, streaming: float = 0.5,
     ensemble; the run behind each entry is kept under
     report["trajectories"][branch][eps].
     """
+    return prepare_dichotomy_experiment(eps_list, streaming, mean_velocity,
+                                        structure, offset, ripple, horizon,
+                                        n_points, rtol)()
+
+
+def prepare_dichotomy_experiment(eps_list, streaming: float = 0.5,
+                                 mean_velocity: float = 0.1,
+                                 structure: float = 0.05, offset: float = 0.01,
+                                 ripple: float = 0.1, horizon: float = 0.3,
+                                 n_points: int = 32,
+                                 rtol: float = 1e-4) -> Callable[[], dict]:
+    """dichotomy_experiment up to its first step: every branch x eps state
+    and run made and checked, nothing stepped. The returned function steps
+    them as one ensemble and returns the experiment's report."""
+    if not horizon > 0:
+        raise ConfigError(f"horizon must be positive, got {horizon}")
     grid = Grid.line(n_points)
-    report: dict = {"eps": list(map(float, eps_list)),
-                    "horizon": horizon, "stable": {}, "unstable": {},
-                    "trajectories": {"stable": {}, "unstable": {}}}
     probes = {"energy": energy,
               "entropy": lambda st: relative_entropy(st, mean_velocity),
               "masses": lambda st: [mean(r) for r in st.rho]}
@@ -228,21 +242,27 @@ def dichotomy_experiment(eps_list, streaming: float = 0.5,
             dt = min(dt_policy(eps), horizon / 64.0)
             members.append((branch, float(eps)))
             runs.append(Run(state, dt, int(math.ceil(horizon / dt)), probes))
-    for (branch, eps), traj in zip(members, evolve(steps, runs, partial=True)):
-        report["trajectories"][branch][eps] = traj
-        report[branch][eps] = {
-            "H_initial": float(traj["entropy"][0]),
-            "H_final": float(traj["entropy"][-1]),
-            "t_final": float(traj.times[-1]),
-            "complete": traj.complete,
-        }
-    eps_sorted = sorted(report["eps"], reverse=True)   # decreasing eps
-    stable = [report["stable"][e]["H_final"] for e in eps_sorted]
-    unstable = [report["unstable"][e]["H_final"] for e in eps_sorted]
-    report["stable_strictly_decreasing"] = bool(
-        all(b < a for a, b in zip(stable, stable[1:])))
-    report["unstable_nondecreasing"] = bool(
-        all(b >= a * (1.0 - rtol) for a, b in zip(unstable, unstable[1:])))
-    report["unstable_stays_order_one"] = bool(
-        min(unstable) > 100.0 * max(stable))
-    return report
+
+    def finish() -> dict:
+        report: dict = {"eps": list(map(float, eps_list)),
+                        "horizon": horizon, "stable": {}, "unstable": {},
+                        "trajectories": {"stable": {}, "unstable": {}}}
+        for (branch, eps), traj in zip(members, evolve(steps, runs, partial=True)):
+            report["trajectories"][branch][eps] = traj
+            report[branch][eps] = {
+                "H_initial": float(traj["entropy"][0]),
+                "H_final": float(traj["entropy"][-1]),
+                "t_final": float(traj.times[-1]),
+                "complete": traj.complete,
+            }
+        eps_sorted = sorted(report["eps"], reverse=True)   # decreasing eps
+        stable = [report["stable"][e]["H_final"] for e in eps_sorted]
+        unstable = [report["unstable"][e]["H_final"] for e in eps_sorted]
+        report["stable_strictly_decreasing"] = bool(
+            all(b < a for a, b in zip(stable, stable[1:])))
+        report["unstable_nondecreasing"] = bool(
+            all(b >= a * (1.0 - rtol) for a, b in zip(unstable, unstable[1:])))
+        report["unstable_stays_order_one"] = bool(
+            min(unstable) > 100.0 * max(stable))
+        return report
+    return finish

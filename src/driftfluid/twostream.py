@@ -27,6 +27,7 @@ spaces (while analytic-decay data keeps a finite lifespan).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,9 +271,9 @@ def _fit_mode(times, amp, floor, ceiling):
     return float(coef[0]), r2, len(window)
 
 
-def growth_experiment(background, k_max: int, horizon: float,
-                      kind: str = "analytic", param: float = 0.5,
-                      l2_amplitude: float = 1e-8,
+def growth_experiment(background=(0.5, 1.0, -1.0), k_max: int = 5,
+                      horizon: float = 2.5, kind: str = "analytic",
+                      param: float = 0.5, l2_amplitude: float = 1e-8,
                       seed: int = 0, fit_floor: float = 10.0,
                       fit_ceiling: float = 1e-3) -> GrowthResult:
     """Measure the nonlinear growth rate of each wavenumber k <= k_max.
@@ -284,13 +285,25 @@ def growth_experiment(background, k_max: int, horizon: float,
     rho1_bar] and compared against the leading linearised eigenvalue. A
     run that blows up before its window closes contributes a partial fit.
     """
+    return prepare_growth_experiment(background, k_max, horizon, kind, param,
+                                     l2_amplitude, seed, fit_floor, fit_ceiling)()
+
+
+def prepare_growth_experiment(background=(0.5, 1.0, -1.0), k_max: int = 5,
+                              horizon: float = 2.5, kind: str = "analytic",
+                              param: float = 0.5, l2_amplitude: float = 1e-8,
+                              seed: int = 0, fit_floor: float = 10.0,
+                              fit_ceiling: float = 1e-3) -> Callable[[], GrowthResult]:
+    """growth_experiment up to its first step: every mode's state, time
+    step and step count made and checked, nothing stepped. The returned
+    function steps the modes and returns the experiment's result."""
     if k_max < 1:
         raise ConfigError(f"k_max must be at least 1, got {k_max}")
     rng = np.random.default_rng(seed)
     weights = decay_profile(kind, param, np.arange(k_max + 1))
     weights = weights / weights[1]
-    rows = []
-    blew_up = False
+    ceiling = fit_ceiling * background[0]
+    modes = []
     for k in range(1, k_max + 1):
         grid = Grid.line(mode_matched_points(k))
         amp0 = l2_amplitude * weights[k]
@@ -301,20 +314,25 @@ def growth_experiment(background, k_max: int, horizon: float,
         vmax = max(abs(background[1]), abs(background[2]), 1e-3)
         dt = min(0.12 / rate if rate > 1e-6 else horizon,
                  0.25 / (grid.shape[0] * vmax), horizon / 64.0)
-        n_steps = int(math.ceil(horizon / dt))
-        ceiling = fit_ceiling * background[0]
-        traj = run(state, dt, n_steps, {"rho1": lambda st: st.rho1.coeffs},
-                   stop_when=lambda st, k=k, c=4 * ceiling:
-                   abs(st.rho1.coeffs[k]) > c)
-        amp = np.abs(traj["rho1"][:, k])
-        if not traj.complete and amp[-1] < ceiling:
-            blew_up = True
-        sigma_meas, r2, n_fit = _fit_mode(traj.times, amp, fit_floor * amp[0],
-                                          ceiling)
-        rows.append(GrowthRow(k=k, sigma_lin=complex(sig_lead),
-                              sigma_meas=sigma_meas, r_squared=r2, n_fit=n_fit))
-    return GrowthResult(background=tuple(background), rows=rows,
-                        blew_up=blew_up)
+        modes.append((k, state, dt, int(math.ceil(horizon / dt)), sig_lead))
+
+    def finish() -> GrowthResult:
+        rows = []
+        blew_up = False
+        for k, state, dt, n_steps, sig_lead in modes:
+            traj = run(state, dt, n_steps, {"rho1": lambda st: st.rho1.coeffs},
+                       stop_when=lambda st, k=k, c=4 * ceiling:
+                       abs(st.rho1.coeffs[k]) > c)
+            amp = np.abs(traj["rho1"][:, k])
+            if not traj.complete and amp[-1] < ceiling:
+                blew_up = True
+            sigma_meas, r2, n_fit = _fit_mode(traj.times, amp, fit_floor * amp[0],
+                                              ceiling)
+            rows.append(GrowthRow(k=k, sigma_lin=complex(sig_lead),
+                                  sigma_meas=sigma_meas, r_squared=r2, n_fit=n_fit))
+        return GrowthResult(background=tuple(background), rows=rows,
+                            blew_up=blew_up)
+    return finish
 
 
 def survival_time(background, kind: str, param: float, k_max: int,

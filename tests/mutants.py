@@ -157,6 +157,18 @@ MUTANTS = (
            "    return\n    if isinstance(default, list):\n",
            ("tests/test_io_cli.py::TestCliEntryPoint::"
             "test_mistyped_value_is_a_config_error",)),
+    Mutant("param-type-unchecked", "src/driftfluid/cli.py",
+           "        if not ok:\n"
+           "            raise ConfigError(f\"{path}{key} must be {kind}, got {val!r}\")\n",
+           "",
+           ("tests/test_io_cli.py::TestAdmission::"
+            "test_validate_refuses_exactly_what_run_refuses_before_stepping",)),
+    Mutant("validate-skips-prepare", "src/driftfluid/cli.py",
+           "        _EXPERIMENTS[cfg.experiment].prepare(cfg)\n"
+           "    except AdmissibilityError",
+           "        pass\n    except AdmissibilityError",
+           ("tests/test_io_cli.py::TestAdmission::"
+            "test_validate_refuses_exactly_what_run_refuses_before_stepping",)),
     Mutant("eps-below-floor-accepted", "src/driftfluid/poisson.py",
            "    if not eps >= MIN_EPS:\n", "    if not eps > 0:\n",
            ("tests/test_quadrature.py::TestEntryGuards::"

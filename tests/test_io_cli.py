@@ -1,5 +1,6 @@
 """Serialization, presets, configuration, and the CLI runner."""
 
+import importlib.util
 import json
 import math
 import os
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import driftfluid
-from driftfluid import cli, epsilon, experiments, limit, presets, quadrature
+from driftfluid import (ck, cli, epsilon, experiments, limit, presets,
+                        quadrature, toymodel, twostream)
 from driftfluid.cli import RunConfig, main, run, validate
 from driftfluid.errors import ConfigError
 from driftfluid.specio import read_spec, write_csv, write_spec
@@ -526,3 +528,136 @@ class TestCliEntryPoint:
                    "--out", str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def _forbid_stepping(monkeypatch):
+    """Make every time loop and every CK iterate raise, so that a command
+    that steps anything fails the test with that error."""
+    def stepped(*args, **kwargs):
+        raise AssertionError("stepped")
+    for module in (cli, experiments, epsilon, limit, toymodel, twostream):
+        monkeypatch.setattr(module, "evolve", stepped)
+    monkeypatch.setattr(ck, "iterate", stepped)
+
+
+def _with_params(experiment, **params):
+    return {"experiment": experiment, "experiment_params": params}
+
+
+# (config, refused): configs that `validate` and `run` once answered
+# differently, or one of them with a traceback, and the configs `run`
+# refuses once it builds their grid, initial data or modes
+ADMISSION = [
+    pytest.param({"experiment": "eps_run", "initial_data": {"preset": "vortex"}},
+                 True, id="unknown-preset"),
+    pytest.param({"experiment": "eps_run", "grid": [4, 4, 4, 16]}, True,
+                 id="four-grid-entries"),
+    pytest.param({"experiment": "eps_run", "grid": [4, 0, 16]}, True,
+                 id="zero-mode-count"),
+    pytest.param(_with_params("growth", k_max=-2), True,
+                 id="growth-negative-k-max"),
+    *(pytest.param({"experiment": experiment, "eps": [0.01], "adm_const": 0.001,
+                    "initial_data": {"preset": "single_mode",
+                                     "params": {"amplitude": 0.5}}}, True,
+                   id=f"{experiment}-inadmissible")
+      for experiment in ("eps_run", "eps_sweep")),
+    pytest.param(_with_params("growth", k_max=0), True, id="growth-k-max-0"),
+    pytest.param(_with_params("growth", background=[1.5, 1, -1]), True,
+                 id="growth-background-outside"),
+    pytest.param(_with_params("growth", kind="gaussian"), True, id="growth-kind"),
+    pytest.param(_with_params("dichotomy", n_points=5), True,
+                 id="dichotomy-odd-points"),
+    pytest.param(_with_params("dichotomy", structure=2.0), True,
+                 id="dichotomy-negative-density"),
+    pytest.param(_with_params("contraction", amplitude=5.0), True,
+                 id="contraction-negative-density"),
+    pytest.param(_with_params("contraction", delta1=2.0), True,
+                 id="contraction-delta1"),
+    pytest.param({"experiment": "contraction", "norms": {"beta": 2.0}}, True,
+                 id="contraction-beta"),
+    pytest.param({"experiment": "eps_run", "norms": {"delta0": 0.5}}, True,
+                 id="eps-run-delta0"),
+    pytest.param(_with_params("eps_sweep", amplitude=3.0), True,
+                 id="eps-sweep-negative-density"),
+    pytest.param(_with_params("growth", k_max="x"), True, id="growth-k-max-string"),
+    pytest.param(_with_params("growth", param="a"), True, id="growth-param-string"),
+    pytest.param(_with_params("growth", background=[0.5, 1.0]), True,
+                 id="growth-background-short"),
+    pytest.param(_with_params("eps_sweep", horizon="1"), True,
+                 id="eps-sweep-horizon-string"),
+    pytest.param(_with_params("eps_sweep", average_range=[0.1]), True,
+                 id="eps-sweep-average-range-short"),
+    pytest.param(_with_params("eps_sweep", samples_per_period=0), True,
+                 id="eps-sweep-no-samples"),
+    pytest.param({**_with_params("eps_sweep", horizon=-1.0), "horizon": 0.5}, True,
+                 id="eps-sweep-negative-horizon"),
+    pytest.param({**_with_params("eps_sweep", compare_time=-1.0), "horizon": 0.5},
+                 True, id="eps-sweep-negative-compare-time"),
+    pytest.param(_with_params("dichotomy", streaming="big"), True,
+                 id="dichotomy-streaming-string"),
+    pytest.param(_with_params("dichotomy", horizon=0.0), True,
+                 id="dichotomy-zero-horizon"),
+    pytest.param(_with_params("contraction", grid=[4, 4, 8]), True,
+                 id="contraction-grid-param"),
+    pytest.param({"experiment": "eps_run",
+                  "initial_data": {"preset": "single_mode",
+                                   "params": {"amplitud": 0.05}}}, True,
+                 id="eps-run-preset-param-misspelt"),
+    pytest.param({"experiment": "eps_run",
+                  "initial_data": {"preset": "single_mode",
+                                   "params": {"amplitude": "big"}}}, True,
+                 id="eps-run-preset-param-string"),
+    pytest.param({"experiment": "contraction", "grid": [4, 4, 0]}, False,
+                 id="contraction-unread-grid"),
+]
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("raw, refused", ADMISSION)
+    def test_validate_refuses_exactly_what_run_refuses_before_stepping(
+            self, tmp_path, capsys, monkeypatch, raw, refused):
+        """`validate` is `run` stopped before its first step. It refuses a
+        config, as a finding (exit 1) or a config error (exit 2), exactly
+        when `run` exits 2 before stepping anything, with the same error,
+        no traceback and no output directory."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out_dir = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            _forbid_stepping(patch)
+            rc = main(["validate", "--config", str(cfg_path)])
+            said = capsys.readouterr()
+            if refused:
+                assert main(["run", "--config", str(cfg_path),
+                             "--out", str(out_dir)]) == 2
+        if not refused:
+            assert rc == 0 and said.out == "ok\n"
+            assert main(["run", "--config", str(cfg_path),
+                         "--out", str(out_dir)]) == 0
+            return
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.removeprefix("config error: ").strip() in said.out + said.err
+        if rc == 1:
+            assert said.out.endswith("invalid\n")
+        else:
+            assert rc == 2 and said.err.startswith("config error: ")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workload", ["eps_sweep_small", "ck_contraction",
+                                          "eps_run_large", "reductions_1d"])
+    def test_validate_steps_nothing(self, tmp_path, monkeypatch, workload):
+        """`validate` passes every benchmark workload config (seeds 0-2)
+        with every time loop and CK iterate made to raise, and writes
+        nothing."""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        _forbid_stepping(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        for seed in range(3):
+            for raw in workloads.configs(workload, seed):
+                assert validate(RunConfig.from_dict(raw)) == {"ok": True,
+                                                              "findings": []}
+        assert list(tmp_path.iterdir()) == []
