@@ -19,13 +19,14 @@ stacked along a leading axis, and the field solves and derivatives of all
 of them are single array-level calls (the helpers behind
 poisson.solve_fields, so every sample gets the same arithmetic as a
 one-field call). An iterate holds its coefficient arrays with that leading
-time axis, in the full layout; the recursion step cuts them to their half
-layout (see spectral) once, computes on it, and completes the new iterate
-once. The transport term is epsilon.drift_advection, whose transforms take
-the fields and samples together in calls of at most
-spectral.FFT_BLOCK_POINTS points (6 calls per iteration at 4x4x8 with 43
-samples). The shrinking norm of a difference is two matrix products over
-all (delta, t) pairs; run_scheme returns each consecutive distance once,
+time axis, in the full layout; the recursion step cuts them to their band
+layout (the modes the 2/3 rule keeps, see spectral) once, computes on it,
+and completes the new iterate once. The transport term is
+epsilon.drift_advection, whose transforms take the fields and samples
+together in calls of at most spectral.FFT_BLOCK_POINTS points (6
+transforms per iteration at 4x4x8 with 43 samples, each one numpy.fft
+call per grid axis). The shrinking norm of a difference is two matrix
+products over all (delta, t) pairs; run_scheme returns each consecutive distance once,
 next to the iterates, and the contraction report and the rate certificate
 read those distances.
 
@@ -58,6 +59,7 @@ from .spectral import (
     Grid,
     NormParams,
     SpectralField,
+    band_coeffs,
     embed_parallel_coeffs,
     full_coeffs,
     shrinking_norm,
@@ -109,17 +111,16 @@ def initialize(rho0: SpectralField, v0: SpectralField, eps: float,
 
 def iterate(prev: Iterate, rho0: SpectralField, v0: SpectralField) -> Iterate:
     """One recursion step: quadrature of the previous iterate's tendencies,
-    then a fresh field solve, all samples at once on the half layout."""
+    then a fresh field solve, all samples at once on the band layout."""
     grid, line = prev.grid, prev.grid.par_grid
     eps = prev.eps
     dt = float(prev.times[1] - prev.times[0])
-    m = grid.half.shape[-1]
-    rho, v = prev.rho[..., :m], prev.v[..., :m]
+    rho, v = (band_coeffs(grid, a) for a in (prev.rho, prev.v))
     forces = field_coeffs(grid, rho, eps)
     drho, dw = drift_advection(grid, rho, v, forces.Eperp1, forces.Eperp2)
     dw -= forces.eps_dpar_phi
-    rho = rho0.half_coeffs[None] + cumulative_integral(drho, dt)
-    w = v0.half_coeffs[None] + cumulative_integral(dw, dt)
+    rho = rho0.band_coeffs[None] + cumulative_integral(drho, dt)
+    w = v0.band_coeffs[None] + cumulative_integral(dw, dt)
     epar = parallel_coeffs(grid, rho, eps)[1]
     return Iterate(n=prev.n + 1, eps=eps, grid=grid, times=prev.times,
                    rho=full_coeffs(grid, rho), w=full_coeffs(grid, w),

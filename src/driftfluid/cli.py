@@ -20,7 +20,9 @@ Config schema (JSON object; unknown keys are rejected with their path):
 
 Only "experiment" is required; everything else has defaults. "dt.dt",
 when set, and "dt.samples_per_period" must be positive, "snapshot_every"
-(of each eps time series) non-negative. Every value has a type: an
+(of each eps time series) non-negative, and no two "eps" entries may
+print alike under `:g` (each names its run's outputs and report key).
+Every value has a type: an
 object wherever the default is one; a list for "grid" and "eps"; a
 string for "experiment" and "initial_data.preset"; an integer for the
 "grid" entries, "seed" and "snapshot_every"; any other number an int or
@@ -223,6 +225,10 @@ class RunConfig:
             raise ConfigError("eps must be a non-empty list")
         for eps in merged["eps"]:
             check_eps(eps)
+        names = [f"{eps:g}" for eps in merged["eps"]]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"eps must not repeat a value (as printed, {names}): "
+                              "each names one run's outputs")
         if merged["horizon"] <= 0:
             raise ConfigError("horizon must be positive")
         dt = merged["dt"]

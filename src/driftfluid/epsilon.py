@@ -10,7 +10,7 @@ iteration and the line-grid reductions; each stage of it is one stacked
 inverse and one stacked forward transform on small grids. A step is
 quadrature.ensemble_step of this system's tendency, taken for an
 ensemble of states at once (`steps`, the body quadrature.evolve calls),
-with one eps and one dt per member: the stages run on half-layout
+with one eps and one dt per member: the stages run on band-layout
 coefficient arrays (see spectral), and the first reuses any collocation
 values a recording probe has cached on rho and v. `step` and `run` are
 one-member calls of it.
@@ -43,6 +43,7 @@ from .spectral import (
     NormParams,
     SpectralField,
     analytic_norm,
+    band_to_half,
     block_rows,
     check_real,
     collocation_values,
@@ -142,10 +143,14 @@ def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
 
         (-d_par(v rho) - div_perp(E_perp rho), -v d_par v - div_perp(E_perp v)),
 
-    on half-layout coefficient arrays of real fields with common leading
-    axes (members, phases: flattened into rows). E_perp = (e1, e2) is left
-    out when not given, and on a grid without both perpendicular axes,
-    where its divergence vanishes. `values` may hold rho's and v's values.
+    on coefficient arrays of real fields with common leading axes
+    (members, phases: flattened into rows), all on the band layout, as the
+    steppers pass them, or all on the half layout, whose modes outside the
+    band are read too (see spectral). Every product is dealiased onto the
+    band, and the tendencies are returned in the input's layout. E_perp =
+    (e1, e2) is left out when not given, and on a grid without both
+    perpendicular axes, where its divergence vanishes. `values` may hold
+    rho's and v's values.
 
     Products are taken in groups of k = max(1, block_rows(grid) // rows).
     While a group lacks values, an inverse transform makes those of the next
@@ -159,6 +164,7 @@ def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
     parallel line per leading row.
     """
     par = grid.par_axis
+    on_band = v.shape[-1] == grid.band.shape[-1]
     lead = v.shape[:v.ndim - grid.ndim]
     n = math.prod(lead)
     rho, v, e1, e2 = (a if a is None else row_stack(grid, a) for a in (rho, v, e1, e2))
@@ -195,7 +201,7 @@ def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
         for i, (*_, t, axis) in enumerate(group):
             part = out[i * n:(i + 1) * n]
             if axis is not None:
-                part *= grid.half.derivative_mults[axis]
+                part *= grid.band.derivative_mults[axis]
             if t is None:
                 vv = part
             elif tend[t] is None:
@@ -206,18 +212,22 @@ def drift_advection(grid: Grid, rho: np.ndarray, v: np.ndarray,
         # rho's values outlive the table when rho (v v) follows it
         keep = {f for p in table[g + k:] for f in p[:2]} | ({1} if pressure else set())
         vals = [a if f in keep else None for f, a in enumerate(vals)]
-    result = tuple(a.reshape(lead + grid.half.shape) for a in tend)
     if pressure:
-        flux = product_coeffs(grid, vals[1], collocation_values(grid, vv, True), True)
-        result += (flux[grid._par_line].reshape(lead + (-1,)),)
-    return result
+        tend.append(product_coeffs(grid, vals[1], collocation_values(grid, vv, True), True))
+    result = [a.reshape(lead + grid.band.shape) for a in tend]
+    if not on_band:
+        result = [band_to_half(grid, a) for a in result]
+    if pressure:
+        result[2] = result[2][grid._par_line]
+    return tuple(result)
 
 
 def tendencies(grid: Grid, rho: np.ndarray, v: np.ndarray, eps: float,
                values: tuple | None = None):
-    """Tendencies (d_t rho, d_t v, d_t G) of the full system on half-layout
-    coefficient arrays (d_t G on the parallel grid's): the drift-advection
-    tendency plus the forces -eps d_par phi + E_par, and dG/dt = E_par.
+    """Tendencies (d_t rho, d_t v, d_t G) of the full system on band- or
+    half-layout coefficient arrays, in their layout (d_t G on the parallel
+    grid's): the drift-advection tendency plus the forces
+    -eps d_par phi + E_par, and dG/dt = E_par.
     `values`, the collocation values of rho and v, saves their transforms
     when the caller has them.
 

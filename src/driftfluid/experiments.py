@@ -4,6 +4,7 @@ sweep, and the contraction study."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -96,9 +97,10 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
     by the mean parallel current of the limit flow. Reported per eps:
     density error and corrector-filtered velocity error at compare_time,
     and the corrector-subtraction residual averaged over average_range
-    (common to all sweep members). Each eps and limit trajectory is run
-    once; at the smallest eps both go on as long as the limit table and
-    the demodulated correctors of the result need. Every eps run, with the
+    (common to all sweep members, and refused unless it holds a sample of
+    each). Each eps and limit trajectory is run once; at the smallest eps
+    both go on as long as the limit table and the demodulated correctors
+    of the result need. Every eps run, with the
     caller's `extra_runs` (eps runs on `grid`), is stepped as one ensemble,
     and every limit run as another."""
     return prepare_quasineutral_sweep(eps_list, grid, amplitude, horizon,
@@ -141,6 +143,10 @@ def prepare_quasineutral_sweep(eps_list, grid: Grid | None = None,
             n_lim = max(n, math.ceil(horizon / dt))
             lim_probes["mass"] = epsilon.mass
             lim_probes["residual"] = lambda st: limit.constraint_residuals(st.rho, st.v)[1]
+        times = list(itertools.accumulate([dt] * n, initial=0.0))  # as sampled
+        if not any(average_range[0] <= t <= average_range[1] for t in times):
+            raise ConfigError(f"average_range {list(average_range)} selects no "
+                              f"sample of eps={eps:g} (0 to {times[-1]:.4g})")
         state = epsilon.make_eps_state(rho0, v0, eps)
         members.append((eps, n1, n, n_corr, epsilon.mean_current(state)))
         eps_runs.append(Run(state, dt, n_eps, eps_probes))

@@ -16,7 +16,7 @@ dealiasing truncation of triple products) is monitored and the k_perp = 0
 tendency modes are projected to zero, which keeps <rho>_perp = 1 exact.
 
 Like the eps step, a limit step is quadrature.ensemble_step of its
-tendency: the RK4 stages run on half-layout coefficient arrays (see
+tendency: the RK4 stages run on band-layout coefficient arrays (see
 spectral), for an ensemble of states stacked on a leading member axis,
 and convert only at the step's boundaries.
 """
@@ -107,7 +107,7 @@ def project_initial(rho0: SpectralField, v0: SpectralField) -> LimitState:
 
 def tendencies(grid: Grid, rho: np.ndarray, v: np.ndarray,
                with_pressure: bool = True, values: tuple | None = None):
-    """(d_t rho, d_t v) on half-layout coefficient arrays: the
+    """(d_t rho, d_t v) on band- or half-layout coefficient arrays: the
     drift-advection tendency with E_perp from the eps = 0 symbol, plus the
     pressure closure, whose flux the kernel forms in the same stacked
     transforms. `values`, the collocation values of rho and v, saves their
@@ -204,14 +204,17 @@ def embed_two_phase(rho1: SpectralField, v1: SpectralField, v2: SpectralField,
                     grid: Grid) -> LimitState:
     """Exact shear embedding of a two-phase state: the first slab carries
     (2 rho1, v1), the second (2 (1 - rho1), v2); slab averages then
-    reproduce the two-phase pressure closure identically."""
+    reproduce the two-phase pressure closure identically. The state is
+    dealiased, as stepping requires and as make_two_phase dealiases the
+    two-phase state."""
     s_vals = inverse(two_slab_indicator(grid))
     shape = [1] * grid.ndim
     shape[grid.par_axis] = grid.shape[grid.par_axis]
     r1 = inverse(rho1).reshape(shape)
     rho_vals = 2.0 * r1 * s_vals + 2.0 * (1.0 - r1) * (1.0 - s_vals)
     v_vals = inverse(v1).reshape(shape) * s_vals + inverse(v2).reshape(shape) * (1.0 - s_vals)
-    return LimitState(t=0.0, rho=forward(grid, rho_vals), v=forward(grid, v_vals))
+    return LimitState(t=0.0, rho=dealias(forward(grid, rho_vals)),
+                      v=dealias(forward(grid, v_vals)))
 
 
 def restrict_two_phase(state: LimitState):

@@ -16,8 +16,8 @@ are gauged to zero mean; only their gradients enter the dynamics.
 
 The solves act on coefficient arrays with any leading axes (`field_coeffs`
 and its parts `phi_coeffs`, `parallel_coeffs`, `V_coeffs` and
-`perp_field_coeffs`), on either layout of `spectral`: the eps, limit and
-CK kernels pass half-layout arrays. `solve_fields` is the one field
+`perp_field_coeffs`), on any layout of `spectral`: the eps, limit and
+CK kernels pass band arrays. `solve_fields` is the one field
 wrapper, every potential and force of a single full-layout density as
 `SpectralField`s (the wave source reads them). The line-grid toy model's
 problem -eps d_par^2 V = sigma - 1 is the same division (`V_coeffs`).
@@ -86,7 +86,7 @@ def _per_sample(grid: Grid, eps):
 
 
 def phi_coeffs(grid: Grid, rho: np.ndarray, eps) -> np.ndarray:
-    """Screened perpendicular Poisson solve on coefficient arrays of either
+    """Screened perpendicular Poisson solve on coefficient arrays of any
     layout with any leading axes, zero-mean gauge."""
     sym = grid.symbols(rho)
     # Python's pow per sample: numpy's square can differ in the last bit
@@ -99,7 +99,7 @@ def phi_coeffs(grid: Grid, rho: np.ndarray, eps) -> np.ndarray:
 
 def V_coeffs(grid: Grid, source: np.ndarray, eps,
              tol: float = 1e-8) -> np.ndarray:
-    """Solve -eps Lap V = source - 1 on coefficient arrays of either layout
+    """Solve -eps Lap V = source - 1 on coefficient arrays of any layout
     by division with eps (2 pi)^2 |k|^2, summed over every axis of `grid`:
     the parallel problem on a line grid, the full-torus one otherwise.
     Every sample of the source must have mean 1."""
@@ -127,7 +127,7 @@ def perp_field_coeffs(grid: Grid, phi: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def parallel_coeffs(grid: Grid, rho: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
-    """V and E_par = -d_par V of densities on either layout, as arrays on
+    """V and E_par = -d_par V of densities on any layout, as arrays on
     the same layout of the parallel grid."""
     line = grid.par_grid
     V = V_coeffs(line, perp_average_coeffs(grid, rho), eps)
@@ -147,7 +147,7 @@ class FieldCoeffs(NamedTuple):
 
 def field_coeffs(grid: Grid, rho: np.ndarray, eps) -> FieldCoeffs:
     """All potentials and forces of charge densities given as coefficient
-    arrays of either layout, the line ones (V, E_par) on the same layout of
+    arrays of any layout, the line ones (V, E_par) on the same layout of
     the parallel grid; leading axes are samples solved at once. Every solve
     takes eps as a number, or as one per sample of a single leading axis."""
     phi = phi_coeffs(grid, rho, eps)

@@ -17,7 +17,7 @@ Every time-stepped system (the eps system, its limit, the two-phase and
 multi-phase reductions, corrector transport) advances with the one RK4
 step here. All but corrector transport take it through `ensemble_step`,
 the one place that knows the ensemble format: it stacks the members'
-evolved fields on a leading axis of their half-layout arrays, hands
+evolved fields on a leading axis of their band-layout arrays, hands
 their cached collocation values to the first stage, completes the result
 to the full layout and reports a blow-up per member. Each system's
 `steps` adds only its tendency and the rebuilding of its states, and
@@ -30,6 +30,7 @@ run's `Trajectory`.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import numbers
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError
-from .spectral import full_coeffs
+from .errors import BlowUpError, ConfigError, InvariantError
+from .spectral import SpectralField, full_coeffs
 
 # weights of the cubic through 4 samples on the first interval (nodes
 # 0 .. 3), an interior one j (nodes j-1 .. j+2) and the last (nodes
@@ -56,7 +57,7 @@ def rk4_step(f, y: tuple, dt) -> tuple:
     """One classical RK4 step of dy/dt = f(y, c).
 
     The state y is a tuple of arrays or fields (every system steps
-    coefficient arrays: half-layout ones for the real systems, full-layout
+    coefficient arrays: band-layout ones for the real systems, full-layout
     ones for the complex correctors), and f returns the tuple of their
     tendencies; c is the stage's fraction of the step (0, 1/2, 1/2, 1),
     for tendencies with an explicitly time-dependent coefficient or with
@@ -80,8 +81,8 @@ def ensemble_step(tendency, states: list, dts: list, fields, system: str,
 
     fields(state) lists the real fields a state evolves; a tuple of fields
     (phases) stands for one array with a phase axis. Each is stacked over
-    the members on a new leading axis of its half-layout coefficients (a
-    view for one member) and advanced by rk4_step with tendency(y, values):
+    the members on a new leading axis of its band-layout coefficients (see
+    spectral) and advanced by rk4_step with tendency(y, values):
     values is, at the first stage only, the stacked collocation values of
     the first `cached` fields (as cached on them by any probe that read
     them), else None. Returns the new arrays completed to the full layout,
@@ -97,7 +98,7 @@ def ensemble_step(tendency, states: list, dts: list, fields, system: str,
 
     values = tuple(stack(parts, "_values") for parts in per_field[:cached])
     y = rk4_step(lambda y, c: tendency(y, values if c == 0.0 else None),
-                 tuple(stack(parts, "half_coeffs") for parts in per_field), dts)
+                 tuple(stack(parts, "band_coeffs") for parts in per_field), dts)
     grids = [(p[0] if isinstance(p, tuple) else p).grid for p, *_ in per_field]
     y = tuple(full_coeffs(grid, a) for grid, a in zip(grids, y))
     finite = np.logical_and.reduce(
@@ -107,9 +108,29 @@ def ensemble_step(tendency, states: list, dts: list, fields, system: str,
         last_time=st.t, system=system) for ok, st, dt in zip(finite, states, dts)]
 
 
+def check_band(state) -> None:
+    """Raise InvariantError if a real field of `state` has a nonzero
+    coefficient outside the 2/3-rule band, which a step would drop
+    silently (see ensemble_step). A state is a dataclass whose fields, or
+    tuples of fields, are the ones it evolves; anything else holds none.
+    Stepping makes band-limited states, so a state is checked where it
+    enters stepping (solo, evolve), never per step."""
+    if not dataclasses.is_dataclass(state):
+        return
+    for entry in dataclasses.fields(state):
+        value = getattr(state, entry.name)
+        for field in value if isinstance(value, tuple) else (value,):
+            if (isinstance(field, SpectralField) and field.real
+                    and field.coeffs[~field.grid.dealias_mask].any()):
+                raise InvariantError(
+                    f"{type(state).__name__}.{entry.name} has a mode outside the "
+                    "2/3-rule band, which stepping would drop")
+
+
 def solo(steps, state, dt: float):
-    """One step of one state through the ensemble step `steps`; a blow-up
-    raises its BlowUpError."""
+    """One step of one state through the ensemble step `steps` (the state
+    checked by check_band first); a blow-up raises its BlowUpError."""
+    check_band(state)
     (result,) = steps([state], [dt])
     if isinstance(result, BlowUpError):
         raise result
@@ -201,8 +222,11 @@ def evolve(steps, runs: list, partial: bool = False) -> list:
     leaves the stack after n_steps steps, when its stop_when fires, or on
     blow-up: that BlowUpError propagates, unless `partial`, where the run
     ends at its last finite state with complete False. Each member's record
-    is the one it would get alone.
+    is the one it would get alone. Each run's state is checked by
+    check_band before anything is sampled or stepped.
     """
+    for run in runs:
+        check_band(run.state)
     members = [_Member(run) for run in runs]
     live = [m for m in members if m.running()]
     while live:

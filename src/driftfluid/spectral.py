@@ -25,13 +25,14 @@ arithmetic as one field at a time: a stacked numpy.fft call gives
 bit-for-bit the values of one call per field.
 
 Stacked transforms are split into blocks: the leading axes are flattened
-into grid-sized rows, and every numpy.fft call takes at most
-`block_rows(grid)` of them, as many as FFT_BLOCK_POINTS points hold but
+into grid-sized rows, and every transform takes at most `block_rows(grid)`
+of them per numpy.fft call, as many as FFT_BLOCK_POINTS points hold but
 at least one (a grid axis is never split). The transport kernel
 (epsilon.drift_advection) groups its fields and products to this budget,
 the measured minimum of the per-point cost of one stacked rfftn + irfftn
-pair (ns per point, best of 9 rounds, one thread, numpy 2.4 pocketfft,
-Xeon with 2 MiB L2):
+pair, timed before the band transforms below replaced that pair in the
+steppers (ns per point, best of 9 rounds, one thread, numpy 2.4
+pocketfft, Xeon with 2 MiB L2):
 
     points per call    256   1024   4096  16384  65536  262144
     4x4x16             316    114     64     37     51      57
@@ -45,20 +46,38 @@ it the stack leaves the L2 cache. 16x16x32 alone would prefer 2**16, but
 fields are first copied together; 2**14 was fastest on the CK
 iteration's 4x4x8 stacks of 43 samples.
 
-Two coefficient layouts exist. The full layout (`Grid.shape`, FFT
-ordering on every axis) is the public one: a `SpectralField`, a `.spec`
-file and every probe hold it. A real field is fixed by its k >= 0 half
-along the last axis, which is the par axis on every grid (a `Grid` with
-par elsewhere is refused): the half layout (`Grid.half.shape`, numpy's
-rfftn layout, n//2 + 1 entries on the last axis) is what the real
-transforms read and write. `collocation_values` and `product_coeffs` take
-half arrays for real fields (irfftn/rfftn) and full arrays otherwise
-(ifftn/fftn, the complex correctors). The symbol helpers (derivatives,
-averages, the Poisson solves) accept either layout and tell them apart by
-the length of the last axis. A field's real transforms go through the
-half layout (`SpectralField.half_coeffs` in, `full_coeffs` out), and the
-eps, limit and CK kernels keep their state in it: they convert at each
-step or iterate boundary, never per stage.
+Three coefficient layouts exist, told apart by the length of the last
+axis (n, n//2 + 1 and ceil(n/3) differ for every even n >= 4), and k = 0
+is index 0 on each:
+
+* the full layout (`Grid.full`, FFT ordering on every axis) is the public
+  one: a `SpectralField`, a `.spec` file and every probe hold it, and the
+  complex transforms (ifftn/fftn, the correctors) read and write it;
+* the half layout (`Grid.half`, numpy's rfftn layout) keeps the k >= 0
+  entries (n//2 + 1) of the last axis, which is the par axis on every grid
+  (a `Grid` with par elsewhere is refused): a real field is fixed by it,
+  and the values of a general real field are made from it by irfftn
+  (`SpectralField.half_coeffs`, its cached values, `inverse`,
+  `check_real`), as it can hold modes outside the 2/3 rule;
+* the band layout (`Grid.band`) keeps only the modes the 2/3 rule keeps,
+  |k_i| < n_i/3 on every axis: on a perp axis the indices 0 ... K and
+  n - K ... n - 1 of the FFT ordering, on the par axis the first
+  ceil(n/3) half-layout entries. A dealiased product holds nothing else,
+  so `dealiased_coeffs` and `product_coeffs` return band arrays of real
+  fields, and the steppers (quadrature.ensemble_step, the CK iteration)
+  hold each real state on it between step boundaries
+  (`SpectralField.band_coeffs` or `band_coeffs` in, `full_coeffs` out).
+
+The band's transforms are pruned: the inverse fills each perp axis out to
+its n entries and transforms only the lines whose later axes the band
+keeps, then irfft zero-pads the par axis; the forward cuts the par axis
+after rfft and keeps the band's lines after each fft. Every line goes
+through the 1-D pocketfft call irfftn or rfftn makes for it, so band
+values and coefficients are byte for byte those of irfftn and of rfftn
+with the 2/3 mask. `collocation_values` takes half or band arrays of real
+fields, and full arrays of complex ones. The symbol helpers (derivatives,
+averages, the Poisson solves) accept any layout, and `full_coeffs`
+completes a half or band array to the full layout.
 """
 
 from __future__ import annotations
@@ -145,7 +164,7 @@ class Grid:
     def par_axis(self) -> int:
         return self.axis_index(PAR)
 
-    @property
+    @cached_property
     def perp_axes(self) -> tuple[int, ...]:
         return tuple(i for i, ax in enumerate(self.axes) if ax != PAR)
 
@@ -206,11 +225,46 @@ class Grid:
                        tuple(cut(d) for d in f.derivative_mults),
                        cut(f.kperp_sq), cut(f.kpar_sq))
 
+    @cached_property
+    def _band_lines(self) -> tuple[np.ndarray, ...]:
+        """Per axis, the indices the band layout keeps: |k| < n/3, in FFT
+        order (0 ... K, then n - K ... n - 1) on a perp axis, and the
+        first ceil(n/3) half-layout entries (k = 0 ... K) on the par axis,
+        the last."""
+        lines = []
+        for i, n in enumerate(self.shape):
+            k = self.modes(i)
+            keep = np.flatnonzero(np.abs(k) < n / 3.0)
+            lines.append(keep[k[keep] >= 0] if i == self.ndim - 1 else keep)
+        return tuple(lines)
+
+    @cached_property
+    def band(self) -> Symbols:
+        """The symbols on the band layout: the full ones at the modes the
+        2/3 rule keeps (see _band_lines), the only modes a dealiased
+        product or a stepped state holds."""
+
+        def keep(a):
+            for axis, index in enumerate(self._band_lines):
+                if a.shape[axis] > 1:
+                    a = a.take(index, axis=axis)
+            return a
+
+        f = self.full
+        return Symbols(tuple(map(len, self._band_lines)), keep(f.dealias_mask),
+                       tuple(map(keep, f.derivative_mults)),
+                       keep(f.kperp_sq), keep(f.kpar_sq))
+
+    @cached_property
+    def _layouts(self) -> dict:
+        """The symbols of each layout by the length of its last axis: n on
+        the full layout, n//2 + 1 on the half one and ceil(n/3) on the
+        band, three lengths that differ for every even n >= 4."""
+        return {sym.shape[-1]: sym for sym in (self.full, self.half, self.band)}
+
     def symbols(self, coeffs: np.ndarray) -> Symbols:
-        """The symbols of the layout `coeffs` is in, leading axes aside:
-        its last axis has n entries on the full layout and n//2 + 1 (never
-        n, as n >= 4) on the half one."""
-        return self.full if coeffs.shape[-1] == self.shape[-1] else self.half
+        """The symbols of the layout `coeffs` is in, leading axes aside."""
+        return self._layouts[coeffs.shape[-1]]
 
     @property
     def kperp_sq(self) -> np.ndarray:
@@ -243,6 +297,41 @@ class Grid:
         return (source // n) * m + source % n, conj
 
     @cached_property
+    def _band_runs(self) -> tuple[tuple, ...]:
+        """Per perp axis, its position counted from the end of an array,
+        its n, and the indices of its two runs of band entries in an array
+        with any leading axes, the band's or an n-long one: k = 0 ... K at
+        the start and k = -K ... -1 at the end."""
+        runs = []
+        for axis in self.perp_axes:
+            k = len(self._band_lines[axis]) // 2          # K >= 1, as n >= 4
+            rest = (slice(None),) * (self.ndim - 1 - axis)
+            runs.append((axis - self.ndim, self.shape[axis],
+                         (Ellipsis, slice(0, k + 1)) + rest,
+                         (Ellipsis, slice(-k, None)) + rest))
+        return tuple(runs)
+
+    @cached_property
+    def _band_gather(self) -> np.ndarray:
+        """Flat index into the full layout of each band entry, in the
+        band's order."""
+        return np.ravel_multi_index(np.ix_(*self._band_lines), self.shape).ravel()
+
+    @cached_property
+    def _band_completion(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gather index into a flattened band array with one zero appended,
+        and the conjugation mask, that complete it to the flattened full
+        layout as _completion does a half array: entry k is band[k] for
+        k_last >= 0, conj(band[-k]) otherwise, and the zero outside the
+        band. The mask is the half layout's, so a band array completes to
+        the bytes its scatter into a half array would."""
+        position = np.full(self.size, self._band_gather.size)
+        position[self._band_gather] = np.arange(self._band_gather.size)
+        _, conj = self._completion
+        source = np.where(conj, self._reflection, np.arange(self.size))
+        return position[source], conj
+
+    @cached_property
     def par_grid(self) -> "Grid":
         return Grid.line(self.shape[self.par_axis]) if self.ndim > 1 else self
 
@@ -255,7 +344,7 @@ class Grid:
     @cached_property
     def _par_line(self) -> tuple:
         """Index of the k_perp = 0 line of a coefficient array with any
-        leading axes, on either layout."""
+        leading axes, on any layout."""
         index = [0] * self.ndim
         index[self.par_axis] = slice(None)
         return (Ellipsis, *index)
@@ -316,6 +405,12 @@ class SpectralField:
         """The half-layout part of the coefficients (a view): all that a
         real field's transforms read."""
         return self.coeffs[..., :self.grid.half.shape[-1]]
+
+    @property
+    def band_coeffs(self) -> np.ndarray:
+        """The band-layout part of the coefficients (a copy): all that a
+        step of a real field keeps."""
+        return band_coeffs(self.grid, self.coeffs)
 
     @cached_property
     def _values(self) -> np.ndarray:
@@ -433,15 +528,36 @@ def inverse(field: SpectralField, tol: float = 1e-6) -> np.ndarray:
 
 # -- array-level helpers: coefficient arrays [..., *grid.shape] -----------
 
-def full_coeffs(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Complete half-layout coefficients of real fields to the full layout
-    (Hermitian symmetry), keeping leading axes: one gather and a masked
-    conjugation."""
-    gather, conj = grid._completion
-    lead = half.shape[:half.ndim - grid.ndim]
-    out = np.take(half.reshape(lead + (-1,)), gather, axis=-1)
+def full_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Complete half- or band-layout coefficients of real fields to the
+    full layout (Hermitian symmetry, zero outside the band), keeping
+    leading axes: one gather and a masked conjugation."""
+    lead = coeffs.shape[:coeffs.ndim - grid.ndim]
+    flat = coeffs.reshape(lead + (-1,))
+    if coeffs.shape[-1] == grid.half.shape[-1]:
+        gather, conj = grid._completion
+    else:
+        gather, conj = grid._band_completion
+        flat = np.concatenate([flat, np.zeros(lead + (1,), dtype=complex)], axis=-1)
+    out = np.take(flat, gather, axis=-1)
     np.conjugate(out, out=out, where=conj)
     return out.reshape(lead + grid.shape)
+
+
+def band_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """The band-layout part of full-layout coefficients (a copy), keeping
+    leading axes: one gather."""
+    lead = coeffs.shape[:coeffs.ndim - grid.ndim]
+    return np.take(coeffs.reshape(lead + (-1,)), grid._band_gather,
+                   axis=-1).reshape(lead + grid.band.shape)
+
+
+def band_to_half(grid: Grid, band: np.ndarray) -> np.ndarray:
+    """Band-layout coefficients placed in a half-layout array, zero
+    outside the band, keeping leading axes."""
+    half = np.zeros(band.shape[:band.ndim - grid.ndim] + grid.half.shape, dtype=complex)
+    half[(Ellipsis, *np.ix_(*grid._band_lines))] = band
+    return half
 
 
 def block_rows(grid: Grid) -> int:
@@ -467,17 +583,45 @@ def _inverse_block(grid: Grid, coeffs: np.ndarray, real: bool) -> np.ndarray:
     return vals
 
 
-def _forward_block(grid: Grid, vals: np.ndarray, real: bool) -> np.ndarray:
-    """Dealiased coefficients of one block of value rows (`s` spares
-    numpy a lookup of the transformed lengths)."""
-    if real:
-        coeffs = np.fft.rfftn(vals, s=grid.shape, axes=grid._trailing_axes)
-        mask = grid.half.dealias_mask
-    else:
-        coeffs = np.fft.fftn(vals, s=grid.shape, axes=grid._trailing_axes)
-        mask = grid.full.dealias_mask
+def _forward_block(grid: Grid, vals: np.ndarray) -> np.ndarray:
+    """Dealiased full-layout coefficients of one block of complex value
+    rows (`s` spares numpy a lookup of the transformed lengths)."""
+    coeffs = np.fft.fftn(vals, s=grid.shape, axes=grid._trailing_axes)
     coeffs /= grid.size
-    coeffs *= mask
+    coeffs *= grid.full.dealias_mask
+    return coeffs
+
+
+def _band_inverse_block(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Real values of one block of band rows, by the 1-D transforms of
+    irfftn restricted to the lines that can be nonzero: each perp axis in
+    turn is filled out to its n entries and transformed along the lines
+    the band keeps on every later axis, then irfft zero-pads the par axis.
+    """
+    for axis, n, low, high in grid._band_runs:
+        shape = list(coeffs.shape)
+        shape[axis] = n
+        wide = np.zeros(shape, dtype=complex)
+        wide[low], wide[high] = coeffs[low], coeffs[high]
+        coeffs = np.fft.ifft(wide, axis=axis)
+    vals = np.fft.irfft(coeffs, n=grid.shape[-1], axis=-1)
+    vals *= grid.size
+    return vals
+
+
+def _band_forward_block(grid: Grid, vals: np.ndarray) -> np.ndarray:
+    """Band-layout coefficients of one block of real value rows, by the
+    1-D transforms of rfftn restricted to the lines the band keeps: rfft
+    along par, cut to the band, then fft along each perp axis, last first,
+    keeping the band's lines."""
+    coeffs = np.fft.rfft(vals, axis=-1)[..., :grid.band.shape[-1]]
+    for axis, _, low, high in reversed(grid._band_runs):
+        full = np.fft.fft(coeffs, axis=axis)
+        coeffs = np.concatenate([full[low], full[high]], axis=axis)
+    coeffs /= grid.size
+    # all ones on the band, but as in rfftn's masking it gives each
+    # exact zero the sign the 2/3 mask gives it
+    coeffs *= grid.band.dealias_mask
     return coeffs
 
 
@@ -498,16 +642,21 @@ def _by_blocks(grid: Grid, array: np.ndarray, transform) -> np.ndarray:
 
 def collocation_values(grid: Grid, coeffs: np.ndarray, real: bool) -> np.ndarray:
     """Values of the trigonometric interpolant at the collocation points,
-    over the trailing grid axes: real values of half-layout coefficients
-    (irfftn) if `real`, else complex values of full-layout ones (ifftn).
-    The leading axes are transformed block_rows(grid) rows per call."""
+    over the trailing grid axes: real values of half- or band-layout
+    coefficients if `real` (irfftn, or its pruned form on the band), else
+    complex values of full-layout ones (ifftn). The leading axes are
+    transformed block_rows(grid) rows per call."""
+    if real and coeffs.shape[-1] == grid.band.shape[-1]:
+        return _by_blocks(grid, coeffs, lambda rows: _band_inverse_block(grid, rows))
     return _by_blocks(grid, coeffs, lambda rows: _inverse_block(grid, rows, real))
 
 
 def dealiased_coeffs(grid: Grid, vals: np.ndarray, real: bool) -> np.ndarray:
-    """The inverse of collocation_values, dealiased: half layout (rfftn)
-    from real values if `real`, else full layout (fftn)."""
-    return _by_blocks(grid, vals, lambda rows: _forward_block(grid, rows, real))
+    """The inverse of collocation_values, dealiased: band layout (the
+    pruned rfftn) from real values if `real`, else full layout (fftn)."""
+    if real:
+        return _by_blocks(grid, vals, lambda rows: _band_forward_block(grid, rows))
+    return _by_blocks(grid, vals, lambda rows: _forward_block(grid, rows))
 
 
 def product_coeffs(grid: Grid, f_vals: np.ndarray, g_vals: np.ndarray,
@@ -519,7 +668,7 @@ def product_coeffs(grid: Grid, f_vals: np.ndarray, g_vals: np.ndarray,
 
 def derivative_coeffs(grid: Grid, coeffs: np.ndarray, axis) -> np.ndarray:
     """Coefficients of the partial derivative along `axis` (see
-    derivative()), on either layout."""
+    derivative()), on any layout."""
     return coeffs * grid.symbols(coeffs).derivative_mults[grid.axis_index(axis)]
 
 

@@ -97,9 +97,9 @@ def _total(rho: np.ndarray) -> np.ndarray:
 
 def tendencies(grid: Grid, rho: np.ndarray, u: np.ndarray, eps,
                values: tuple | None = None):
-    """(d_t rho, d_t u) on half-layout coefficient arrays, the phases
-    stacked on the last leading axis (after an ensemble's member axis,
-    with eps one per member): the drift-advection tendency of every phase
+    """(d_t rho, d_t u) on band- or half-layout coefficient arrays, the
+    phases stacked on the last leading axis (after an ensemble's member
+    axis, with eps one per member): the drift-advection tendency of every phase
     plus the shared field E = -d_par V. `values`, the collocation values
     of rho and u, saves their transforms when the caller has them."""
     drho, du = drift_advection(grid, rho, u, values=values)

@@ -78,7 +78,7 @@ def make_two_phase(rho1: SpectralField, v1: SpectralField,
 
 def tendencies(grid: Grid, rho1: np.ndarray, v: np.ndarray):
     """(d_t rho1, d_t [v1, v2]) on the arrays a step advances, the
-    half-layout coefficients of rho1 and of [v1, v2] stacked on a phase
+    band-layout coefficients of rho1 and of [v1, v2] stacked on a phase
     axis after any member axis: the drift-advection tendency of both
     phases, with [rho1, rho2] stacked alike (rho2 = 1 - rho1 is implied),
     and the pressure closure summed over the phases. rho2's tendency is
@@ -301,6 +301,9 @@ def prepare_growth_experiment(background=(0.5, 1.0, -1.0), k_max: int = 5,
         raise ConfigError(f"k_max must be at least 1, got {k_max}")
     rng = np.random.default_rng(seed)
     weights = decay_profile(kind, param, np.arange(k_max + 1))
+    if not (math.isfinite(weights[1]) and weights[1] > 0):
+        raise ConfigError(f"the {kind} profile with param {param} gives mode 1 "
+                          f"the weight {weights[1]}; the seeds are scaled by it")
     weights = weights / weights[1]
     ceiling = fit_ceiling * background[0]
     modes = []

@@ -1,5 +1,5 @@
 """Mutation gate: faults planted by hand in the transport kernel, in the
-invariants the tests guard, in the contraction probes, in the stacked
+band layout, in the invariants the tests guard, in the contraction probes, in the stacked
 layouts of the correctors and the two-phase step, in the toy model's
 quasineutral limit, in the ensemble step and run loop, in the config
 checks and in the experiment runners, each of which its named tests
@@ -48,10 +48,9 @@ MUTANTS = (
     Mutant("no-conjugation-in-full-coeffs", "src/driftfluid/spectral.py",
            "    np.conjugate(out, out=out, where=conj)\n", "",
            (PROPS + "test_half_completion_is_bitwise_on_hermitian_arrays",)),
-    Mutant("half-products-not-dealiased", "src/driftfluid/spectral.py",
-           "        mask = grid.half.dealias_mask\n", "        mask = 1.0\n",
-           (PROPS + "test_stacked_kernel_is_bitwise_per_transform",
-            PROPS + "test_half_drift_advection_matches_full_reference")),
+    Mutant("complex-products-not-dealiased", "src/driftfluid/spectral.py",
+           "    coeffs *= grid.full.dealias_mask\n", "",
+           ("tests/test_spectral.py::TestProduct::test_complex_product_dealiased",)),
     Mutant("wrong-half-kpar-symbol", "src/driftfluid/spectral.py",
            "cut(f.kperp_sq), cut(f.kpar_sq))", "cut(f.kperp_sq), 4 * cut(f.kpar_sq))",
            (PROPS + "test_half_field_coeffs_match_full_reference",)),
@@ -62,6 +61,21 @@ MUTANTS = (
     Mutant("value-dropped-one-product-early", "src/driftfluid/epsilon.py",
            "keep = {f for p in table[g + k:]", "keep = {f for p in table[g + k + 1:]",
            (PROPS + "test_kernel_blocks_are_bitwise_per_transform",)),
+    # the band layout
+    Mutant("band-one-mode-wider", "src/driftfluid/spectral.py",
+           "keep = np.flatnonzero(np.abs(k) < n / 3.0)",
+           "keep = np.flatnonzero(np.abs(k) <= n / 3.0)",
+           (PROPS + "test_band_holds_exactly_the_dealiased_modes",
+            PROPS + "test_band_transforms_are_bytewise_irfftn_and_masked_rfftn")),
+    Mutant("band-completion-not-conjugated", "src/driftfluid/spectral.py",
+           "        return position[source], conj\n",
+           "        return position[source], conj & False\n",
+           (PROPS + "test_band_completion_is_bytewise_the_half_completion",)),
+    Mutant("band-guard-disabled", "src/driftfluid/quadrature.py",
+           "and field.coeffs[~field.grid.dealias_mask].any()",
+           "and False",
+           ("tests/test_quadrature.py::TestBandGuard::"
+            "test_step_and_evolve_refuse_a_mode_outside_the_band",)),
     # the invariants
     Mutant("mass-not-pinned", "src/driftfluid/epsilon.py",
            "    rho[(...,) + (0,) * grid.ndim] = 1.0\n", "",
@@ -97,9 +111,9 @@ MUTANTS = (
            "- times[:, None] / params.eta", "- times[:, None] * params.eta",
            (PROPS + "test_shrinking_norm_non_decreasing_in_eta",)),
     Mutant("constant-offset-on-drho", "src/driftfluid/epsilon.py",
-           "    result = tuple(a.reshape(",
+           "    result = [a.reshape(",
            "    tend[0][(...,) + (0,) * grid.ndim] += 1e-12\n"
-           "    result = tuple(a.reshape(",
+           "    result = [a.reshape(",
            (PROPS + "test_drift_advection_conserves_mass",)),
     Mutant("non-conservative-rho-tendency", "src/driftfluid/epsilon.py",
            "table = [(2, 0, 1, None), (2, 1, 0, par)]",

@@ -3,12 +3,15 @@
 Everything here is deliberately written against raw numpy (or scipy for
 stiff ODE integration), without using the package's spectral machinery,
 so each oracle exercises a different code path from the operation it
-checks. The exceptions are the kernels at the end: the shared transport
-kernel with one numpy.fft call per field and per dealiased product, against
-which the stacked, blocked transforms of `epsilon.drift_advection` are
-pinned, and the two-phase and toy-model tendencies written with full-layout
-`SpectralField` arithmetic, one dealiased product at a time, against which
-the stacked half-layout kernels of `twostream` and `toymodel` are pinned."""
+checks. The exceptions are the kernels at the end: the real transforms of
+one field and of one dealiased product as numpy's irfftn and rfftn with the
+2/3 mask, against which the band layout's pruned transforms are pinned, the
+shared transport kernel with one such call per field and per product,
+against which the stacked, blocked transforms of `epsilon.drift_advection`
+are pinned, and the two-phase and toy-model tendencies written with
+full-layout `SpectralField` arithmetic, one dealiased product at a time,
+against which the stacked kernels of `twostream` and `toymodel` are
+pinned."""
 
 import numpy as np
 
@@ -160,13 +163,13 @@ def characteristic_foot(ubar_func, x, t, n_sub=2000):
     return pos
 
 
-def _per_field_values(grid, coeffs):
+def per_field_values(grid, coeffs):
     """Collocation values of half-layout coefficients, one irfftn."""
     axes = tuple(range(-grid.ndim, 0))
     return np.fft.irfftn(coeffs, s=grid.shape, axes=axes) * grid.size
 
 
-def _per_product_coeffs(grid, f_vals, g_vals):
+def per_product_coeffs(grid, f_vals, g_vals):
     """Dealiased half-layout coefficients of one product, one rfftn."""
     coeffs = np.fft.rfftn(f_vals * g_vals, axes=tuple(range(-grid.ndim, 0)))
     coeffs /= grid.size
@@ -179,19 +182,19 @@ def per_product_drift_advection(grid, rho, v, e1=None, e2=None):
     dealiased product, on half-layout arrays with any leading axes, and
     the flux <rho (v v)>_perp of the pressure closure the same way."""
     par = grid.par_axis
-    rho_vals, v_vals = _per_field_values(grid, rho), _per_field_values(grid, v)
-    drho = -derivative_coeffs(grid, _per_product_coeffs(grid, v_vals, rho_vals), par)
-    dv = -_per_product_coeffs(grid, v_vals, _per_field_values(
+    rho_vals, v_vals = per_field_values(grid, rho), per_field_values(grid, v)
+    drho = -derivative_coeffs(grid, per_product_coeffs(grid, v_vals, rho_vals), par)
+    dv = -per_product_coeffs(grid, v_vals, per_field_values(
         grid, derivative_coeffs(grid, v, par)))
     if PERP1 in grid.axes and PERP2 in grid.axes:
         for comp, label in ((e1, PERP1), (e2, PERP2)):
-            comp_vals = _per_field_values(grid, comp)
+            comp_vals = per_field_values(grid, comp)
             drho -= derivative_coeffs(
-                grid, _per_product_coeffs(grid, comp_vals, rho_vals), label)
+                grid, per_product_coeffs(grid, comp_vals, rho_vals), label)
             dv -= derivative_coeffs(
-                grid, _per_product_coeffs(grid, comp_vals, v_vals), label)
-    vv = _per_field_values(grid, _per_product_coeffs(grid, v_vals, v_vals))
-    flux = _per_product_coeffs(grid, rho_vals, vv)[grid._par_line]
+                grid, per_product_coeffs(grid, comp_vals, v_vals), label)
+    vv = per_field_values(grid, per_product_coeffs(grid, v_vals, v_vals))
+    flux = per_product_coeffs(grid, rho_vals, vv)[grid._par_line]
     return drho, dv, flux
 
 

@@ -609,6 +609,14 @@ ADMISSION = [
                  id="eps-run-preset-param-string"),
     pytest.param({"experiment": "contraction", "grid": [4, 4, 0]}, False,
                  id="contraction-unread-grid"),
+    pytest.param({"experiment": "eps_sweep", "eps": [0.1, 0.1], "horizon": 0.5},
+                 True, id="eps-sweep-repeated-eps"),
+    pytest.param({"experiment": "dichotomy", "eps": [0.1, 0.1]}, True,
+                 id="dichotomy-repeated-eps"),
+    pytest.param({**_with_params("eps_sweep", average_range=[3.0, 4.0]),
+                  "horizon": 0.5}, True, id="eps-sweep-average-range-unsampled"),
+    pytest.param(_with_params("growth", param=0.0), True,
+                 id="growth-zero-mode-1-weight"),
 ]
 
 

@@ -6,8 +6,10 @@ the strip-consumption rate eta, the mass conservation of the
 drift-advection tendency, Parseval, and the Poisson solves (phi free of
 k_perp = 0 content, the mean-1 solvability, the mode-wise force bounds). The
 half-layout kernel (drift advection, field solves, the completion to the
-full layout) is checked against full-layout references written here, and
-its stacked, blocked transforms bit for bit against one numpy.fft call
+full layout) is checked against full-layout references written here, the
+band layout's pruned transforms and completion byte for byte against
+irfftn, the masked rfftn and the half completion, and the kernel's
+stacked, blocked transforms bit for bit against one numpy.fft call
 per field and per product (tests/oracles.py), with the number of
 transforms of the stepped systems and of a CK iteration counted and the
 peak memory of a kernel call bounded."""
@@ -30,6 +32,7 @@ from driftfluid.spectral import (
     Grid,
     NormParams,
     analytic_norm,
+    band_coeffs,
     collocation_values,
     constant,
     full_coeffs,
@@ -38,11 +41,12 @@ from driftfluid.spectral import (
     inverse,
     l2_norm,
     product,
+    product_coeffs,
     shrinking_norm,
 )
 
 from conftest import PROPERTY_GRIDS, count_transforms, random_band_field
-from oracles import per_product_drift_advection
+from oracles import per_field_values, per_product_coeffs, per_product_drift_advection
 
 grids = st.sampled_from(PROPERTY_GRIDS)
 seeds = st.integers(0, 2**32 - 1)
@@ -323,42 +327,111 @@ def test_kernel_blocks_are_bitwise_per_transform(grid, n_batch, kmax, cached,
     _assert_per_transform(grid, *outputs)
 
 
+# -- the band layout and its pruned transforms -----------------------------
+
+@pytest.mark.parametrize("grid", PROPERTY_GRIDS + [
+    Grid.line(12), Grid.shear2d(6, 18), Grid.torus3d(6, 12, 24), Grid.torus3d(32, 32, 64)])
+def test_band_holds_exactly_the_dealiased_modes(grid):
+    """The band layout keeps every mode of the half layout that the 2/3
+    rule keeps and no other, also where n/3 is itself a mode."""
+    assert grid.band.dealias_mask.all()
+    assert math.prod(grid.band.shape) == np.count_nonzero(grid.half.dealias_mask)
+    assert grid.symbols(np.zeros(grid.band.shape)) is grid.band
+
+
+def _band_limited(grid, kmax, rng, n_batch, mean=0.0):
+    """Full-layout coefficients of random dealiased fields (see _draw)."""
+    return _draw(grid, kmax, rng, n_batch, mean) * grid.dealias_mask
+
+
+def _on_band(grid, half):
+    """The band entries of half-layout arrays, read off the 2/3 mask."""
+    lead = half.shape[:half.ndim - grid.ndim]
+    return half[..., grid.half.dealias_mask].reshape(lead + grid.band.shape)
+
+
+@example(grid=Grid.torus3d(6, 6, 12), n_batch=2, kmax=3, rows=1, seed=0)
+@given(grid=grids, n_batch=st.integers(0, 3), kmax=st.integers(0, 3),
+       rows=st.integers(1, 4), seed=seeds)
+def test_band_transforms_are_bytewise_irfftn_and_masked_rfftn(grid, n_batch, kmax,
+                                                             rows, seed):
+    """On dealiased fields, with any leading rows and a budget of `rows`
+    of them per numpy.fft call, the band's pruned inverse gives the bytes
+    of irfftn, and its pruned forward of a product the bytes of the
+    band entries of rfftn with the 2/3 mask, signed zeros included."""
+    rng = np.random.default_rng(seed)
+    f, g = (_band_limited(grid, kmax, rng, n_batch, mean) for mean in (1.0, 0.3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "FFT_BLOCK_POINTS", rows * grid.size)
+        calls = count_transforms(patch)
+        f_vals, g_vals = (collocation_values(grid, band_coeffs(grid, c), True)
+                          for c in (f, g))
+        got = product_coeffs(grid, f_vals, g_vals, True)
+    assert max(math.prod(shape[:-grid.ndim]) for _, shape in calls) <= rows
+    want_f, want_g = (per_field_values(grid, _half(grid, c)) for c in (f, g))
+    assert f_vals.tobytes() == want_f.tobytes() and g_vals.tobytes() == want_g.tobytes()
+    want = _on_band(grid, per_product_coeffs(grid, want_f, want_g))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(grid=grids, n_batch=st.integers(0, 3), seed=seeds)
+def test_band_completion_is_bytewise_the_half_completion(grid, n_batch, seed):
+    """Completing a band array gives the bytes of completing its scatter
+    into a half array, Hermitian or not."""
+    rng = np.random.default_rng(seed)
+    lead = (n_batch,) if n_batch else ()
+    band = (rng.standard_normal(lead + grid.band.shape)
+            + 1j * rng.standard_normal(lead + grid.band.shape))
+    half = np.zeros(lead + grid.half.shape, dtype=complex)
+    half[..., grid.half.dealias_mask] = band.reshape(lead + (-1,))
+    assert full_coeffs(grid, band).tobytes() == full_coeffs(grid, half).tobytes()
+
+
 def _state_fields(grid):
     rng = np.random.default_rng(3)
     rho = random_band_field(grid, 2, rng, amplitude=0.02, mean=1.0)
     return rho, random_band_field(grid, 2, rng, amplitude=0.1)
 
 
+# a band transform (see spectral) is one numpy.fft call per grid axis
+BAND_3D = {"ifft", "irfft", "fft", "rfft"}
+BAND_LINE = {"irfft", "rfft"}
+
+
 def test_eps_step_transforms_once_each_way_per_stage(monkeypatch):
     """One eps step at 4x4x16 whose fields hold cached values (as after a
     recorded sample) makes 8 real transforms: one stacked inverse and one
-    stacked forward per RK4 stage (42 with one call per field)."""
-    state = epsilon.make_eps_state(*_state_fields(Grid.torus3d(4, 4, 16)), 0.05)
+    stacked forward per RK4 stage (42 with one call per field), each one
+    numpy.fft call per grid axis."""
+    grid = Grid.torus3d(4, 4, 16)
+    state = epsilon.make_eps_state(*_state_fields(grid), 0.05)
     state.rho._values, state.v._values
     calls = count_transforms(monkeypatch)
     epsilon.step(state, 1e-3)
-    assert len(calls) <= 8 and {name for name, _ in calls} == {"irfftn", "rfftn"}
+    assert len(calls) <= 8 * grid.ndim and {name for name, _ in calls} == BAND_3D
 
 
 def test_limit_step_transforms_per_stage(monkeypatch):
     """One limit step at 4x4x16 makes 16 real transforms: per RK4 stage
     one stacked inverse and one stacked forward (the closure's v v among
     the products), then the inverse of v v and the forward of rho (v v)
-    (54 with one call per field)."""
-    state = limit.project_initial(*_state_fields(Grid.torus3d(4, 4, 16)))
+    (54 with one call per field), each one numpy.fft call per grid axis."""
+    grid = Grid.torus3d(4, 4, 16)
+    state = limit.project_initial(*_state_fields(grid))
     state.rho._values, state.v._values
     calls = count_transforms(monkeypatch)
     limit.step(state, 1e-3)
-    assert len(calls) <= 16 and {name for name, _ in calls} == {"irfftn", "rfftn"}
+    assert len(calls) <= 16 * grid.ndim and {name for name, _ in calls} == BAND_3D
 
 
 def test_reduction_and_ck_transform_counts(monkeypatch):
     """The kernel's grouping keeps the transforms of the stepped reductions
     and of a CK iteration: at most 6 real transforms per iteration at
     4x4x8 with 43 samples (two fields per call: d_par v with rho, v with
-    E_perp1, then E_perp2; one forward per pair of products), 16 per
-    two-phase step and 12 per toy-model step on a line of 16 points (4 of
-    them the values of the fresh state's phases)."""
+    E_perp1, then E_perp2; one forward per pair of products), each one
+    numpy.fft call per grid axis, 16 per two-phase step and 12 per
+    toy-model step on a line of 16 points (4 of them the values of the
+    fresh state's phases, which a field makes by irfftn)."""
     grid, line = Grid.torus3d(4, 4, 8), Grid.line(16)
     rho, v = _state_fields(grid)
     first = ck.initialize(rho, v, 0.05, np.linspace(0.0, 0.1, 43))
@@ -366,12 +439,13 @@ def test_reduction_and_ck_transform_counts(monkeypatch):
     two = twostream.make_two_phase(0.5 * r, u, -1.0 * u)
     toy = toymodel.make_multi_phase([r, r], [u, -1.0 * u], 0.1)
     calls = count_transforms(monkeypatch)
-    for bound, run in [(6, lambda: ck.iterate(first, rho, v)),
-                       (16, lambda: twostream.step(two, 1e-3)),
-                       (12, lambda: toymodel.step(toy, 1e-3))]:
+    for bound, names, run in [(6 * grid.ndim, BAND_3D, lambda: ck.iterate(first, rho, v)),
+                              (16, BAND_LINE, lambda: twostream.step(two, 1e-3)),
+                              (12, BAND_LINE | {"irfftn"},
+                               lambda: toymodel.step(toy, 1e-3))]:
         calls.clear()
         run()
-        assert len(calls) <= bound and {name for name, _ in calls} == {"irfftn", "rfftn"}
+        assert len(calls) <= bound and {name for name, _ in calls} == names
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",

@@ -240,6 +240,22 @@ class TestEntryGuards:
                 make(eps)
 
 
+class TestBandGuard:
+    """A step keeps only the modes the 2/3 rule keeps, so a state with a
+    mode outside that band is refused where it enters stepping, instead
+    of losing the mode silently."""
+
+    def test_step_and_evolve_refuse_a_mode_outside_the_band(self):
+        state = epsilon.make_eps_state(*_torus_data(), 0.01)
+        c = np.array(state.v.coeffs, copy=True)
+        c[0, 0, 3] = c[0, 0, -3] = 1e-3           # |k_par| = 3 >= 8/3
+        bad = dataclasses.replace(state, v=SpectralField(state.grid, c))
+        with pytest.raises(InvariantError, match="band"):
+            epsilon.step(bad, 1e-3)
+        with pytest.raises(InvariantError, match="band"):
+            evolve(epsilon.steps, [Run(bad, 1e-3, 2, {"mass": epsilon.mass})])
+
+
 class _Doubling:
     """Minimal state for the run loop: a time and one number that doubles
     every step."""

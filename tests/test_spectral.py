@@ -213,6 +213,15 @@ class TestProduct:
         p = product(f, f)
         assert np.max(np.abs(p.coeffs[~g.dealias_mask]), initial=0.0) == 0.0
 
+    def test_complex_product_dealiased(self, rng):
+        """The complex transforms (the correctors') mask their product
+        with the 2/3 rule too."""
+        g = Grid.shear2d(8, 16)
+        f = SpectralField(g, random_band_field(g, 3, rng).coeffs * (1 + 2j), real=False)
+        p = product(f, f)
+        assert not p.real
+        assert np.max(np.abs(p.coeffs[~g.dealias_mask]), initial=0.0) == 0.0
+
     def test_grid_mismatch(self, rng):
         f = random_band_field(Grid.line(8), 1, rng)
         h = random_band_field(Grid.line(16), 1, rng)
