@@ -61,10 +61,13 @@ contracting eta found above 1e-8", met while bisecting eta.
 Outputs per run: RFC-4180 CSV tables, `.spec` snapshots,
 gnuplot-compatible plot scripts, and a manifest.json (written
 atomically, by `run` alone) listing every file, the config echo,
-versions, wall time, and inline invariant check results.
+versions, wall time, and inline invariant check results. Snapshots are
+written as they are sampled (a _Snapshots hook on each eps Run), so a
+run's memory does not grow with their count.
 A blow-up (BlowUpError) of an eps or limit run ends the experiment: the
-manifest is still written, with passed false and a "blow_up" entry giving
-the system and the time of its last finite state. Exit status is nonzero
+manifest is still written, with passed false, a "blow_up" entry giving
+the system and the time of its last finite state, and the snapshots
+written before the blow-up, which stay on disk. Exit status is nonzero
 iff an inline check fails or a run blows up. A ConfigError or an
 AdmissibilityError met while running ends the run like a config error
 met in the config: exit status 2, no manifest, and no output directory
@@ -89,7 +92,7 @@ import inspect
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -99,7 +102,7 @@ from . import __version__, epsilon, experiments, presets, toymodel, twostream
 from .errors import AdmissibilityError, BlowUpError, ConfigError
 from .oscillations import corrector_rows
 from .poisson import check_eps
-from .quadrature import Run, Trajectory, evolve, states_at
+from .quadrature import Run, Trajectory, evolve
 from .specio import write_csv, write_json_atomic, write_spec
 from .spectral import Grid, NormParams
 
@@ -299,21 +302,50 @@ def _build_eps_state(cfg: RunConfig, grid: Grid, eps: float):
 
 def _eps_run(cfg: RunConfig, eps: float) -> Run:
     """The Run behind one eps's time series: the preset's data, the
-    configured dt over the horizon, the diagnostic probes and, every
-    `snapshot_every` samples, the state."""
+    configured dt over the horizon and the diagnostic probes. Its
+    snapshots are written by a _Snapshots hook, which finish attaches."""
     state = _build_eps_state(cfg, cfg.make_grid(), eps)
     dt = cfg.policy_dt(eps)
     n_steps = int(math.ceil(cfg.horizon / dt))
-    probes = epsilon.diagnostic_probes(cfg.norm_params())
-    if cfg.snapshot_every > 0:
-        probes["state"] = states_at(range(0, n_steps + 1, cfg.snapshot_every))
-    return Run(state, dt, n_steps, probes)
+    return Run(state, dt, n_steps, epsilon.diagnostic_probes(cfg.norm_params()))
 
 
-def _write_eps_run(eps: float, traj: Trajectory,
+@dataclass
+class _Snapshots:
+    """The on_sample hook of one eps run: every `every`-th sample (none if
+    0) written as it is sampled to out/state_<sample>.spec, and the paths
+    written, in order. So no run holds a trajectory of states."""
+
+    eps: float
+    every: int
+    out: Path
+    paths: list = field(default_factory=list)
+
+    def __call__(self, index: int, st) -> None:
+        if self.every == 0 or index % self.every:
+            return
+        self.out.mkdir(parents=True, exist_ok=True)
+        path = self.out / f"state_{index:06d}.spec"
+        write_spec(path, {"rho": st.rho, "v": st.v}, time=st.t, eps=self.eps)
+        self.paths.append(path)
+
+
+def _streamed(snapshots: list, step: Callable):
+    """step(), the evolve behind the hooks `snapshots`. A blow-up keeps the
+    snapshots written before it: its BlowUpError carries their paths, as
+    `files`, for the manifest."""
+    try:
+        return step()
+    except BlowUpError as exc:
+        exc.files = [path for snaps in snapshots for path in snaps.paths]
+        raise
+
+
+def _write_eps_run(eps: float, traj: Trajectory, snapshots: _Snapshots,
                    out: Path) -> tuple[list[Path], dict]:
-    """The files of one eps run and its inline checks."""
-    names = ["t", *(k for k in traj.series if k != "state")]   # CSV columns
+    """The files of one eps run, its snapshots among them, and its inline
+    checks."""
+    names = ["t", *traj.series]   # CSV columns
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "timeseries.csv"
     write_csv(csv_path, names,
@@ -323,23 +355,24 @@ def _write_eps_run(eps: float, traj: Trajectory,
     _plot_script(gp, "timeseries.csv",
                  [(3, "energy"), (5, "|rho-1|_delta"), (7, "|sqrt(eps)Epar|_delta")],
                  f"eps = {eps}")
-    files = [csv_path, gp]
-    for i, st in enumerate(traj.series.get("state", ())):
-        if st is None:
-            continue
-        sp = out / f"state_{i:06d}.spec"
-        write_spec(sp, {"rho": st.rho, "v": st.v}, time=st.t, eps=eps)
-        files.append(sp)
-    return files, {
+    return [csv_path, gp, *snapshots.paths], {
         f"mass_drift_eps_{eps:g}": bool(np.max(np.abs(traj["mass"] - 1.0)) < 1e-12),
         f"positivity_eps_{eps:g}": bool(np.all(traj["min_rho"] > 0.0))}
 
 
 def _prepare_eps_run(cfg: RunConfig) -> Callable:
+    """The one eps run. Finish takes its Run out of `prepared` and hands
+    it to evolve, so nothing else holds the initial state once it is
+    stepped."""
     eps = cfg.eps[0]
-    member = _eps_run(cfg, eps)
-    return lambda out: _write_eps_run(
-        eps, evolve(epsilon.steps, [member])[0], out / "run")
+    prepared = [_eps_run(cfg, eps)]
+
+    def finish(out: Path) -> tuple:
+        snapshots = _Snapshots(eps, cfg.snapshot_every, out / "run")
+        traj = _streamed([snapshots], lambda: evolve(
+            epsilon.steps, [replace(prepared.pop(), on_sample=snapshots)])[0])
+        return _write_eps_run(eps, traj, snapshots, out / "run")
+    return finish
 
 
 def _prepare_eps_sweep(cfg: RunConfig) -> Callable:
@@ -351,14 +384,24 @@ def _prepare_eps_sweep(cfg: RunConfig) -> Callable:
     runs = [_eps_run(cfg, eps) for eps in cfg.eps]
     experiments.prepare_quasineutral_sweep(cfg.eps, grid=grid, extra_runs=runs,
                                            **kwargs)
-    return lambda out: _write_eps_sweep(cfg.eps, experiments.quasineutral_sweep(
-        cfg.eps, grid=grid, extra_runs=runs, **kwargs), out)
+
+    def finish(out: Path) -> tuple:
+        snapshots = [_Snapshots(eps, cfg.snapshot_every, out / f"eps_{eps:g}")
+                     for eps in cfg.eps]
+        res = _streamed(snapshots, lambda: experiments.quasineutral_sweep(
+            cfg.eps, grid=grid, extra_runs=[
+                replace(r, on_sample=snaps) for r, snaps in zip(runs, snapshots)],
+            **kwargs))
+        return _write_eps_sweep(cfg.eps, snapshots, res, out)
+    return finish
 
 
-def _write_eps_sweep(eps_list, res: experiments.SweepResult, out: Path) -> tuple:
+def _write_eps_sweep(eps_list, snapshots: list, res: experiments.SweepResult,
+                     out: Path) -> tuple:
     files, checks = [], {}
-    for eps, traj in zip(eps_list, res.extra_trajectories):
-        member_files, member_checks = _write_eps_run(eps, traj, out / f"eps_{eps:g}")
+    for eps, snaps, traj in zip(eps_list, snapshots, res.extra_trajectories):
+        member_files, member_checks = _write_eps_run(eps, traj, snaps,
+                                                     out / f"eps_{eps:g}")
         files += member_files
         checks.update(member_checks)
 
@@ -509,10 +552,10 @@ def run(cfg: RunConfig, out_dir, reference_mode: bool = True) -> Manifest:
     manifest = Manifest(config=_config_echo(cfg))
     start = time.perf_counter()
     finish = _EXPERIMENTS[cfg.experiment].prepare(cfg)
-    files = []
     try:
         files, manifest.checks = finish(root)
     except BlowUpError as exc:
+        files = getattr(exc, "files", [])   # written before the blow-up
         manifest.blow_up = {"system": exc.system, "time": exc.last_time}
     manifest.files = [{"path": str(Path(f).relative_to(root)),
                        "bytes": Path(f).stat().st_size} for f in files]

@@ -279,9 +279,9 @@ def steps(states: list, dts: list) -> list:
     """The eps system's step of an ensemble of states on one grid, each
     with its own eps and dt (quadrature.ensemble_step; see
     quadrature.evolve): G advances through the same stage quadrature, the
-    first stage reuses the cached values of rho and v, and the conserved
-    density mean is pinned to one afterwards. A member's entry is its new
-    state or its BlowUpError."""
+    first stage reuses the values of rho and v when every member has them
+    cached, and the conserved density mean is pinned to one afterwards. A
+    member's entry is its new state or its BlowUpError."""
     grid, line = states[0].grid, states[0].G.grid
     eps = [st.eps for st in states]
     (rho, v, G), errors = ensemble_step(

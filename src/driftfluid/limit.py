@@ -128,8 +128,8 @@ def tendencies(grid: Grid, rho: np.ndarray, v: np.ndarray,
 def steps(states: list, dts: list, with_pressure: bool = True) -> list:
     """The limit system's step of an ensemble of states on one grid, each
     with its own dt (quadrature.ensemble_step; see quadrature.evolve); the
-    first stage reuses the cached values of rho and v. A member's entry is
-    its new state or its BlowUpError."""
+    first stage reuses the values of rho and v when every member has them
+    cached. A member's entry is its new state or its BlowUpError."""
     grid = states[0].grid
     (rho, v), errors = ensemble_step(
         lambda y, values: tendencies(grid, *y, with_pressure, values),

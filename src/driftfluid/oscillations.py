@@ -251,10 +251,11 @@ def advect_correctors(Eplus0: SpectralField, Eminus0: SpectralField,
         d_t E+- + ubar(t, x_par) d_par E+- = 0,
 
     RK4 in time on the sampling grid of ubar, spectral in space with the
-    dealiased product; ubar at the half steps is cubic-interpolated. E+-
-    advance as one [n_t, 2, n_par] array (a stage transforms both d_par
-    E+- in one call, ubar in one and both products in one), of which the
-    series' Eplus and Eminus are views.
+    dealiased product; ubar at the half steps is cubic-interpolated. The
+    values of ubar at every sample and at every midpoint are made up front,
+    in one stacked call each. E+- advance as one [n_t, 2, n_par] array (a
+    stage transforms both d_par E+- in one call and both products in one),
+    of which the series' Eplus and Eminus are views.
     """
     times = np.asarray(ubar_times, dtype=float)
     dt = _check_uniform(times)
@@ -262,15 +263,16 @@ def advect_correctors(Eplus0: SpectralField, Eminus0: SpectralField,
     ubar_coeffs = np.asarray(ubar_coeffs, dtype=complex)
     if ubar_coeffs.shape != (len(times), grid.shape[0]):
         raise ConfigError("ubar series does not match the corrector time grid")
-    ubar_at = {0.0: ubar_coeffs[:-1], 0.5: midpoints(ubar_coeffs),
-               1.0: ubar_coeffs[1:]}
+    at_samples = collocation_values(grid, ubar_coeffs, False)
+    ubar_at = {0.0: at_samples[:-1],
+               0.5: collocation_values(grid, midpoints(ubar_coeffs), False),
+               1.0: at_samples[1:]}
     out = np.empty((len(times), 2, grid.shape[0]), dtype=complex)
     out[0] = Eplus0.coeffs, Eminus0.coeffs
 
     for j in range(len(times) - 1):
         def f(y, c):
-            u_vals = collocation_values(grid, ubar_at[c][j], False)
-            return (-product_coeffs(grid, u_vals, collocation_values(
+            return (-product_coeffs(grid, ubar_at[c][j], collocation_values(
                 grid, derivative_coeffs(grid, y[0], 0), False), False),)
 
         (out[j + 1],) = rk4_step(f, (out[j],), dt)

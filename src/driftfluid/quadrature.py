@@ -17,15 +17,18 @@ Every time-stepped system (the eps system, its limit, the two-phase and
 multi-phase reductions, corrector transport) advances with the one RK4
 step here. All but corrector transport take it through `ensemble_step`,
 the one place that knows the ensemble format: it stacks the members'
-evolved fields on a leading axis of their band-layout arrays, hands
-their cached collocation values to the first stage, completes the result
-to the full layout and reports a blow-up per member. Each system's
-`steps` adds only its tendency and the rebuilding of its states, and
-runs through the one loop, `evolve`. It steps an ensemble: a list of
-`Run`s of one system on one grid, each with its own data, dt, step count
-and probes, advanced together by one call of the system's `steps` per
-iteration, and it records only the probes each caller names into that
-run's `Trajectory`.
+evolved fields on a leading axis of their band-layout arrays, hands the
+first stage their collocation values when every member has them cached,
+completes the result to the full layout and reports a blow-up per
+member. Each system's `steps` adds only its tendency and the rebuilding
+of its states, and runs through the one loop, `evolve`. It steps an
+ensemble: a list of `Run`s of one system on one grid, each with its own
+data, dt, step count, probes and optional `on_sample` hook, advanced
+together by one call of the system's `steps` per iteration, and it
+records only the probes each caller names into that run's `Trajectory`.
+A member holds only the state it steps: the hook, not the record, is
+where a caller puts what must outlive a sample (a snapshot on disk, say),
+and a run handed to `evolve` frees its initial state once it is stepped.
 """
 
 from __future__ import annotations
@@ -84,8 +87,9 @@ def ensemble_step(tendency, states: list, dts: list, fields, system: str,
     the members on a new leading axis of its band-layout coefficients (see
     spectral) and advanced by rk4_step with tendency(y, values):
     values is, at the first stage only, the stacked collocation values of
-    the first `cached` fields (as cached on them by any probe that read
-    them), else None. Returns the new arrays completed to the full layout,
+    the first `cached` fields when every member has them cached (by a
+    probe that read them), else None, and the tendency makes them in its
+    own stacked inverse. Returns the new arrays completed to the full layout,
     and per member None or the BlowUpError of a non-finite result carrying
     the state its step started from.
     """
@@ -96,7 +100,10 @@ def ensemble_step(tendency, states: list, dts: list, fields, system: str,
                   else getattr(p, attr) for p in parts]
         return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    values = tuple(stack(parts, "_values") for parts in per_field[:cached])
+    firsts = [f for parts in per_field[:cached] for p in parts
+              for f in (p if isinstance(p, tuple) else (p,))]
+    values = tuple(stack(parts, "_values") for parts in per_field[:cached]) \
+        if all("_values" in vars(f) for f in firsts) else None
     y = rk4_step(lambda y, c: tendency(y, values if c == 0.0 else None),
                  tuple(stack(parts, "band_coeffs") for parts in per_field), dts)
     grids = [(p[0] if isinstance(p, tuple) else p).grid for p, *_ in per_field]
@@ -157,14 +164,18 @@ class Trajectory:
 @dataclass
 class Run:
     """One member of an ensemble: initial state, time step, step count, the
-    probes (functions of the state) to sample, and an optional
-    `stop_when(state)`, checked after each sample, that ends it early."""
+    probes (functions of the state) to sample, an optional
+    `stop_when(state)`, checked after each sample, that ends it early, and
+    an optional `on_sample(index, state)`, called after the probes at each
+    sample (index 0 at t = 0): the run's one side-effect hook (writing
+    snapshots, say), where probes stay pure functions of the state."""
 
     state: object
     dt: float
     n_steps: int
     probes: dict
     stop_when: object = None
+    on_sample: object = None
 
 
 def _stacked(values: list):
@@ -176,21 +187,26 @@ def _stacked(values: list):
 
 
 class _Member:
-    """A run in progress: its state, steps taken and samples."""
+    """A run in progress: its settings, its state, steps taken and samples.
+    It keeps the settings of its Run, not the Run, so once it has stepped
+    nothing of it holds the initial state."""
 
     def __init__(self, run: Run):
-        self.run, self.state, self.taken, self.complete = run, run.state, 0, True
+        self.dt, self.n_steps, self.probes = run.dt, run.n_steps, run.probes
+        self.stop_when, self.on_sample = run.stop_when, run.on_sample
+        self.state, self.taken, self.complete = run.state, 0, True
         self.times, self.samples = [], {name: [] for name in run.probes}
-        self.sample()
 
     def sample(self) -> None:
         self.times.append(self.state.t)
-        for name, probe in self.run.probes.items():
+        for name, probe in self.probes.items():
             self.samples[name].append(probe(self.state))
+        if self.on_sample is not None:
+            self.on_sample(self.taken, self.state)
 
     def running(self) -> bool:
-        stop = self.run.stop_when
-        return self.complete and self.taken < self.run.n_steps \
+        stop = self.stop_when
+        return self.complete and self.taken < self.n_steps \
             and not (self.taken and stop is not None and stop(self.state))
 
     def advance(self, result, partial: bool) -> None:
@@ -208,29 +224,36 @@ class _Member:
         return Trajectory(times=np.array(self.times),
                           series={k: _stacked(v) for k, v in self.samples.items()},
                           final_state=self.state, complete=self.complete,
-                          dt=self.run.dt)
+                          dt=self.dt)
 
 
 def evolve(steps, runs: list, partial: bool = False) -> list:
     """The one time loop: advance an ensemble of `Run`s of one system on
-    one grid, sampling each run's probes on its own state at t = 0 and
-    after each of its steps, and return their Trajectories in order.
+    one grid, sampling each run's probes, then its on_sample hook, on its
+    own state at t = 0 and after each of its steps, and return their
+    Trajectories in order.
 
     Each iteration advances every unfinished run by its own dt through one
     call of steps(states, dts), the system's stacked step, which returns
     per member the new state or the BlowUpError of a non-finite one. A run
     leaves the stack after n_steps steps, when its stop_when fires, or on
     blow-up: that BlowUpError propagates, unless `partial`, where the run
-    ends at its last finite state with complete False. Each member's record
-    is the one it would get alone. Each run's state is checked by
-    check_band before anything is sampled or stepped.
+    ends at its last finite state with complete False; no sample follows a
+    blow-up. Each member's record is the one it would get alone. Each
+    run's state is checked by check_band before anything is sampled or
+    stepped. Only the members hold what the loop needs, and `runs` is let
+    go before the first step: so when the caller hands its runs over (keeps
+    no reference to them), each initial state is freed once it is stepped.
     """
-    for run in runs:
-        check_band(run.state)
     members = [_Member(run) for run in runs]
+    del runs
+    for m in members:
+        check_band(m.state)
+    for m in members:
+        m.sample()
     live = [m for m in members if m.running()]
     while live:
-        results = steps([m.state for m in live], [m.run.dt for m in live])
+        results = steps([m.state for m in live], [m.dt for m in live])
         for m, result in zip(live, results):
             m.advance(result, partial)
         live = [m for m in live if m.running()]

@@ -41,10 +41,9 @@ def write_spec(path, fields: dict[str, SpectralField], time: float = 0.0,
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for f in fields.values():
-            flat = np.empty(2 * f.coeffs.size, dtype="<f8")
-            flat[0::2] = f.coeffs.real.ravel()
-            flat[1::2] = f.coeffs.imag.ravel()
-            fh.write(flat.tobytes())
+            # little-endian complex128: the interleaved (re, im) float64
+            # pairs themselves, written with no copy on a little-endian host
+            fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16"))
 
 
 def read_spec(path) -> tuple[dict[str, SpectralField], dict]:

@@ -111,8 +111,8 @@ def steps(states: list, dts: list) -> list:
     """The toy model's step of an ensemble of states on one grid, each
     with its own eps and dt (quadrature.ensemble_step; see
     quadrature.evolve): the member axis comes before the phase axis, and
-    the first stage reuses the cached values of the phases. A member's
-    entry is its new state or its BlowUpError."""
+    the first stage reuses the values of the phases when every member has
+    them cached. A member's entry is its new state or its BlowUpError."""
     grid = states[0].grid
     eps = [st.eps for st in states]
     (rho, u), errors = ensemble_step(

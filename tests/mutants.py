@@ -2,8 +2,8 @@
 band layout, in the invariants the tests guard, in the contraction probes, in the stacked
 layouts of the correctors and the two-phase step, in the toy model's
 quasineutral limit, in the ensemble step and run loop, in the config
-checks and in the experiment runners, each of which its named tests
-must catch.
+checks and in the experiment runners (snapshot streaming among them),
+each of which its named tests must catch.
 
     python tests/mutants.py             # every mutant
     python tests/mutants.py NAME ...    # the named ones
@@ -130,6 +130,11 @@ MUTANTS = (
            "Eplus=out[:, 0], Eminus=out[:, 1]", "Eplus=out[:, 1], Eminus=out[:, 0]",
            ("tests/test_oscillations.py::TestAdvection::"
             "test_distinct_correctors_translate_each_to_its_own_solution",)),
+    Mutant("corrector-half-stage-uses-samples", "src/driftfluid/oscillations.py",
+           "0.5: collocation_values(grid, midpoints(ubar_coeffs), False),",
+           "0.5: at_samples[:-1],",
+           ("tests/test_oscillations.py::TestAdvection::"
+            "test_time_dependent_current_translates",)),
     Mutant("two-phase-closure-summed-over-members", "src/driftfluid/twostream.py",
            "pressure_gradient_coeffs(grid, flux).sum(axis=-2)",
            "pressure_gradient_coeffs(grid, flux).sum(axis=0)",
@@ -142,23 +147,35 @@ MUTANTS = (
            ("tests/test_twostream.py::TestQuasineutralLimit::"
             "test_toy_model_converges_to_the_two_phase_system",)),
     # the ensemble step and loop
+    Mutant("values-handed-when-uncached", "src/driftfluid/quadrature.py",
+           'if all("_values" in vars(f) for f in firsts) else None',
+           "if True else None",
+           (PROPS + "test_reduction_and_ck_transform_counts",)),
     Mutant("cached-values-at-every-stage", "src/driftfluid/quadrature.py",
            "tendency(y, values if c == 0.0 else None)", "tendency(y, values)",
            ("tests/test_eps_solver.py::TestStep::test_single_mode_linear_oscillation",
             "tests/test_toymodel.py::TestTendencies::"
-            "test_steps_match_field_reference[8]")),
+            "test_steps_match_field_reference[8]",
+            "tests/test_quadrature.py::TestEnsemble::"
+            "test_a_step_is_the_same_with_values_cached_or_not")),
     Mutant("ensemble-shares-first-dt", "src/driftfluid/quadrature.py",
-           "[m.run.dt for m in live]", "[live[0].run.dt for m in live]",
+           "[m.dt for m in live]", "[live[0].dt for m in live]",
            ("tests/test_quadrature.py::TestEnsemble::"
             "test_eps_members_match_their_solo_runs",
             "tests/test_quadrature.py::TestEnsemble::"
             "test_toy_members_match_their_solo_runs")),
     Mutant("member-retired-one-step-late", "src/driftfluid/quadrature.py",
-           "self.taken < self.run.n_steps", "self.taken <= self.run.n_steps",
+           "self.taken < self.n_steps", "self.taken <= self.n_steps",
            ("tests/test_quadrature.py::TestEnsemble::"
             "test_one_stacked_step_per_iteration_until_each_run_is_done",
             "tests/test_quadrature.py::TestEvolve::"
             "test_samples_at_zero_and_after_every_step")),
+    Mutant("member-pins-run", "src/driftfluid/quadrature.py",
+           "        self.dt, self.n_steps, self.probes = run.dt, run.n_steps, run.probes\n",
+           "        self.run = run\n"
+           "        self.dt, self.n_steps, self.probes = run.dt, run.n_steps, run.probes\n",
+           ("tests/test_io_cli.py::TestRunner::"
+            "test_initial_state_is_released_once_stepped",)),
     # the config checks
     Mutant("non-positive-dt-accepted", "src/driftfluid/cli.py",
            'if dt["dt"] is not None and dt["dt"] <= 0:', "if False:",
@@ -193,6 +210,10 @@ MUTANTS = (
            "return files + [csv_path, corr_csv, gp], checks",
            ("tests/test_io_cli.py::TestRunner::"
             "test_eps_sweep_members_match_lone_eps_runs",)),
+    Mutant("snapshot-path-not-listed", "src/driftfluid/cli.py",
+           'files = getattr(exc, "files", [])', "files = []",
+           ("tests/test_io_cli.py::TestCliEntryPoint::"
+            "test_blow_up_keeps_and_lists_the_snapshots_written_before_it",)),
     Mutant("growth-without-modes-accepted", "src/driftfluid/twostream.py",
            "    if k_max < 1:\n", "    if False:\n",
            ("tests/test_io_cli.py::TestCliEntryPoint::"

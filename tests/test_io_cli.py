@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,8 @@ from driftfluid import (ck, cli, epsilon, experiments, limit, presets,
 from driftfluid.cli import RunConfig, main, run, validate
 from driftfluid.errors import ConfigError
 from driftfluid.specio import read_spec, write_csv, write_spec
-from driftfluid.spectral import Grid, analytic_norm, inverse, l2_norm, perp_average
+from driftfluid.spectral import (Grid, SpectralField, analytic_norm, inverse, l2_norm,
+                                 perp_average)
 
 from conftest import random_band_field
 
@@ -35,6 +38,25 @@ class TestSpecFormat:
         assert fields["rho"].grid == g
         assert np.array_equal(fields["rho"].coeffs, rho.coeffs)
         assert np.array_equal(fields["v"].coeffs, v.coeffs)
+
+    def test_payload_is_interleaved_little_endian_pairs(self, rng, tmp_path):
+        """Each field's payload is its coefficients' (re, im) float64 pairs,
+        little-endian, in C order, signed zeros and subnormals included:
+        byte for byte an explicit interleaving of .real and .imag."""
+        g = Grid.shear2d(4, 8)
+        coeffs = [rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+                  for _ in range(2)]
+        coeffs[0][0, :4] = [-0.0, 5e-324 - 0.0j, complex(-0.0, -0.0), -2.5e-310j]
+        fields = {"a": SpectralField(g, coeffs[0], real=False),
+                  "b": SpectralField(g, coeffs[1], real=False)}
+        path = tmp_path / "pairs.spec"
+        write_spec(path, fields)
+        expected = b""
+        for c in coeffs:
+            flat = np.empty(2 * c.size, dtype="<f8")
+            flat[0::2], flat[1::2] = c.real.ravel(), c.imag.ravel()
+            expected += flat.tobytes()
+        assert path.read_bytes().split(b"\n", 1)[1] == expected
 
     def test_header_is_json_line(self, rng, tmp_path):
         g = Grid.line(8)
@@ -320,15 +342,22 @@ class TestRunner:
                "experiment_params": {"compare_time": 0.25,
                                      "average_range": [0.1, 0.5]},
                "initial_data": {"preset": "single_mode",
-                                "params": {"amplitude": 0.05}}}
+                                "params": {"amplitude": 0.05}},
+               "snapshot_every": 10}
         run(RunConfig.from_dict(raw), tmp_path / "sweep")
-        assert_manifest_lists_exactly_its_files(tmp_path / "sweep")
+        listed = {f["path"] for f in
+                  assert_manifest_lists_exactly_its_files(tmp_path / "sweep")["files"]}
         for eps in raw["eps"]:
             lone = tmp_path / f"lone_{eps:g}"
             run(RunConfig.from_dict({**raw, "experiment": "eps_run", "eps": [eps],
                                      "experiment_params": {}}), lone)
-            member = tmp_path / "sweep" / f"eps_{eps:g}" / "timeseries.csv"
-            assert member.read_bytes() == (lone / "run" / "timeseries.csv").read_bytes()
+            member = tmp_path / "sweep" / f"eps_{eps:g}"
+            names = sorted(p.name for p in (lone / "run").iterdir())
+            assert sum(name.endswith(".spec") for name in names) >= 2
+            assert sorted(p.name for p in member.iterdir()) == names
+            for name in names:
+                assert f"eps_{eps:g}/{name}" in listed
+                assert (member / name).read_bytes() == (lone / "run" / name).read_bytes()
 
     def test_eps_sweep_companion_tables(self, tmp_path, monkeypatch):
         """The companion tables come from the sweep's own runs: one eps
@@ -374,6 +403,52 @@ class TestRunner:
         dt = epsilon.dt_policy(2.5e-2, samples_per_period=40)
         n = math.ceil(1.0 / dt)
         assert t == pytest.approx(dt * np.arange(n + 1), rel=1e-12, abs=1e-15)
+
+    def test_snapshots_add_less_than_one_state_to_peak_memory(self, tmp_path):
+        """An eps run writes each snapshot as it is sampled and holds none:
+        at 16x16x32 over 12 steps, snapshots at every sample raise the
+        traced peak of `run` by less than the coefficients of one state
+        (rho and v, 256 KiB). A run that kept its snapshot states until it
+        ended would add about 12 of them."""
+        raw = {"experiment": "eps_run", "grid": [16, 16, 32], "eps": [1e-2],
+               "horizon": 0.06, "initial_data": {"preset": "single_mode",
+                                                 "params": {"amplitude": 0.05}}}
+        run(RunConfig.from_dict(raw), tmp_path / "warm")
+        peaks = {}
+        for every in (0, 1):
+            cfg = RunConfig.from_dict({**raw, "snapshot_every": every})
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run(cfg, tmp_path / f"every_{every}")
+                peaks[every] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        spec = sorted((tmp_path / "every_1" / "run").glob("*.spec"))
+        assert len(spec) == 13
+        assert peaks[1] - peaks[0] < 2 * 16 * 16 * 32 * 16
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="a caller's arguments stay on its stack before 3.11")
+    def test_initial_state_is_released_once_stepped(self, tmp_path, monkeypatch):
+        """Nothing holds an eps run's initial state after its first step:
+        not the run loop, not its snapshot hook, not the finish step. Seen
+        through a wrapped epsilon.steps: the state of its first call is
+        collected by its third."""
+        steps, first, alive = epsilon.steps, [], []
+
+        def watching(states, dts):
+            if first:
+                alive.append(first[0]() is not None)
+            else:
+                first.append(weakref.ref(states[0]))
+            return steps(states, dts)
+        monkeypatch.setattr(epsilon, "steps", watching)
+        run(RunConfig.from_dict({
+            "experiment": "eps_run", "eps": [1e-2], "horizon": 0.03,
+            "snapshot_every": 1, "initial_data": {
+                "preset": "single_mode", "params": {"amplitude": 0.05}}}), tmp_path)
+        assert len(alive) >= 3 and not any(alive[1:])
 
     def test_contraction_experiment_run(self, tmp_path):
         """The contraction experiment at its default 4x4x8 grid."""
@@ -516,6 +591,29 @@ class TestCliEntryPoint:
         data = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert data["passed"] is False
         assert data["blow_up"] == {"system": "eps", "time": 0.0}
+        assert "blow-up: eps" in capsys.readouterr().out
+
+    def test_blow_up_keeps_and_lists_the_snapshots_written_before_it(
+            self, tmp_path, capsys):
+        """Snapshots are written as they are sampled: an eps run that blows
+        up at its second step leaves those of t = 0 and of its first step,
+        and the manifest lists exactly them, next to the blow-up."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "eps_run", "eps": [0.01], "horizon": 4e20,
+            "dt": {"dt": 1e20}, "snapshot_every": 1,
+            "initial_data": {"preset": "single_mode",
+                             "params": {"amplitude": 0.02}}}))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        data = assert_manifest_lists_exactly_its_files(out)
+        assert data["blow_up"] == {"system": "eps", "time": 1e20}
+        assert [f["path"] for f in data["files"]] == [
+            "run/state_000000.spec", "run/state_000001.spec"]
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) \
+            == ["manifest.json", "run/state_000000.spec", "run/state_000001.spec"]
         assert "blow-up: eps" in capsys.readouterr().out
 
     def test_run_command(self, tmp_path):

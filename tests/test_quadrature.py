@@ -409,6 +409,26 @@ class TestEnsemble:
             _assert_alone(got, toymodel.run(run.state, run.dt, run.n_steps,
                                             run.probes))
 
+    @pytest.mark.parametrize("system", ["epsilon", "toymodel"])
+    def test_a_step_is_the_same_with_values_cached_or_not(self, system):
+        """The first stage takes the members' values only when every member
+        has them cached, and those are the bytes its own stacked inverse
+        would make: a step of members with all, some or none of their
+        values cached is the same step, byte for byte."""
+        module, runs = {"epsilon": (epsilon, _eps_runs),
+                        "toymodel": (toymodel, _toy_runs)}[system]
+
+        def stepped(cache):
+            states = [run.state for run in runs()]
+            for st in states[:cache]:
+                for entry in dataclasses.fields(st):
+                    value = getattr(st, entry.name)
+                    for field in value if isinstance(value, tuple) else (value,):
+                        if isinstance(field, SpectralField):
+                            field._values
+            return [_coeff_bytes(st) for st in module.steps(states, [1e-3] * 3)]
+        assert stepped(3) == stepped(1) == stepped(0)
+
     def test_two_phase_members_match_their_solo_runs(self):
         runs = _two_phase_runs()
         for run, got in zip(runs, evolve(twostream.steps, runs, partial=True)):
