@@ -24,9 +24,9 @@ layout (the modes the 2/3 rule keeps, see spectral) once, computes on it,
 and completes the new iterate once. The transport term is
 epsilon.drift_advection, whose transforms take the fields and samples
 together in calls of at most spectral.FFT_BLOCK_POINTS points (6
-transforms per iteration at 4x4x8 with 43 samples, each one numpy.fft
-call per grid axis). The shrinking norm of a difference is two matrix
-products over all (delta, t) pairs; run_scheme returns each consecutive distance once,
+transforms per iteration at 4x4x8 with 43 samples, each one matrix
+product there, see spectral). The shrinking norm of a difference is two
+matrix products over all (delta, t) pairs; run_scheme returns each consecutive distance once,
 next to the iterates, and the contraction report and the rate certificate
 read those distances.
 
@@ -60,6 +60,7 @@ from .spectral import (
     NormParams,
     SpectralField,
     band_coeffs,
+    check_band_limited,
     embed_parallel_coeffs,
     full_coeffs,
     shrinking_norm,
@@ -98,7 +99,11 @@ def time_grid(params: NormParams, delta1: float, dt_target: float,
 
 def initialize(rho0: SpectralField, v0: SpectralField, eps: float,
                times: np.ndarray) -> Iterate:
-    """Constant-in-time zeroth iterate with its induced field integral."""
+    """Constant-in-time zeroth iterate with its induced field integral.
+    The data must lie on the band, which iterate keeps: a mode outside it
+    raises InvariantError (see spectral.check_band_limited)."""
+    check_band_limited(rho0, "rho0")
+    check_band_limited(v0, "v0")
     times = np.asarray(times, dtype=float)
     grid = rho0.grid
     E0 = parallel_coeffs(grid, rho0.coeffs, eps)[1]

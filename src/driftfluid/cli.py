@@ -67,11 +67,14 @@ run's memory does not grow with their count.
 A blow-up (BlowUpError) of an eps or limit run ends the experiment: the
 manifest is still written, with passed false, a "blow_up" entry giving
 the system and the time of its last finite state, and the snapshots
-written before the blow-up, which stay on disk. Exit status is nonzero
-iff an inline check fails or a run blows up. A ConfigError or an
-AdmissibilityError met while running ends the run like a config error
-met in the config: exit status 2, no manifest, and no output directory
-made, because each is raised before finish writes its first file.
+written before the blow-up, which stay on disk. A per-eps run of an
+"eps_run" or an "eps_sweep" also writes and lists its timeseries.csv up
+to that last finite state, and a sweep whose own runs completed writes
+its tables too. Exit status is nonzero iff an inline check fails or a
+run blows up. A ConfigError or an AdmissibilityError met while running
+ends the run like a config error met in the config: exit status 2, no
+manifest, and no output directory made, because each is raised before
+finish writes its first file.
 
 Every run is one process with byte-identical outputs for an identical
 config and seed; an "eps_sweep" steps all its eps as one ensemble.
@@ -344,13 +347,19 @@ def _streamed(snapshots: list, step: Callable):
 def _write_eps_run(eps: float, traj: Trajectory, snapshots: _Snapshots,
                    out: Path) -> tuple[list[Path], dict]:
     """The files of one eps run, its snapshots among them, and its inline
-    checks."""
+    checks. A run that blew up (an incomplete trajectory) keeps its record
+    up to its last finite state: timeseries.csv is written, and it and the
+    snapshots are the `files` of the BlowUpError raised then."""
     names = ["t", *traj.series]   # CSV columns
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "timeseries.csv"
     write_csv(csv_path, names,
               ({"t": float(t), **{k: float(traj[k][i]) for k in names[1:]}}
                for i, t in enumerate(traj.times)))
+    if not traj.complete:
+        exc = traj.blow_up("eps")
+        exc.files = [csv_path, *snapshots.paths]
+        raise exc
     gp = out / "timeseries.gp"
     _plot_script(gp, "timeseries.csv",
                  [(3, "energy"), (5, "|rho-1|_delta"), (7, "|sqrt(eps)Epar|_delta")],
@@ -363,14 +372,15 @@ def _write_eps_run(eps: float, traj: Trajectory, snapshots: _Snapshots,
 def _prepare_eps_run(cfg: RunConfig) -> Callable:
     """The one eps run. Finish takes its Run out of `prepared` and hands
     it to evolve, so nothing else holds the initial state once it is
-    stepped."""
+    stepped. It steps with `partial`, so a blow-up ends the run with the
+    record up to the last finite state, which _write_eps_run writes."""
     eps = cfg.eps[0]
     prepared = [_eps_run(cfg, eps)]
 
     def finish(out: Path) -> tuple:
         snapshots = _Snapshots(eps, cfg.snapshot_every, out / "run")
-        traj = _streamed([snapshots], lambda: evolve(
-            epsilon.steps, [replace(prepared.pop(), on_sample=snapshots)])[0])
+        traj = evolve(epsilon.steps, [replace(prepared.pop(), on_sample=snapshots)],
+                      partial=True)[0]
         return _write_eps_run(eps, traj, snapshots, out / "run")
     return finish
 
@@ -398,10 +408,17 @@ def _prepare_eps_sweep(cfg: RunConfig) -> Callable:
 
 def _write_eps_sweep(eps_list, snapshots: list, res: experiments.SweepResult,
                      out: Path) -> tuple:
-    files, checks = [], {}
+    """The files and inline checks of an eps sweep. A per-eps run that blew
+    up keeps its record (see _write_eps_run) and the sweep's tables are
+    still written; then the first such BlowUpError is raised, with every
+    file as its `files`."""
+    files, checks, blown = [], {}, None
     for eps, snaps, traj in zip(eps_list, snapshots, res.extra_trajectories):
-        member_files, member_checks = _write_eps_run(eps, traj, snaps,
-                                                     out / f"eps_{eps:g}")
+        try:
+            member_files, member_checks = _write_eps_run(eps, traj, snaps,
+                                                         out / f"eps_{eps:g}")
+        except BlowUpError as exc:
+            blown, member_files, member_checks = blown or exc, exc.files, {}
         files += member_files
         checks.update(member_checks)
 
@@ -438,7 +455,11 @@ def _write_eps_sweep(eps_list, snapshots: list, res: experiments.SweepResult,
     checks["rho_error_decreasing"] = res.strictly_decreasing("rho_error")
     checks["v_error_decreasing"] = res.strictly_decreasing("v_error_filtered")
     checks["residual_decreasing"] = res.strictly_decreasing("residual")
-    return files + [csv_path, lim_csv, corr_csv, gp], checks
+    files += [csv_path, lim_csv, corr_csv, gp]
+    if blown is not None:
+        blown.files = files
+        raise blown
+    return files, checks
 
 
 def _prepare_contraction(cfg: RunConfig) -> Callable:

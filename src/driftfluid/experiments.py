@@ -102,7 +102,9 @@ def quasineutral_sweep(eps_list, grid: Grid | None = None,
     both go on as long as the limit table and the demodulated correctors
     of the result need. Every eps run, with the
     caller's `extra_runs` (eps runs on `grid`), is stepped as one ensemble,
-    and every limit run as another."""
+    and every limit run as another. An extra run that blows up ends at its
+    last finite state (an incomplete trajectory, see evolve's `partial`);
+    a blow-up of one of the sweep's own runs raises its BlowUpError."""
     return prepare_quasineutral_sweep(eps_list, grid, amplitude, horizon,
                                       compare_time, average_range,
                                       samples_per_period, extra_runs)()
@@ -153,7 +155,10 @@ def prepare_quasineutral_sweep(eps_list, grid: Grid | None = None,
         lim_runs.append(Run(lim0, dt, n_lim, lim_probes))
 
     def finish() -> SweepResult:
-        eps_trajs = evolve(epsilon.steps, eps_runs + list(extra_runs))
+        eps_trajs = evolve(epsilon.steps, eps_runs + list(extra_runs), partial=True)
+        for traj in eps_trajs[:len(members)]:
+            if not traj.complete:
+                raise traj.blow_up("eps")
         lim_trajs = evolve(limit.steps, lim_runs)
         entries = []
         for (eps, n1, n, n_corr, m0), traj, lim_traj in zip(members, eps_trajs,

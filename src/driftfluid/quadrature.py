@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, InvariantError
-from .spectral import SpectralField, full_coeffs
+from .errors import BlowUpError, ConfigError
+from .spectral import SpectralField, check_band_limited, full_coeffs
 
 # weights of the cubic through 4 samples on the first interval (nodes
 # 0 .. 3), an interior one j (nodes j-1 .. j+2) and the last (nodes
@@ -127,11 +127,8 @@ def check_band(state) -> None:
     for entry in dataclasses.fields(state):
         value = getattr(state, entry.name)
         for field in value if isinstance(value, tuple) else (value,):
-            if (isinstance(field, SpectralField) and field.real
-                    and field.coeffs[~field.grid.dealias_mask].any()):
-                raise InvariantError(
-                    f"{type(state).__name__}.{entry.name} has a mode outside the "
-                    "2/3-rule band, which stepping would drop")
+            if isinstance(field, SpectralField):
+                check_band_limited(field, f"{type(state).__name__}.{entry.name}")
 
 
 def solo(steps, state, dt: float):
@@ -159,6 +156,13 @@ class Trajectory:
 
     def __getitem__(self, name: str):
         return self.series[name]
+
+    def blow_up(self, system: str) -> BlowUpError:
+        """The BlowUpError of a run of `system` that a blow-up ended at its
+        last finite state (complete False, see evolve's `partial`)."""
+        last = self.final_state
+        return BlowUpError(f"non-finite {system} state after t = {last.t}",
+                           last_state=last, last_time=last.t, system=system)
 
 
 @dataclass

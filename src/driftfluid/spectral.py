@@ -21,18 +21,20 @@ functions are array-level helpers (`collocation_values`,
 `perp_average_coeffs`, `embed_parallel_coeffs`) that act on the trailing
 grid axes of a coefficient array. Leading axes, such as the time samples
 of a trajectory or a stack of fields, are evaluated with the same
-arithmetic as one field at a time: a stacked numpy.fft call gives
-bit-for-bit the values of one call per field.
+arithmetic as one field at a time: a stacked transform gives bit for bit
+the values of one call per field.
 
 Stacked transforms are split into blocks: the leading axes are flattened
 into grid-sized rows, and every transform takes at most `block_rows(grid)`
-of them per numpy.fft call, as many as FFT_BLOCK_POINTS points hold but
-at least one (a grid axis is never split). The transport kernel
+of them per call, as many as FFT_BLOCK_POINTS points hold but at least
+one (a grid axis is never split). The transport kernel
 (epsilon.drift_advection) groups its fields and products to this budget,
 the measured minimum of the per-point cost of one stacked rfftn + irfftn
 pair, timed before the band transforms below replaced that pair in the
 steppers (ns per point, best of 9 rounds, one thread, numpy 2.4
-pocketfft, Xeon with 2 MiB L2):
+pocketfft, Xeon with 2 MiB L2). It was measured for FFTs, and the band
+matrices keep it, so a kernel stage keeps its one transform each way on
+the matrix grids too:
 
     points per call    256   1024   4096  16384  65536  262144
     4x4x16             316    114     64     37     51      57
@@ -58,7 +60,8 @@ is index 0 on each:
   (a `Grid` with par elsewhere is refused): a real field is fixed by it,
   and the values of a general real field are made from it by irfftn
   (`SpectralField.half_coeffs`, its cached values, `inverse`,
-  `check_real`), as it can hold modes outside the 2/3 rule;
+  `check_real`), as it can hold modes outside the 2/3 rule (a field
+  without them takes the band's transform on a matrix grid, see below);
 * the band layout (`Grid.band`) keeps only the modes the 2/3 rule keeps,
   |k_i| < n_i/3 on every axis: on a perp axis the indices 0 ... K and
   n - K ... n - 1 of the FFT ordering, on the par axis the first
@@ -68,23 +71,48 @@ is index 0 on each:
   hold each real state on it between step boundaries
   (`SpectralField.band_coeffs` or `band_coeffs` in, `full_coeffs` out).
 
-The band's transforms are pruned: the inverse fills each perp axis out to
-its n entries and transforms only the lines whose later axes the band
-keeps, then irfft zero-pads the par axis; the forward cuts the par axis
-after rfft and keeps the band's lines after each fft. Every line goes
-through the 1-D pocketfft call irfftn or rfftn makes for it, so band
-values and coefficients are byte for byte those of irfftn and of rfftn
-with the 2/3 mask. `collocation_values` takes half or band arrays of real
-fields, and full arrays of complex ones. The symbol helpers (derivatives,
-averages, the Poisson solves) accept any layout, and `full_coeffs`
-completes a half or band array to the full layout.
+The band has two transforms, and `Grid.band_matrices` chooses one per
+grid. Where the inverse matrix A (2K x N: K band modes, N points) and the
+forward matrix B (N x 2K) together fit in MATRIX_BYTES (1 MiB: 4x4x8,
+4x4x16, 6x6x12, shear 8x8 and 8x16, and lines up to 256 points), a band
+transform is one real matrix product of the rows' interleaved re/im parts,
+the matrix-multiplication transform of spectral-methods practice (Boyd,
+Chebyshev and Fourier Spectral Methods, 2001). On such grids the Python
+call around an FFT dominates. Per block of 10 rows, inverse/forward in
+microseconds, pruned FFT -> matrix (best of 7 rounds, one thread, numpy
+2.4 with OpenBLAS 0.3.31, Xeon with 2 MiB L2):
+
+    4x4x16     64.4/59.4 -> 17.8/18.0
+    4x4x8      54.6/53.1 ->  7.3/6.8
+    shear 8x16 27.0/27.7 ->  7.7/7.5
+    line 64     9.4/14.5 ->  4.7/5.1
+
+From 8x8x16 on the matrices no longer fit, and they would lose: there one
+plain product of 10 rows took 263.5/256.2 against the FFTs' 114.6/108.4.
+On those grids the band's transforms are pruned FFTs: the inverse fills
+each perp axis out to its n entries and transforms only the lines whose
+later axes the band keeps, then irfft zero-pads the par axis; the forward
+cuts the par axis after rfft and keeps the band's lines after each fft.
+Every line goes through the 1-D pocketfft call irfftn or rfftn makes for
+it, so there band values and coefficients are byte for byte those of
+irfftn and of rfftn with the 2/3 mask. On the matrix grids they agree with
+those at rounding level instead (the tests state the bound). On both paths
+a row's values and coefficients are bit for bit the same whatever rows
+share its call (see _gemm for the matrix products), and on a matrix grid a
+half-layout row with no mode outside the band is transformed by its band
+entries, so a field's cached values are bit for bit those the kernel makes
+of its band array.
+`collocation_values` takes half or band arrays of real fields, and full
+arrays of complex ones. The symbol helpers (derivatives, averages, the
+Poisson solves) accept any layout, and `full_coeffs` completes a half or
+band array to the full layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -95,7 +123,9 @@ PERP1 = "perp1"
 PERP2 = "perp2"
 PAR = "par"
 
-FFT_BLOCK_POINTS = 2**14          # points per numpy.fft call, see block_rows
+FFT_BLOCK_POINTS = 2**14          # points per transform call, see block_rows
+MATRIX_BYTES = 2**20              # both band matrices in at most this, see band_matrices
+GEMM_TERMS = 10**6                # rows x inner x outer per matrix product, see _gemm
 
 class Symbols(NamedTuple):
     """A grid's Fourier symbols on one coefficient layout, each broadcast
@@ -331,6 +361,16 @@ class Grid:
         source = np.where(conj, self._reflection, np.arange(self.size))
         return position[source], conj
 
+    @property
+    def band_matrices(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The band transforms' matrices (A, B) of _band_matrix_pair, which
+        replace its pruned transforms when both fit in MATRIX_BYTES (read
+        at each call), else None. They are built at the first transform
+        that uses them, once for all equal grids."""
+        if 32 * math.prod(self.band.shape) * self.size > MATRIX_BYTES:
+            return None
+        return _band_matrix_pair(self)
+
     @cached_property
     def par_grid(self) -> "Grid":
         return Grid.line(self.shape[self.par_axis]) if self.ndim > 1 else self
@@ -357,6 +397,36 @@ class Grid:
         """Collocation coordinates of every axis, ij indexing."""
         return np.meshgrid(*(self.coordinates(i) for i in range(self.ndim)),
                            indexing="ij")
+
+
+@lru_cache(maxsize=16)
+def _band_matrix_pair(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The real matrices of the band transforms, built from the band's
+    modes: the inverse A (2K x N) takes the interleaved re/im parts of
+    K band entries, in the band's order, to the N values, and the
+    forward B (N x 2K) takes them back. Row 2j, 2j + 1 of A holds
+    w cos and -w sin of the phase 2 pi k.x at every point x, with w = 2
+    for k_par > 0 (the conjugate entry at -k the band does not hold)
+    and 1 for k_par = 0, where irfftn takes the real part; B holds the
+    same waves over N, unweighted. Each phase is taken as an integer
+    ((k.x) mod L) / L, L the least common multiple of the mode counts,
+    so every entry is one of L tabulated cosines and sines. Both are
+    shared by every equal grid, so neither is writable."""
+    period = math.lcm(*grid.shape)
+    points = np.meshgrid(*map(np.arange, grid.shape), indexing="ij")
+    modes = np.meshgrid(*(grid.modes(i)[line] for i, line in enumerate(grid._band_lines)),
+                        indexing="ij")
+    phase = sum(np.multiply.outer(k.ravel(), x.ravel() * (period // n))
+                for k, x, n in zip(modes, points, grid.shape)) % period
+    angle = 2.0 * np.pi * np.arange(period) / period
+    inverse = np.empty((2 * phase.shape[0], grid.size))
+    inverse[0::2], inverse[1::2] = np.cos(angle)[phase], -np.sin(angle)[phase]
+    forward = inverse.T.copy()
+    forward /= grid.size
+    inverse *= np.repeat(np.where(modes[-1].ravel() > 0, 2.0, 1.0), 2)[:, None]
+    for matrix in (inverse, forward):
+        matrix.setflags(write=False)
+    return inverse, forward
 
 
 def _ell1(shape: tuple[int, ...]) -> np.ndarray:
@@ -514,6 +584,15 @@ def check_real(field: SpectralField, tol: float = 1e-6) -> None:
             raise InvariantError(f"imaginary residue {residue:.2e} above {tol:.0e}")
 
 
+def check_band_limited(field: SpectralField, name: str) -> None:
+    """Raise InvariantError if the real `field` (`name` in the message)
+    has a nonzero coefficient outside the 2/3-rule band, which every
+    computation on the band layout (a step, a CK iterate) drops silently."""
+    if field.real and field.coeffs[~field.grid.dealias_mask].any():
+        raise InvariantError(f"{name} has a mode outside the 2/3-rule band, "
+                             "which the band layout would drop")
+
+
 def inverse(field: SpectralField, tol: float = 1e-6) -> np.ndarray:
     """Evaluate the truncated Fourier series at the collocation points.
 
@@ -561,7 +640,7 @@ def band_to_half(grid: Grid, band: np.ndarray) -> np.ndarray:
 
 
 def block_rows(grid: Grid) -> int:
-    """Grid-sized rows per numpy.fft call: as many as FFT_BLOCK_POINTS
+    """Grid-sized rows per transform call: as many as FFT_BLOCK_POINTS
     points hold, and at least one (a grid axis is never split)."""
     return max(1, FFT_BLOCK_POINTS // grid.size)
 
@@ -592,12 +671,36 @@ def _forward_block(grid: Grid, vals: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _gemm(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix for a 2-D stack of rows, each row bit for bit the
+    same whatever rows share its call. OpenBLAS (0.3.31, Haswell) rounds a
+    product of at most GEMM_TERMS rows x inner x outer terms one way and
+    larger ones another, and numpy hands a lone row to gemv, which rounds a
+    third way: so the rows go in parts of at most GEMM_TERMS terms, and a
+    part of one row is multiplied as two, the second zero."""
+    step = max(2, GEMM_TERMS // matrix.size)
+    out = np.empty((len(rows), matrix.shape[1]))
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        if len(part) == 1:
+            out[start:] = (np.concatenate([part, np.zeros_like(part)]) @ matrix)[:1]
+        else:
+            np.matmul(part, matrix, out=out[start:start + len(part)])
+    return out
+
+
 def _band_inverse_block(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real values of one block of band rows, by the 1-D transforms of
-    irfftn restricted to the lines that can be nonzero: each perp axis in
-    turn is filled out to its n entries and transformed along the lines
-    the band keeps on every later axis, then irfft zero-pads the par axis.
+    """Real values of one block of band rows: on a grid with band
+    matrices, one matrix product of the rows' interleaved re/im parts;
+    else the 1-D transforms of irfftn restricted to the lines that can be
+    nonzero: each perp axis in turn is filled out to its n entries and
+    transformed along the lines the band keeps on every later axis, then
+    irfft zero-pads the par axis.
     """
+    matrices = grid.band_matrices
+    if matrices is not None:
+        flat = np.ascontiguousarray(coeffs, dtype=complex).reshape(len(coeffs), -1)
+        return _gemm(flat.view(float), matrices[0]).reshape((len(coeffs),) + grid.shape)
     for axis, n, low, high in grid._band_runs:
         shape = list(coeffs.shape)
         shape[axis] = n
@@ -609,11 +712,32 @@ def _band_inverse_block(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _half_inverse_block(grid: Grid, rows: np.ndarray) -> np.ndarray:
+    """Real values of one block of half-layout rows on a grid with band
+    matrices: a row with no mode outside the band gets the values of its
+    band entries, as the kernel makes them, and any other row irfftn's."""
+    mask = grid.half.dealias_mask
+    inside = ~rows[:, ~mask].any(axis=1)
+    band = rows[inside][:, mask].reshape((-1,) + grid.band.shape)
+    if inside.all():
+        return _band_inverse_block(grid, band)
+    vals = _inverse_block(grid, rows, True)
+    if inside.any():
+        vals[inside] = _band_inverse_block(grid, band)
+    return vals
+
+
 def _band_forward_block(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """Band-layout coefficients of one block of real value rows, by the
-    1-D transforms of rfftn restricted to the lines the band keeps: rfft
-    along par, cut to the band, then fft along each perp axis, last first,
-    keeping the band's lines."""
+    """Band-layout coefficients of one block of real value rows: on a
+    grid with band matrices, one matrix product giving their interleaved
+    re/im parts; else the 1-D transforms of rfftn restricted to the lines
+    the band keeps: rfft along par, cut to the band, then fft along each
+    perp axis, last first, keeping the band's lines."""
+    matrices = grid.band_matrices
+    if matrices is not None:
+        flat = np.ascontiguousarray(vals, dtype=float).reshape(len(vals), -1)
+        return _gemm(flat, matrices[1]).view(complex).reshape(
+            (len(vals),) + grid.band.shape)
     coeffs = np.fft.rfft(vals, axis=-1)[..., :grid.band.shape[-1]]
     for axis, _, low, high in reversed(grid._band_runs):
         full = np.fft.fft(coeffs, axis=axis)
@@ -643,11 +767,15 @@ def _by_blocks(grid: Grid, array: np.ndarray, transform) -> np.ndarray:
 def collocation_values(grid: Grid, coeffs: np.ndarray, real: bool) -> np.ndarray:
     """Values of the trigonometric interpolant at the collocation points,
     over the trailing grid axes: real values of half- or band-layout
-    coefficients if `real` (irfftn, or its pruned form on the band), else
-    complex values of full-layout ones (ifftn). The leading axes are
-    transformed block_rows(grid) rows per call."""
+    coefficients if `real` (irfftn, or the band's transform, which a
+    half-layout row with no mode outside the band takes too where the
+    grid has band matrices), else complex values of full-layout ones
+    (ifftn). The leading axes are transformed block_rows(grid) rows per
+    call."""
     if real and coeffs.shape[-1] == grid.band.shape[-1]:
         return _by_blocks(grid, coeffs, lambda rows: _band_inverse_block(grid, rows))
+    if real and grid.band_matrices is not None:
+        return _by_blocks(grid, coeffs, lambda rows: _half_inverse_block(grid, rows))
     return _by_blocks(grid, coeffs, lambda rows: _inverse_block(grid, rows, real))
 
 
@@ -698,10 +826,10 @@ def derivative(field: SpectralField, axis) -> SpectralField:
 def product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Dealiased (2/3 rule) spectral coefficients of the pointwise product.
 
-    For real fields both transforms are real ones (irfftn, rfftn) and the
-    result is completed from its half layout, so it is Hermitian by
-    construction: no rounding-level imaginary residue can feed back into
-    the spectrum step after step.
+    For real fields both transforms are real ones (see collocation_values
+    and dealiased_coeffs) and the result is completed from its band
+    layout, so it is Hermitian by construction: no rounding-level
+    imaginary residue can feed back into the spectrum step after step.
     """
     if f.grid != g.grid:
         raise ConfigError("product() requires both fields on the same grid")

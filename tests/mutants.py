@@ -1,5 +1,5 @@
 """Mutation gate: faults planted by hand in the transport kernel, in the
-band layout, in the invariants the tests guard, in the contraction probes, in the stacked
+band layout and its matrix transforms, in the invariants the tests guard, in the contraction probes, in the stacked
 layouts of the correctors and the two-phase step, in the toy model's
 quasineutral limit, in the ensemble step and run loop, in the config
 checks and in the experiment runners (snapshot streaming among them),
@@ -71,11 +71,37 @@ MUTANTS = (
            "        return position[source], conj\n",
            "        return position[source], conj & False\n",
            (PROPS + "test_band_completion_is_bytewise_the_half_completion",)),
-    Mutant("band-guard-disabled", "src/driftfluid/quadrature.py",
-           "and field.coeffs[~field.grid.dealias_mask].any()",
-           "and False",
+    Mutant("band-guard-disabled", "src/driftfluid/spectral.py",
+           "if field.real and field.coeffs[~field.grid.dealias_mask].any():",
+           "if False:",
            ("tests/test_quadrature.py::TestBandGuard::"
             "test_step_and_evolve_refuse_a_mode_outside_the_band",)),
+    Mutant("ck-data-off-band-accepted", "src/driftfluid/ck.py",
+           '    check_band_limited(rho0, "rho0")\n    check_band_limited(v0, "v0")\n', "",
+           ("tests/test_ck.py::TestInitialize::test_a_mode_outside_the_band_is_refused",)),
+    # the band matrices
+    Mutant("one-row-product-unpadded", "src/driftfluid/spectral.py",
+           "        if len(part) == 1:\n"
+           "            out[start:] = (np.concatenate([part, np.zeros_like(part)]) @ matrix)[:1]\n"
+           "        else:\n"
+           "            np.matmul(",
+           "        if True:\n            np.matmul(",
+           (PROPS + "test_matrix_transforms_are_bitwise_per_row",)),
+    Mutant("inverse-weight-one-off-the-k-par-zero-plane", "src/driftfluid/spectral.py",
+           "np.where(modes[-1].ravel() > 0, 2.0, 1.0)",
+           "np.where(modes[-1].ravel() > 0, 1.0, 1.0)",
+           (PROPS + "test_matrix_transforms_match_pocketfft",)),
+    Mutant("half-values-ignore-the-matrices", "src/driftfluid/spectral.py",
+           "    if real and grid.band_matrices is not None:\n"
+           "        return _by_blocks(grid, coeffs, lambda rows: _half_inverse_block(grid, rows))\n",
+           "",
+           ("tests/test_quadrature.py::TestEnsemble::"
+            "test_a_step_is_the_same_with_values_cached_or_not",
+            "tests/test_toymodel.py::TestTendencies::"
+            "test_steps_match_field_reference[8]")),
+    Mutant("matrix-budget-flipped", "src/driftfluid/spectral.py",
+           "* self.size > MATRIX_BYTES:", "* self.size < MATRIX_BYTES:",
+           (PROPS + "test_only_grids_whose_matrices_fit_build_them",)),
     # the invariants
     Mutant("mass-not-pinned", "src/driftfluid/epsilon.py",
            "    rho[(...,) + (0,) * grid.ndim] = 1.0\n", "",
@@ -206,10 +232,14 @@ MUTANTS = (
             "test_eps_below_the_floor_is_refused",)),
     # the experiment runners
     Mutant("runner-drops-a-file", "src/driftfluid/cli.py",
-           "return files + [csv_path, lim_csv, corr_csv, gp], checks",
-           "return files + [csv_path, corr_csv, gp], checks",
+           "files += [csv_path, lim_csv, corr_csv, gp]",
+           "files += [csv_path, corr_csv, gp]",
            ("tests/test_io_cli.py::TestRunner::"
             "test_eps_sweep_members_match_lone_eps_runs",)),
+    Mutant("blown-eps-run-not-partial", "src/driftfluid/cli.py",
+           "                      partial=True)[0]", "                      )[0]",
+           ("tests/test_io_cli.py::TestCliEntryPoint::"
+            "test_blow_up_keeps_and_lists_the_snapshots_written_before_it",)),
     Mutant("snapshot-path-not-listed", "src/driftfluid/cli.py",
            'files = getattr(exc, "files", [])', "files = []",
            ("tests/test_io_cli.py::TestCliEntryPoint::"

@@ -5,10 +5,11 @@ stiff ODE integration), without using the package's spectral machinery,
 so each oracle exercises a different code path from the operation it
 checks. The exceptions are the kernels at the end: the real transforms of
 one field and of one dealiased product as numpy's irfftn and rfftn with the
-2/3 mask, against which the band layout's pruned transforms are pinned, the
-shared transport kernel with one such call per field and per product,
-against which the stacked, blocked transforms of `epsilon.drift_advection`
-are pinned, and the two-phase and toy-model tendencies written with
+2/3 mask, against which the band layout's pruned transforms are pinned,
+one-row calls of the package's own band transforms, against which its
+stacked matrix products are pinned, the shared transport kernel with one
+call per field and per product of either kind, against which the stacked,
+blocked transforms of `epsilon.drift_advection` are pinned, and the two-phase and toy-model tendencies written with
 full-layout `SpectralField` arithmetic, one dealiased product at a time,
 against which the stacked kernels of `twostream` and `toymodel` are
 pinned."""
@@ -21,6 +22,8 @@ from driftfluid.spectral import (
     PERP1,
     PERP2,
     SpectralField,
+    collocation_values,
+    dealiased_coeffs,
     derivative,
     derivative_coeffs,
     product,
@@ -177,24 +180,45 @@ def per_product_coeffs(grid, f_vals, g_vals):
     return coeffs
 
 
-def per_product_drift_advection(grid, rho, v, e1=None, e2=None):
-    """epsilon.drift_advection with one numpy.fft call per field and per
-    dealiased product, on half-layout arrays with any leading axes, and
-    the flux <rho (v v)>_perp of the pressure closure the same way."""
+def _per_row(grid, array, transform):
+    """transform(grid, row) of every grid-sized row of `array`, one call
+    per row, with the leading axes of `array`."""
+    lead = array.shape[:array.ndim - grid.ndim]
+    rows = [transform(grid, row[None])[0]
+            for row in array.reshape((-1,) + array.shape[len(lead):])]
+    return np.stack(rows).reshape(lead + rows[0].shape)
+
+
+def per_row_values(grid, coeffs):
+    """Real collocation values of band- or half-layout rows, one
+    collocation_values call per row."""
+    return _per_row(grid, coeffs, lambda grid, row: collocation_values(grid, row, True))
+
+
+def per_row_product_coeffs(grid, f_vals, g_vals):
+    """Band-layout coefficients of the dealiased products of value rows,
+    one dealiased_coeffs call per row."""
+    return _per_row(grid, f_vals * g_vals,
+                    lambda grid, row: dealiased_coeffs(grid, row, True))
+
+
+def per_product_drift_advection(grid, rho, v, e1=None, e2=None,
+                                values=per_field_values, products=per_product_coeffs):
+    """epsilon.drift_advection with one transform call per field (`values`)
+    and per dealiased product (`products`): by default one numpy.fft call
+    each, on half-layout arrays with any leading axes; and the flux
+    <rho (v v)>_perp of the pressure closure the same way."""
     par = grid.par_axis
-    rho_vals, v_vals = per_field_values(grid, rho), per_field_values(grid, v)
-    drho = -derivative_coeffs(grid, per_product_coeffs(grid, v_vals, rho_vals), par)
-    dv = -per_product_coeffs(grid, v_vals, per_field_values(
-        grid, derivative_coeffs(grid, v, par)))
+    rho_vals, v_vals = values(grid, rho), values(grid, v)
+    drho = -derivative_coeffs(grid, products(grid, v_vals, rho_vals), par)
+    dv = -products(grid, v_vals, values(grid, derivative_coeffs(grid, v, par)))
     if PERP1 in grid.axes and PERP2 in grid.axes:
         for comp, label in ((e1, PERP1), (e2, PERP2)):
-            comp_vals = per_field_values(grid, comp)
-            drho -= derivative_coeffs(
-                grid, per_product_coeffs(grid, comp_vals, rho_vals), label)
-            dv -= derivative_coeffs(
-                grid, per_product_coeffs(grid, comp_vals, v_vals), label)
-    vv = per_field_values(grid, per_product_coeffs(grid, v_vals, v_vals))
-    flux = per_product_coeffs(grid, rho_vals, vv)[grid._par_line]
+            comp_vals = values(grid, comp)
+            drho -= derivative_coeffs(grid, products(grid, comp_vals, rho_vals), label)
+            dv -= derivative_coeffs(grid, products(grid, comp_vals, v_vals), label)
+    vv = values(grid, products(grid, v_vals, v_vals))
+    flux = products(grid, rho_vals, vv)[grid._par_line]
     return drho, dv, flux
 
 

@@ -20,7 +20,7 @@ from driftfluid.ck import (
     time_grid,
 )
 from driftfluid.epsilon import dt_policy, make_eps_state, parallel_field, run as eps_run
-from driftfluid.errors import ConfigError
+from driftfluid.errors import ConfigError, InvariantError
 from driftfluid.experiments import contraction_study
 from driftfluid.poisson import solve_fields
 from driftfluid.quadrature import cumulative_integral
@@ -31,6 +31,7 @@ from driftfluid.spectral import (
     constant,
     derivative,
     forward,
+    from_modes,
     product,
     zeros,
 )
@@ -58,6 +59,23 @@ class TestInitialize:
         it1 = iterate(it0, rho0, v0)
         d = iterate_difference(it1, it0, PARAMS)
         assert max(d.values()) < 1e-14
+
+    @pytest.mark.parametrize("field", ["rho", "v"])
+    def test_a_mode_outside_the_band_is_refused(self, field):
+        """An iterate is computed on the band (|k_i| < n_i/3), so data with
+        a mode off it, one |k_par| = 3 pair at 4x4x8, would lose that mode
+        from iterate 1 on without a word: initialize refuses it, and with
+        it run_scheme and every bisect_eta probe."""
+        g = Grid.torus3d(4, 4, 8)
+        eps = 0.25
+        st = small_state(g, eps)
+        data = {"rho": st.rho, "v": st.v}
+        data[field] = data[field] + from_modes(g, {(0, 0, 3): 1e-3})
+        times = time_grid(PARAMS, 1.1, dt_policy(eps))
+        with pytest.raises(InvariantError, match="band"):
+            initialize(data["rho"], data["v"], eps, times)
+        with pytest.raises(InvariantError, match="band"):
+            run_scheme(data["rho"], data["v"], eps, PARAMS, 1.1, dt_policy(eps), n_max=3)
 
     def test_zeroth_iterate_field_integral(self):
         """rho^0 is frozen, so G^0(t) = t * E_par(0)."""

@@ -597,7 +597,8 @@ class TestCliEntryPoint:
             self, tmp_path, capsys):
         """Snapshots are written as they are sampled: an eps run that blows
         up at its second step leaves those of t = 0 and of its first step,
-        and the manifest lists exactly them, next to the blow-up."""
+        and the time series of those two samples, and the manifest lists
+        exactly them, next to the blow-up."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "experiment": "eps_run", "eps": [0.01], "horizon": 4e20,
@@ -611,9 +612,40 @@ class TestCliEntryPoint:
         data = assert_manifest_lists_exactly_its_files(out)
         assert data["blow_up"] == {"system": "eps", "time": 1e20}
         assert [f["path"] for f in data["files"]] == [
-            "run/state_000000.spec", "run/state_000001.spec"]
+            "run/state_000000.spec", "run/state_000001.spec", "run/timeseries.csv"]
         assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) \
-            == ["manifest.json", "run/state_000000.spec", "run/state_000001.spec"]
+            == ["manifest.json", "run/state_000000.spec", "run/state_000001.spec",
+                "run/timeseries.csv"]
+        rows = (out / "run" / "timeseries.csv").read_text().splitlines()
+        assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0, 1e20]
+        assert "blow-up: eps" in capsys.readouterr().out
+
+    def test_a_blown_sweep_member_keeps_its_record_and_the_sweep_tables(
+            self, tmp_path, capsys):
+        """In an eps sweep, the configured dt reaches only the per-eps runs:
+        one that blows up at its second step keeps its two snapshots and
+        the time series of those two samples, the sweep's own runs go on,
+        and their tables are written and listed next to the blow-up."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "eps_sweep", "grid": [4, 4, 8], "eps": [0.1],
+            "horizon": 4e20, "dt": {"dt": 1e20}, "snapshot_every": 1,
+            "experiment_params": {"horizon": 0.5, "compare_time": 0.25,
+                                  "average_range": [0.1, 0.5]},
+            "initial_data": {"preset": "single_mode",
+                             "params": {"amplitude": 0.02}}}))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        data = assert_manifest_lists_exactly_its_files(out)
+        assert data["blow_up"] == {"system": "eps", "time": 1e20}
+        assert [f["path"] for f in data["files"]] == [
+            "convergence.csv", "convergence.gp", "correctors.csv",
+            "eps_0.1/state_000000.spec", "eps_0.1/state_000001.spec",
+            "eps_0.1/timeseries.csv", "limit_timeseries.csv"]
+        rows = (out / "eps_0.1" / "timeseries.csv").read_text().splitlines()
+        assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0, 1e20]
         assert "blow-up: eps" in capsys.readouterr().out
 
     def test_run_command(self, tmp_path):

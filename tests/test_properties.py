@@ -14,6 +14,7 @@ per field and per product (tests/oracles.py), with the number of
 transforms of the stepped systems and of a CK iteration counted and the
 peak memory of a kernel call bounded."""
 
+import contextlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -33,8 +34,11 @@ from driftfluid.spectral import (
     NormParams,
     analytic_norm,
     band_coeffs,
+    block_rows,
     collocation_values,
     constant,
+    dealias,
+    dealiased_coeffs,
     full_coeffs,
     gradient_norm,
     inner,
@@ -46,7 +50,13 @@ from driftfluid.spectral import (
 )
 
 from conftest import PROPERTY_GRIDS, count_transforms, random_band_field
-from oracles import per_field_values, per_product_coeffs, per_product_drift_advection
+from oracles import (
+    per_field_values,
+    per_product_coeffs,
+    per_product_drift_advection,
+    per_row_product_coeffs,
+    per_row_values,
+)
 
 grids = st.sampled_from(PROPERTY_GRIDS)
 seeds = st.integers(0, 2**32 - 1)
@@ -185,6 +195,16 @@ def _ref_field_coeffs(grid, rho, eps):
     }
 
 
+@contextlib.contextmanager
+def _fft_path():
+    """A context in which no grid has band matrices (MATRIX_BYTES 0), so
+    every band transform is the pruned FFT one: the path the pocketfft
+    checks below were written for."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "MATRIX_BYTES", 0)
+        yield patch
+
+
 def _close(got, want, rel=1e-15):
     return np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
 
@@ -202,7 +222,8 @@ def test_half_drift_advection_matches_full_reference(grid, n_batch, kmax, seed):
     rng = np.random.default_rng(seed)
     rho, v, e1, e2 = (_draw(grid, kmax, rng, n_batch, mean)
                       for mean in (1.0, 0.3, 0.0, 0.0))
-    half = _tendency(grid, *(_half(grid, c) for c in (rho, v, e1, e2)))
+    with _fft_path():
+        half = _tendency(grid, *(_half(grid, c) for c in (rho, v, e1, e2)))
     for got, want in zip(half, _ref_drift_advection(grid, rho, v, e1, e2)):
         assert _close(full_coeffs(grid, got), want)
 
@@ -306,7 +327,9 @@ def test_stacked_kernel_is_bitwise_per_transform(grid, n_batch, kmax, cached, se
     """One stacked inverse and one stacked forward transform per stage,
     with or without a leading axis and with rho's and v's values cached
     or not, move no bit of the tendencies."""
-    _assert_per_transform(grid, *_stacked_kernel(grid, n_batch, kmax, cached, seed))
+    with _fft_path():
+        outputs = _stacked_kernel(grid, n_batch, kmax, cached, seed)
+    _assert_per_transform(grid, *outputs)
 
 
 @example(grid=Grid.torus3d(4, 4, 8), n_batch=3, kmax=2, cached=False, rows=2, seed=1)
@@ -319,7 +342,7 @@ def test_kernel_blocks_are_bitwise_per_transform(grid, n_batch, kmax, cached,
     are cut into chunks, the last one partial (the example: 3 rows in
     chunks of 2 and 1). No call takes more rows, and the tendencies still
     match bit for bit."""
-    with pytest.MonkeyPatch.context() as patch:
+    with _fft_path() as patch:
         patch.setattr(spectral, "FFT_BLOCK_POINTS", rows * grid.size)
         calls = count_transforms(patch)
         outputs = _stacked_kernel(grid, n_batch, kmax, cached, seed)
@@ -361,7 +384,7 @@ def test_band_transforms_are_bytewise_irfftn_and_masked_rfftn(grid, n_batch, kma
     band entries of rfftn with the 2/3 mask, signed zeros included."""
     rng = np.random.default_rng(seed)
     f, g = (_band_limited(grid, kmax, rng, n_batch, mean) for mean in (1.0, 0.3))
-    with pytest.MonkeyPatch.context() as patch:
+    with _fft_path() as patch:
         patch.setattr(spectral, "FFT_BLOCK_POINTS", rows * grid.size)
         calls = count_transforms(patch)
         f_vals, g_vals = (collocation_values(grid, band_coeffs(grid, c), True)
@@ -403,6 +426,7 @@ def test_eps_step_transforms_once_each_way_per_stage(monkeypatch):
     recorded sample) makes 8 real transforms: one stacked inverse and one
     stacked forward per RK4 stage (42 with one call per field), each one
     numpy.fft call per grid axis."""
+    monkeypatch.setattr(spectral, "MATRIX_BYTES", 0)
     grid = Grid.torus3d(4, 4, 16)
     state = epsilon.make_eps_state(*_state_fields(grid), 0.05)
     state.rho._values, state.v._values
@@ -416,6 +440,7 @@ def test_limit_step_transforms_per_stage(monkeypatch):
     one stacked inverse and one stacked forward (the closure's v v among
     the products), then the inverse of v v and the forward of rho (v v)
     (54 with one call per field), each one numpy.fft call per grid axis."""
+    monkeypatch.setattr(spectral, "MATRIX_BYTES", 0)
     grid = Grid.torus3d(4, 4, 16)
     state = limit.project_initial(*_state_fields(grid))
     state.rho._values, state.v._values
@@ -433,8 +458,9 @@ def test_reduction_and_ck_transform_counts(monkeypatch):
     toy-model step on a line of 16 points (the fresh state's phases have
     no cached values, so the first stage makes them in its own stacked
     inverse, not by one irfftn per field)."""
+    monkeypatch.setattr(spectral, "MATRIX_BYTES", 0)
     grid, line = Grid.torus3d(4, 4, 8), Grid.line(16)
-    rho, v = _state_fields(grid)
+    rho, v = (dealias(f) for f in _state_fields(grid))   # k_perp = 2 is off the band
     first = ck.initialize(rho, v, 0.05, np.linspace(0.0, 0.1, 43))
     r, u = _state_fields(line)
     two = twostream.make_two_phase(0.5 * r, u, -1.0 * u)
@@ -474,3 +500,121 @@ def test_kernel_peak_memory_one_field_per_call(monkeypatch, cached, bound):
         tracemalloc.stop()
     assert len(result) == 2
     assert peak <= bound * grid.size * 8
+
+
+# -- the band matrices ------------------------------------------------------
+
+# the grids of PROPERTY_GRIDS whose band matrices fit in MATRIX_BYTES, and
+# those of the small workloads
+MATRIX_GRIDS = [g for g in PROPERTY_GRIDS if g.shape != (8, 8, 8)] + [
+    Grid.torus3d(4, 4, 16), Grid.line(64)]
+
+
+def _band_rows(grid, n, rng):
+    """n rows of random band coefficients and n rows of random values."""
+    shape = (n,) + grid.band.shape
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            rng.standard_normal((n,) + grid.shape))
+
+
+@pytest.mark.parametrize("grid", MATRIX_GRIDS)
+def test_matrix_transforms_are_bitwise_per_row(grid):
+    """On a grid with band matrices, a stack of 1 to 40 rows, or of one
+    more than a block, transformed either way gives each row bit for bit
+    as a one-row call does: past GEMM_TERMS terms (37 rows at 4x4x16) the
+    rows span two products, and a one-row product (the last part of 37
+    rows there, and of every stack one row over a block) runs as two."""
+    assert grid.band_matrices is not None
+    rows = block_rows(grid) + 1
+    coeffs, vals = _band_rows(grid, rows, np.random.default_rng(7))
+    want_vals, want_coeffs = per_row_values(grid, coeffs), \
+        per_row_product_coeffs(grid, vals, np.ones_like(vals))
+    for n in [*range(1, 41), rows]:
+        assert np.array_equal(collocation_values(grid, coeffs[:n], True), want_vals[:n])
+        assert np.array_equal(dealiased_coeffs(grid, vals[:n], True), want_coeffs[:n])
+
+
+@given(grid=st.sampled_from(MATRIX_GRIDS), n_batch=st.integers(0, 3),
+       kmax=st.integers(0, 3), cached=st.booleans(), rows=st.integers(1, 4), seed=seeds)
+def test_matrix_kernel_is_bitwise_per_row(grid, n_batch, kmax, cached, rows, seed):
+    """On the band layout of a grid with band matrices, as the steppers
+    call it, with any leading rows, a budget of `rows` fields per call and
+    rho's and v's values cached or not, the kernel's tendencies and
+    closure flux equal bit for bit those of one-row calls of the matrix
+    transforms per field and per product."""
+    rng = np.random.default_rng(seed)
+    inputs = tuple(band_coeffs(grid, _band_limited(grid, kmax, rng, n_batch, mean))
+                   for mean in (1.0, 0.3, 0.0, 0.0))
+    values = ((collocation_values(grid, inputs[0], True),
+               collocation_values(grid, inputs[1], True)) if cached else None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "FFT_BLOCK_POINTS", rows * grid.size)
+        got = drift_advection(grid, *inputs, values, pressure=True)
+    want = per_product_drift_advection(grid, *inputs, values=per_row_values,
+                                       products=per_row_product_coeffs)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@given(grid=st.sampled_from(MATRIX_GRIDS), n_batch=st.integers(0, 3),
+       kmax=st.integers(0, 3), seed=seeds)
+def test_matrix_transforms_match_pocketfft(grid, n_batch, kmax, seed):
+    """The matrix path agrees with pocketfft at rounding level: band
+    values with irfftn's, a dealiased product with the masked rfftn of
+    irfftn's values, and the kernel's tendencies with the full-layout
+    reference, each within 1e-14 of the larger of 1 (the scale of the
+    data) and the reference's largest entry. Relative to that entry alone,
+    over 40 seeds x kmax 0-3 x 1 and 3 rows on every grid here (numpy 2.4,
+    OpenBLAS 0.3.31 Haswell), the worst were 8.2e-16, 4.8e-15 (4x4x16)
+    and 3.2e-15 (line 64); the bound is twice the worst. Constant data has
+    exact-zero tendencies, which the matrices miss by about 1e-16."""
+    rng = np.random.default_rng(seed)
+    fields = tuple(_band_limited(grid, kmax, rng, n_batch, mean)
+                   for mean in (1.0, 0.3, 0.0, 0.0))
+    band = tuple(band_coeffs(grid, c) for c in fields)
+    f_vals, g_vals = (collocation_values(grid, c, True) for c in band[:2])
+    want_f, want_g = (per_field_values(grid, _half(grid, c)) for c in fields[:2])
+    pairs = [(f_vals, want_f), (g_vals, want_g),
+             (product_coeffs(grid, f_vals, g_vals, True),
+              _on_band(grid, per_product_coeffs(grid, want_f, want_g)))]
+    pairs += [(full_coeffs(grid, got), want) for got, want in zip(
+        drift_advection(grid, *band), _ref_drift_advection(grid, *fields))]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_eps_step_makes_one_matrix_product_each_way_per_stage(monkeypatch):
+    """One eps step at 4x4x16 whose fields hold cached values makes 8
+    matrix products, one stacked inverse and one stacked forward per RK4
+    stage, and no numpy.fft call."""
+    grid = Grid.torus3d(4, 4, 16)
+    state = epsilon.make_eps_state(*_state_fields(grid), 0.05)
+    state.rho._values, state.v._values
+    products, gemm = [], spectral._gemm
+
+    def counted(rows, matrix):
+        products.append(matrix.shape)
+        return gemm(rows, matrix)
+    monkeypatch.setattr(spectral, "_gemm", counted)
+    calls = count_transforms(monkeypatch)
+    epsilon.step(state, 1e-3)
+    assert products == [(108, 256), (256, 108)] * 4 and calls == []
+
+
+def test_only_grids_whose_matrices_fit_build_them(monkeypatch):
+    """4x4x16 builds its band matrices (442 KB) at its first transform;
+    8x8x16 (4.9 MB) and 32x32x64 (10 GB) take the pruned FFTs and build
+    none."""
+    built, build = [], spectral._band_matrix_pair
+
+    def recorded(grid):
+        built.append(grid.shape)
+        return build(grid)
+    monkeypatch.setattr(spectral, "_band_matrix_pair", recorded)
+    for grid in (Grid.torus3d(4, 4, 16), Grid.torus3d(8, 8, 16), Grid.torus3d(32, 32, 64)):
+        coeffs, vals = _band_rows(grid, 1, np.random.default_rng(0))
+        collocation_values(grid, coeffs, True)
+        dealiased_coeffs(grid, vals, True)
+        assert built[:1] == [(4, 4, 16)], grid
+    assert set(built) == {(4, 4, 16)}
+    assert sum(m.nbytes for m in Grid.torus3d(4, 4, 16).band_matrices) == 442368
